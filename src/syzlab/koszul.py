@@ -64,6 +64,7 @@ class KoszulComplex:
         self._subsets_cache: dict = {}
         self._chains: dict = {}
         self._diffs: dict = {}
+        self._ranks: dict = {}
         self._tor: dict = {}
 
     # -- chain spaces -------------------------------------------------------------
@@ -161,6 +162,15 @@ class KoszulComplex:
         self._diffs[key] = mats
         return mats
 
+    def _rank(self, p: int, d: int, w: tuple) -> int:
+        """Rank of the weight-w block of d_p in degree d, kept per (p, d):
+        tor_data(p, d) and tor_data(p - 1, d) both need it."""
+        ranks = self._ranks.setdefault((p, d), {})
+        rk = ranks.get(w)
+        if rk is None:
+            rk = ranks[w] = rank(self.differential(p, d)[w])
+        return rk
+
     # -- homology ----------------------------------------------------------------------
 
     def tor_data(self, p: int, d: int):
@@ -183,8 +193,8 @@ class KoszulComplex:
         total = 0
         for w, els in src.items():
             n = len(els)
-            rk_p = rank(d_p[w]) if d_p is not None else 0
-            rk_next = rank(d_next[w]) if w in d_next else 0
+            rk_p = self._rank(p, d, w) if d_p is not None else 0
+            rk_next = self._rank(p + 1, d, w) if w in d_next else 0
             dim_w = n - rk_p - rk_next
             if dim_w < 0:
                 raise InternalInconsistency(

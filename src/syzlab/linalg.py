@@ -1,10 +1,15 @@
-"""Dense exact linear algebra over the scalar field.
+"""Exact linear algebra over the scalar field.
 
 Entries are ints, Fractions or Cyclotomics; any mix works because the
-scalars coerce through their operators. Forward elimination is fraction
-free (Bareiss one-step formula) with the pivot row chosen by smallest
-coefficient bit-size, then a final normalization pass produces the reduced
-row echelon form, which is canonical.
+scalars coerce through their operators. `Matrix` is an immutable dense
+container. `rank` and `rref` share one sparse Gauss-Jordan kernel: rows
+become {column: nonzero} dicts with integral values carried as int, each
+column's pivot is the candidate entry of smallest bit-size, scaled to 1,
+and only the rows holding a nonzero in the pivot column are updated.
+`rank` stops after that forward pass; `rref` then clears the entries above
+each pivot, which gives the reduced row echelon form. That form is
+canonical, so the pivot choice affects cost, never results. `Span` is an
+incremental sparse row space for membership tests.
 """
 
 from __future__ import annotations
@@ -110,65 +115,75 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols})"
 
 
+def _int_if_integral(x):
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
+def _clear(row: dict, pivot_row: dict, c: int) -> None:
+    """row -= row[c] * pivot_row, in place; pivot_row[c] is 1."""
+    f = row[c]
+    for k, v in pivot_row.items():
+        x = row.get(k, 0) - f * v
+        if x:
+            row[k] = _int_if_integral(x)
+        else:
+            row.pop(k, None)
+
+
+def _forward(m: Matrix):
+    """Row echelon form by sparse elimination: [(pivot column, row)] in
+    increasing column order, each row a {column: nonzero} dict with a unit
+    pivot and no entry left of it."""
+    # rows waiting for a pivot, bucketed by their leading column; every
+    # such row has a nonzero there and none before it
+    waiting: dict = {}
+    for data in m.data:
+        row = {j: _int_if_integral(x) for j, x in enumerate(data) if x}
+        if row:
+            waiting.setdefault(min(row), []).append(row)
+    echelon = []
+    for c in range(m.cols):
+        rows = waiting.pop(c, None)
+        if rows is None:
+            continue
+        best = min(range(len(rows)), key=lambda i: bit_size(rows[i][c]))
+        pivot_row = rows.pop(best)
+        piv = pivot_row[c]
+        if piv != 1:
+            inv = Fraction(1, piv) if type(piv) is int else 1 / piv
+            pivot_row = {k: _int_if_integral(v * inv) for k, v in pivot_row.items()}
+            pivot_row[c] = 1
+        for row in rows:
+            _clear(row, pivot_row, c)
+            if row:
+                waiting.setdefault(min(row), []).append(row)
+        echelon.append((c, pivot_row))
+    return echelon
+
+
 def rref(m: Matrix):
     """Reduced row echelon form.
 
     Returns (R, pivot_columns, rank). R is canonical: it depends only on the
-    row space, so the bit-size pivoting below affects cost, never results.
+    row space, so the bit-size pivoting affects cost, never results.
     """
-    rows = [list(r) for r in m.data]
-    nrows, ncols = m.rows, m.cols
-    pivots = []
-    r = 0
-    prev = Fraction(1)
-    for c in range(ncols):
-        if r >= nrows:
-            break
-        best = None
-        best_size = None
-        for i in range(r, nrows):
-            x = rows[i][c]
-            if x:
-                s = bit_size(x)
-                if best is None or s < best_size:
-                    best, best_size = i, s
-        if best is None:
-            continue
-        if best != r:
-            rows[r], rows[best] = rows[best], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, nrows):
-            x = rows[i][c]
-            if x:
-                ri, rr = rows[i], rows[r]
-                rows[i] = [(piv * a - x * b) / prev for a, b in zip(ri, rr)]
-            else:
-                ri = rows[i]
-                rows[i] = [(piv * a) / prev for a in ri]
-        prev = piv
-        pivots.append(c)
-        r += 1
-    # normalization: unit pivots, eliminate above
-    for t in range(len(pivots) - 1, -1, -1):
-        c = pivots[t]
-        piv = rows[t][c]
-        rows[t] = [x / piv for x in rows[t]]
-        for i in range(t):
-            x = rows[i][c]
-            if x:
-                rows[i] = [a - x * b for a, b in zip(rows[i], rows[t])]
-    for t in range(len(pivots), nrows):
-        rows[t] = [Fraction(0)] * ncols
-    return Matrix(nrows, ncols, rows), tuple(pivots), len(pivots)
+    echelon = _forward(m)
+    for t in range(len(echelon) - 1, 0, -1):
+        c, pivot_row = echelon[t]
+        for _, row in echelon[:t]:
+            if c in row:
+                _clear(row, pivot_row, c)
+    data = [[Fraction(0)] * m.cols for _ in range(m.rows)]
+    for out, (_, row) in zip(data, echelon):
+        for k, v in row.items():
+            out[k] = Fraction(v) if type(v) is int else v
+    return Matrix(m.rows, m.cols, data), tuple(c for c, _ in echelon), len(echelon)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m)[2]
-
-
-def image_dim(m: Matrix) -> int:
-    """Dimension of the column space."""
-    return rref(m)[2]
+    return len(_forward(m))
 
 
 def kernel_basis(m: Matrix) -> Matrix:

@@ -94,6 +94,22 @@ def test_tor_table_veronese_z2(z2_min):
     assert table.ceilings == {0: 2, 1: 4, 2: 6}
 
 
+def test_tor_table_ranks_each_block_once(monkeypatch):
+    import syzlab.koszul
+
+    ranked = []
+
+    def counting_rank(m):
+        ranked.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(syzlab.koszul, "rank", counting_rank)
+    cx = make_cx(diag_rep("builtin:cyclic:2", [Fraction(-1), Fraction(-1)]), "minimal")
+    table = tor_table(cx, p_max=2)
+    assert table.nonzero_rows() == [(0, 0, 1), (1, 4, 1)]
+    assert ranked and len({id(m) for m in ranked}) == len(ranked)
+
+
 def test_tor_table_full_mode_triv_sign():
     cx = make_cx(diag_rep("builtin:cyclic:2", [Fraction(1), Fraction(-1)]), "full")
     table = tor_table(cx, p_max=1)

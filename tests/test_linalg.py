@@ -9,13 +9,14 @@ from syzlab.linalg import (
     Matrix,
     Span,
     column_echelon_basis,
-    image_dim,
     kernel_basis,
     quotient_dim,
     rank,
     rref,
 )
 from syzlab.cyclo import zeta
+
+from oracles import row_reduce_rank
 
 
 def M(rows):
@@ -65,8 +66,8 @@ def test_kernel_is_annihilated():
 
 
 def test_image_dim():
-    assert image_dim(M([[1, 2], [2, 4]])) == 1
-    assert image_dim(Matrix.zeros(3, 3)) == 0
+    assert rank(M([[1, 2], [2, 4]])) == 1
+    assert rank(Matrix.zeros(3, 3)) == 0
 
 
 def test_quotient_dim():
@@ -131,3 +132,100 @@ def test_span_rank_and_membership():
     assert s.dim == 2
     assert s.contains({(0, 1): Fraction(7)})
     assert not s.contains({(2, 0): Fraction(1)})
+
+
+# -- the elimination kernel against the textbook oracle -----------------------
+
+Z3, Z4 = zeta(3), zeta(4)
+
+ints = st.integers(-4, 4)
+fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(2, 5))
+rationals = st.one_of(ints, fractions)
+q_zeta3 = st.builds(lambda a, b: a + b * Z3, rationals, rationals)
+q_zeta4 = st.builds(lambda a, b: a + b * Z4, rationals, rationals)
+FIELDS = {
+    "int": ints,
+    "fraction": fractions,
+    "zeta3": q_zeta3,
+    "zeta4": q_zeta4,
+    "mixed": st.one_of(ints, fractions, q_zeta3, q_zeta4),
+}
+
+
+@st.composite
+def sparse_matrices(draw, max_rows=6, max_cols=6):
+    """Random sparse matrices, empty shapes included, over one field."""
+    entries = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    r = draw(st.integers(0, max_rows))
+    c = draw(st.integers(0, max_cols))
+    zero = st.just(0)
+    cell = st.one_of(zero, zero, entries)
+    return Matrix(r, c, [[draw(cell) for _ in range(c)] for _ in range(r)])
+
+
+def oracle_rank(m: Matrix) -> int:
+    return row_reduce_rank([[Fraction(x) if type(x) is int else x for x in r] for r in m.data])
+
+
+def assert_reduced_echelon(red: Matrix, pivots, rk):
+    assert not any(isinstance(x, float) for r in red.data for x in r)
+    assert len(pivots) == rk and list(pivots) == sorted(set(pivots))
+    for t, c in enumerate(pivots):
+        assert red.at(t, c) == 1
+        assert not any(red.at(t, j) for j in range(c))
+        assert not any(red.at(i, c) for i in range(red.rows) if i != t)
+    assert not any(x for r in red.data[rk:] for x in r)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_kernel_matches_oracle(m):
+    rk = rank(m)
+    assert rk == oracle_rank(m)
+    red, pivots, rk2 = rref(m)
+    assert rk2 == rk
+    assert (red.rows, red.cols) == (m.rows, m.cols)
+    assert_reduced_echelon(red, pivots, rk)
+    assert rref(red) == (red, pivots, rk)
+    k = kernel_basis(m)
+    assert k.cols == m.cols - rk
+    assert (m @ k).is_zero()
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices(max_rows=4, max_cols=5), st.data())
+def test_rref_is_canonical(m, data):
+    """Two generating sets of one row space give the same R and pivots."""
+    entries = FIELDS["mixed"]
+    nonzero = entries.filter(bool)
+    gens = []
+    for r in data.draw(st.permutations(m.data)):
+        scale = data.draw(nonzero)
+        gens.append([scale * x for x in r])
+    for _ in range(data.draw(st.integers(0, 3))):
+        coeffs = [data.draw(entries) for _ in m.data]
+        gens.append([sum((a * r[j] for a, r in zip(coeffs, m.data)), Fraction(0)) for j in range(m.cols)])
+    gens.append([0] * m.cols)
+    red, pivots, rk = rref(m)
+    red2, pivots2, rk2 = rref(Matrix(len(gens), m.cols, gens))
+    assert (pivots2, rk2) == (pivots, rk)
+    assert red2.data[:rk] == red.data[:rk]
+
+
+def test_empty_shapes():
+    for m in (Matrix(0, 4, []), Matrix(3, 0, [[]] * 3), Matrix(0, 0, []), Matrix.zeros(2, 5)):
+        assert rank(m) == 0
+        assert rref(m) == (m, (), 0)
+        assert kernel_basis(m).cols == m.cols
+
+
+def test_irrational_pivot_candidates_only():
+    # every candidate in column 0 is irrational: zeta3, zeta3^2, 1 + zeta3
+    m = Matrix.from_rows([[Z3, 1, 0], [Z3 * Z3, Z3, 1], [1 + Z3, 0, Z4]])
+    assert rank(m) == oracle_rank(m) == 3
+    red, pivots, rk = rref(m)
+    assert red == Matrix.identity(3) and pivots == (0, 1, 2)
+    singular = Matrix.from_rows([[Z3, Z3 * Z4], [Z3 * Z3, Z3 * Z3 * Z4], [1 + Z3, 0]])
+    assert rank(singular) == oracle_rank(singular) == 2
+    k = kernel_basis(singular.transpose())
+    assert k.cols == 1 and (singular.transpose() @ k).is_zero()
