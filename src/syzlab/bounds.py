@@ -98,9 +98,11 @@ def audit(
         rep, budget=budget, cache=cache, cache_prefix=cache_prefix
     )
     gens = build_E(ring, mode, noether)
-    _, _, beta_v = minimal_generators(
-        ring, stop=noether.value, warn_below_order=False
-    )
+    beta_v = gens.beta_V
+    if mode == "full":
+        _, _, beta_v = minimal_generators(
+            ring, stop=noether.value, warn_below_order=False
+        )
     cx = KoszulComplex(ring, gens, noether.value)
     reports = []
     findings = []

@@ -3,7 +3,8 @@
 Keys are canonical-JSON documents hashed with SHA-256; entries are written
 via a temp file and os.replace, so concurrent writers of the same key leave
 exactly one intact winner. A format-version mismatch or a corrupted entry
-is a miss (the latter is deleted).
+is a miss (the latter is deleted). A failed write prints one line to
+stderr and turns the cache off for the rest of the run.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import tempfile
 
 from . import FORMAT_VERSION
@@ -24,6 +26,7 @@ def content_hash(obj) -> str:
 class Cache:
     def __init__(self, directory: str):
         self.directory = directory
+        self.enabled = True
         try:
             os.makedirs(directory, exist_ok=True)
         except OSError as exc:
@@ -33,6 +36,8 @@ class Cache:
         return os.path.join(self.directory, content_hash(key_obj) + ".json")
 
     def get(self, key_obj):
+        if not self.enabled:
+            return None
         path = self._path(key_obj)
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -50,6 +55,8 @@ class Cache:
         return entry.get("payload")
 
     def put(self, key_obj, payload) -> None:
+        if not self.enabled:
+            return
         path = self._path(key_obj)
         entry = {"format_version": FORMAT_VERSION, "key": key_obj, "payload": payload}
         try:
@@ -58,4 +65,5 @@ class Cache:
                 json.dump(entry, fh, sort_keys=True)
             os.replace(tmp, path)
         except OSError as exc:
-            raise OSError(f"cache write failed for {path}: {exc}") from exc
+            self.enabled = False
+            sys.stderr.write(f"syzlab: cache disabled: cache write failed for {path}: {exc}\n")

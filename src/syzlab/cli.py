@@ -64,6 +64,7 @@ class Problem:
     multiplicities: tuple | None
     p: int
     p_max: int
+    g_max: int
     mode: str
     stop: int | None
     exact_limit: int | None
@@ -198,6 +199,8 @@ def parse_problem(doc, task: str | None = None, budget: Budget | None = None) ->
     _expect(isinstance(p, int) and p >= 1, "p", "expected a positive integer")
     p_max = doc.get("p_max", p)
     _expect(isinstance(p_max, int) and p_max >= p - 1, "p_max", "expected an integer >= p - 1")
+    g_max = doc.get("g_max", 12)
+    _expect(isinstance(g_max, int) and g_max >= 1, "g_max", "expected a positive integer")
     mode = doc.get("mode", "minimal")
     _expect(mode in ("minimal", "full"), "mode", "expected minimal or full")
     stop = doc.get("stop")
@@ -223,6 +226,7 @@ def parse_problem(doc, task: str | None = None, budget: Budget | None = None) ->
         multiplicities=mults,
         p=p,
         p_max=p_max,
+        g_max=g_max,
         mode=mode,
         stop=stop,
         exact_limit=exact_limit,
@@ -287,7 +291,7 @@ def _run_invariants(problem: Problem, options) -> dict:
         cache=options.cache,
         cache_prefix=_cache_prefix(problem),
     )
-    ring.precompute(range(stop + 1), jobs=options.jobs)
+    ring.precompute(range(stop + 1))
     degrees, gens, beta_v = minimal_generators(
         ring, stop=stop, warn_below_order=problem.stop is not None
     )
@@ -322,7 +326,7 @@ def _syzygy_complex(problem: Problem, options):
     gens = build_E(ring, problem.mode, noe)
     cx = KoszulComplex(ring, gens, noe.value)
     top = scan_ceiling(noe.value, rep.degree, problem.p_max) + cx.guard
-    ring.precompute(range(top + 1), jobs=options.jobs)
+    ring.precompute(range(top + 1))
     return cx, noe
 
 
@@ -389,49 +393,76 @@ def _run_universal(problem: Problem, options) -> dict:
     return out
 
 
+def _int_list(value, path: str) -> tuple:
+    _expect(
+        isinstance(value, list) and all(isinstance(x, int) and x >= 0 for x in value),
+        path,
+        "expected a list of nonnegative integers",
+    )
+    return tuple(value)
+
+
+def _partition(value, path: str) -> tuple:
+    lam = _int_list(value, path)
+    _expect(all(lam) and list(lam) == sorted(lam, reverse=True), path, "expected a partition")
+    return lam
+
+
 def _run_schur(problem: Problem, options) -> dict:
     args = problem.schur_args
     _expect(args is not None and "check" in args, "schur.check", "missing")
     check = args["check"]
     budget = options.budget
+
+    def int_arg(name, default, minimum=0):
+        value = args.get(name, default)
+        _expect(
+            isinstance(value, int) and value >= minimum,
+            f"schur.{name}",
+            f"expected an integer >= {minimum}",
+        )
+        return value
+
     if check == "kostka":
-        lam, mu = tuple(args.get("shape", ())), tuple(args.get("content", ()))
+        lam = _partition(args.get("shape", []), "schur.shape")
+        mu = _int_list(args.get("content", []), "schur.content")
         return {"check": check, "value": kostka_number(lam, mu)}
     if check == "lr":
-        lam = tuple(args.get("lam", ()))
-        mu = tuple(args.get("mu", ()))
-        nu = tuple(args.get("nu", ()))
+        lam, mu, nu = (_partition(args.get(k, []), f"schur.{k}") for k in ("lam", "mu", "nu"))
         return {"check": check, "value": lr_coefficient(lam, mu, nu)}
     if check == "cauchy":
         catalog = _need_catalog(problem)
-        res = cauchy_check(
-            catalog, args.get("factor", 0), args.get("dim", 2), args.get("degree", 2)
-        )
+        factor = int_arg("factor", 0)
+        n = len(catalog.irreps)
+        _expect(factor < n, "schur.factor", f"expected an irreducible index below {n}")
+        res = cauchy_check(catalog, factor, int_arg("dim", 2), int_arg("degree", 2))
         return {"check": check, **res}
     if check == "row-bounds-ring":
         catalog = _need_catalog(problem)
         return {
             "check": check,
-            **ring_row_bounds(catalog, args.get("max_degree", 4), budget=budget),
+            **ring_row_bounds(catalog, int_arg("max_degree", 4), budget=budget),
         }
     if check == "row-bounds-tor":
         catalog = _need_catalog(problem)
         noe = noether_number(problem.group, problem.exact_limit, budget)
         return {
             "check": check,
-            **tor_row_bounds(catalog, noe, args.get("p", problem.p), budget=budget),
+            **tor_row_bounds(catalog, noe, int_arg("p", problem.p, 1), budget=budget),
         }
     if check == "stabilization":
         catalog = _need_catalog(problem)
         noe = noether_number(problem.group, problem.exact_limit, budget)
         mults = args.get("multiplicities")
+        if mults is not None:
+            mults = _int_list(mults, "schur.multiplicities")
         return {
             "check": check,
             **stabilization_check(
                 catalog,
                 noe,
-                args.get("p", problem.p),
-                args.get("degree", 0),
+                int_arg("p", problem.p, 1),
+                int_arg("degree", 0),
                 budget=budget,
                 base_multiplicities=mults,
             ),
@@ -439,20 +470,21 @@ def _run_schur(problem: Problem, options) -> dict:
     if check == "domination":
         catalog = _need_catalog(problem)
         noe = noether_number(problem.group, problem.exact_limit, budget)
-        samples = [tuple(s) for s in args.get("samples", [])]
+        samples = args.get("samples", [])
+        _expect(isinstance(samples, list), "schur.samples", "expected a list")
+        samples = [_int_list(s, f"schur.samples[{i}]") for i, s in enumerate(samples)]
         return {
             "check": check,
             **domination_check(
-                catalog, noe, args.get("p", problem.p), samples, budget=budget
+                catalog, noe, int_arg("p", problem.p, 1), samples, budget=budget
             ),
         }
     _fail("schur.check", f"unknown check {check!r}")
 
 
 def _run_chain(problem: Problem, options) -> dict:
-    g_max = problem.doc.get("g_max", 12)
     p_max = problem.doc.get("p_max", 12)
-    return inequality_chain_check(g_max=g_max, p_max=p_max)
+    return inequality_chain_check(g_max=problem.g_max, p_max=p_max)
 
 
 def run(problem: Problem, options):
@@ -488,8 +520,8 @@ def run(problem: Problem, options):
                 if problem.exact_limit is not None
                 else budget.noether_exact_limit
             ),
-            # jobs and cache location are execution details: they must not
-            # influence results, so they stay out of the report bytes
+            # cache location is an execution detail: it must not
+            # influence results, so it stays out of the report bytes
             "budget": {
                 "level": budget.name,
                 "conductor_limit": budget.conductor_limit,
@@ -603,7 +635,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--p-max", type=int, default=None, dest="p_max")
         sp.add_argument("--mode", choices=("minimal", "full"), default=None)
         sp.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--cache-dir", default=None)
         sp.add_argument("--no-cache", action="store_true")
         sp.add_argument(
@@ -616,21 +647,24 @@ def _build_parser() -> _Parser:
 class Options:
     budget: Budget
     cache: Cache | None
-    jobs: int
 
 
 def _resolve_cache(args) -> Cache | None:
     if args.no_cache:
         return None
-    if args.cache_dir:
-        return Cache(args.cache_dir)
-    env = os.environ.get("SYZLAB_CACHE_DIR")
-    if env:
-        return Cache(env)
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
         os.path.expanduser("~"), ".cache"
     )
-    return Cache(os.path.join(base, "syzlab"))
+    directory = (
+        args.cache_dir
+        or os.environ.get("SYZLAB_CACHE_DIR")
+        or os.path.join(base, "syzlab")
+    )
+    try:
+        return Cache(directory)
+    except OSError as exc:
+        sys.stderr.write(f"syzlab: cache disabled: {exc}\n")
+        return None
 
 
 def main(argv=None) -> int:
@@ -653,9 +687,7 @@ def main(argv=None) -> int:
         if args.p is not None and args.p_max is None and "p_max" in doc:
             doc["p_max"] = max(doc["p_max"], args.p)
         problem = parse_problem(doc, task=args.task, budget=budget)
-        options = Options(
-            budget=budget, cache=_resolve_cache(args), jobs=max(1, args.jobs)
-        )
+        options = Options(budget=budget, cache=_resolve_cache(args))
         report, findings = run(problem, options)
         sys.stdout.write(emit_report(report, args.format))
         if findings:

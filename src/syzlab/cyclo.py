@@ -144,10 +144,6 @@ class Cyclotomic:
         el.coeffs = tuple(coeffs)
         return el
 
-    @staticmethod
-    def from_poly(conductor, coeffs):
-        return Cyclotomic._normalized(conductor, _reduce_mod_phi(coeffs, conductor))
-
     def lift(self, m: int):
         """Coefficients of the same element in Q(zeta_m); requires conductor | m."""
         if m == self.conductor:

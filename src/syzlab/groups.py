@@ -14,17 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .cyclo import Cyclotomic, as_integer, scalar_key, zeta
+from .cyclo import Cyclotomic, scalar_key, zeta
 from .errors import InternalInconsistency, InvalidInput, LimitExceeded
 from .limits import DEFAULT_BUDGET, Budget
 from .linalg import Matrix, rank
-from .monomials import (
-    act_on_monomial,
-    matrix_columns_sparse,
-    monomial_count,
-    monomial_index,
-    monomials,
-)
 
 EXHAUSTIVE_ORDER = 64  # full associativity / homomorphism checks up to here
 _CHECK_SAMPLES = 1000
@@ -124,10 +117,9 @@ def _is_permutation(p) -> bool:
     return sorted(p) == list(range(len(p)))
 
 
-def generate_group(generators, limit: int | None = None, budget: Budget = DEFAULT_BUDGET) -> FiniteGroup:
+def generate_group(generators, budget: Budget = DEFAULT_BUDGET) -> FiniteGroup:
     """Breadth-first closure of permutation or matrix generators."""
-    if limit is None:
-        limit = budget.group_order_limit
+    limit = budget.group_order_limit
     if not generators:
         raise InvalidInput("at least one generator required")
     if isinstance(generators[0], Matrix):
@@ -355,52 +347,6 @@ def validate_irrep_catalog(group: FiniteGroup, catalog: IrrepCatalog) -> Catalog
                     f"<chi_{i}, chi_{j}> = {ip}, expected {expected}"
                 )
     return CatalogReport(passed=not failures, failures=tuple(failures))
-
-
-def decompose_rep(rep: Representation, catalog: IrrepCatalog):
-    """Multiplicities (k_1..k_n) of each irreducible inside rep."""
-    chi = character_of(rep)
-    mults = []
-    for psi in catalog.characters:
-        ip = character_inner_product(rep.group, chi, psi)
-        k = as_integer(ip)
-        if k is None or k < 0:
-            raise InvalidInput("catalog inconsistent with group")
-        mults.append(k)
-    if sum(k * d for k, d in zip(mults, catalog.degrees)) != rep.degree:
-        raise InvalidInput("catalog inconsistent with group")
-    return tuple(mults)
-
-
-def reynolds_matrix(action) -> Matrix:
-    """Group average (1/g) sum of the action matrices."""
-    action = list(action)
-    g = len(action)
-    acc = action[0]
-    for m in action[1:]:
-        acc = acc + m
-    return acc.scale(Fraction(1, g))
-
-
-def sym_power_action(rep: Representation, d: int, budget: Budget = DEFAULT_BUDGET):
-    """Matrices of the degree-d symmetric power on the monomial basis."""
-    if d < 0:
-        raise InvalidInput("degree must be nonnegative")
-    nv = rep.degree
-    if monomial_count(nv, d) > budget.monomial_limit:
-        raise LimitExceeded("degree too large")
-    basis = monomials(nv, d)
-    idx = monomial_index(nv, d)
-    out = []
-    for m in rep.images:
-        cols_sparse = matrix_columns_sparse(m)
-        data = [[Fraction(0)] * len(basis) for _ in range(len(basis))]
-        for j, mono in enumerate(basis):
-            img = act_on_monomial(cols_sparse, mono)
-            for mm, c in img.items():
-                data[idx[mm]][j] = c
-        out.append(Matrix(len(basis), len(basis), data))
-    return out
 
 
 def regular_representation(group: FiniteGroup) -> Representation:

@@ -11,7 +11,6 @@ computation: two independent routes that must agree exactly.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +22,6 @@ from .linalg import Matrix, Span, column_echelon_basis
 from .monomials import (
     act_on_monomial,
     act_on_monomial_monomial_matrix,
-    compositions,
     is_monomial_matrix,
     matrix_columns_sparse,
     monomial_count,
@@ -68,7 +66,7 @@ class Grading:
     def all_weights(self, degree: int):
         if self.trivial:
             return ((),)
-        return compositions(degree, self.coords)
+        return monomials(self.coords, degree)
 
     def block_monomials(self, nvars: int, degree: int, w: tuple):
         """Monomials of the block, in descending lex (matches the global order)."""
@@ -264,17 +262,13 @@ class InvariantRing:
     def weight_dims(self, d: int) -> dict:
         return {w: len(b) for w, b in self.blocks(d).items()}
 
-    def precompute(self, degrees, jobs: int = 1):
+    def precompute(self, degrees):
+        """Blocks of every degree, after one Molien fetch up to the top one."""
         degrees = [d for d in degrees if d not in self._degree_blocks]
-        if not degrees:
-            return
-        self.molien(max(degrees))
-        if jobs <= 1 or len(degrees) == 1:
-            for d in degrees:
-                self.blocks(d)
-        else:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                list(pool.map(self.blocks, degrees))
+        if degrees:
+            self.molien(max(degrees))
+        for d in degrees:
+            self.blocks(d)
 
     def coords_in_basis(self, poly: dict, d: int, w: tuple):
         """Coordinates of an invariant in the block basis (pivots are unit)."""
@@ -417,19 +411,6 @@ class GeneratorSet:
 
     def degrees(self):
         return [el.degree for el in self.elements]
-
-
-def invariant_basis(rep: Representation, d: int, budget: Budget = DEFAULT_BUDGET) -> Matrix:
-    """Basis of R_d as columns of coefficient vectors over the monomial basis."""
-    ring = InvariantRing(rep, budget=budget)
-    basis = ring.basis(d)
-    monos = monomials(rep.degree, d)
-    index = {m: i for i, m in enumerate(monos)}
-    data = [[Fraction(0)] * len(basis) for _ in range(len(monos))]
-    for j, el in enumerate(basis):
-        for m, c in el.poly.items():
-            data[index[m]][j] = c
-    return Matrix(len(monos), len(basis), data)
 
 
 def minimal_generators(

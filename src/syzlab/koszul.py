@@ -51,14 +51,13 @@ class KoszulComplex:
         gens: GeneratorSet,
         beta: int,
         weights_for_degree=None,
-        guard: int | None = None,
     ):
         if beta < 1:
             raise InvalidInput("generator-degree ceiling must be at least 1")
         self.ring = ring
         self.gens = gens
         self.beta = beta
-        self.guard = guard if guard is not None else beta
+        self.guard = beta
         self.weights_for_degree = weights_for_degree
         self.E = list(gens.elements)
         self._subsets_cache: dict = {}
@@ -227,7 +226,7 @@ class SyzygyResult:
         return {"p": self.p, "degree": self.degree if self.degree is not None else "none", "mode": self.mode}
 
 
-def syzygy_degree(cx: KoszulComplex, p: int, ceiling_override: int | None = None) -> SyzygyResult:
+def syzygy_degree(cx: KoszulComplex, p: int) -> SyzygyResult:
     """Top internal degree of Tor_p, scanned to the ceiling plus a guard band.
 
     Nonzero homology inside the guard band would mean the scan ceiling is
@@ -235,11 +234,7 @@ def syzygy_degree(cx: KoszulComplex, p: int, ceiling_override: int | None = None
     """
     if p < 1:
         raise InvalidInput("syzygy degrees are defined for p >= 1")
-    ceiling = (
-        ceiling_override
-        if ceiling_override is not None
-        else scan_ceiling(cx.beta, cx.ring.rep.degree, p)
-    )
+    ceiling = scan_ceiling(cx.beta, cx.ring.rep.degree, p)
     best = None
     for d in range(0, ceiling + cx.guard + 1):
         if cx.tor_dimension(p, d) > 0:
@@ -272,7 +267,7 @@ class TorTable:
         }
 
 
-def tor_table(cx: KoszulComplex, p_max: int, euler_check: bool = True) -> TorTable:
+def tor_table(cx: KoszulComplex, p_max: int) -> TorTable:
     """Full table for 0 <= p <= p_max up to the per-p ceiling.
 
     Includes the generation check in homological degree zero and, where the
@@ -302,7 +297,7 @@ def tor_table(cx: KoszulComplex, p_max: int, euler_check: bool = True) -> TorTab
             raise InternalInconsistency(
                 f"generator set does not generate: Tor_0 is nonzero in degree {d}"
             )
-    if euler_check and cx.weights_for_degree is None:
+    if cx.weights_for_degree is None:
         min_beyond = cx.min_subset_degree(p_max + 1)
         for d in range(ceilings[0] + 1):
             if min_beyond is not None and min_beyond <= d:

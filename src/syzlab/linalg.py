@@ -9,7 +9,7 @@ and only the rows holding a nonzero in the pivot column are updated.
 `rank` stops after that forward pass; `rref` then clears the entries above
 each pivot, which gives the reduced row echelon form. That form is
 canonical, so the pivot choice affects cost, never results. `Span` is an
-incremental sparse row space for membership tests.
+incremental sparse row space that reports whether a vector enlarged it.
 """
 
 from __future__ import annotations
@@ -46,18 +46,8 @@ class Matrix:
             n, n, [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
         )
 
-    @staticmethod
-    def zeros(rows: int, cols: int) -> "Matrix":
-        return Matrix(rows, cols, [[Fraction(0)] * cols for _ in range(rows)])
-
     def at(self, i: int, j: int):
         return self.data[i][j]
-
-    def row(self, i: int):
-        return self.data[i]
-
-    def column(self, j: int):
-        return tuple(r[j] for r in self.data)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows, list(zip(*self.data)) if self.data else [[] for _ in range(self.cols)])
@@ -71,31 +61,8 @@ class Matrix:
             out.append([sum((a * b for a, b in zip(r, c) if a and b), Fraction(0)) for c in bt])
         return Matrix(self.rows, other.cols, out)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise InvalidInput("add dimension mismatch")
-        return Matrix(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)],
-        )
-
     def scale(self, c) -> "Matrix":
         return Matrix(self.rows, self.cols, [[c * x for x in r] for r in self.data])
-
-    def hstack(self, other: "Matrix") -> "Matrix":
-        if self.rows != other.rows:
-            raise InvalidInput("hstack row mismatch")
-        return Matrix(
-            self.rows,
-            self.cols + other.cols,
-            [list(a) + list(b) for a, b in zip(self.data, other.data)],
-        )
-
-    def vstack(self, other: "Matrix") -> "Matrix":
-        if self.cols != other.cols:
-            raise InvalidInput("vstack column mismatch")
-        return Matrix(self.rows + other.rows, self.cols, list(self.data) + list(other.data))
 
     def is_zero(self) -> bool:
         return all(not x for r in self.data for x in r)
@@ -186,36 +153,10 @@ def rank(m: Matrix) -> int:
     return len(_forward(m))
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form the canonical basis of the null space."""
-    red, pivots, rk = rref(m)
-    free = [c for c in range(m.cols) if c not in set(pivots)]
-    cols = []
-    for f in free:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for t, p in enumerate(pivots):
-            v[p] = -red.at(t, f)
-        cols.append(v)
-    assert m.cols == rk + len(free), "rank-nullity violated"
-    return Matrix(m.cols, len(free), [list(row) for row in zip(*cols)] if cols else [[] for _ in range(m.cols)])
-
-
 def column_echelon_basis(m: Matrix) -> Matrix:
     """Canonical basis of the column space (reduced echelon by rows)."""
     red, _, rk = rref(m.transpose())
     return Matrix(rk, m.rows, red.data[:rk]).transpose()
-
-
-def quotient_dim(ambient_basis: Matrix, sub_basis: Matrix) -> int:
-    """dim(ambient / sub) for column-span bases; errors on non-containment."""
-    ra = rank(ambient_basis)
-    if sub_basis.cols == 0:
-        return ra
-    joined = ambient_basis.hstack(sub_basis)
-    if rank(joined) > ra:
-        raise InvalidInput("sub not contained in ambient")
-    return ra - rank(sub_basis)
 
 
 class Span:
@@ -223,7 +164,7 @@ class Span:
 
     Vectors are dicts key -> scalar; the pivot of a vector is its largest
     key. Rows are kept normalized (pivot coefficient 1) and reduced against
-    each other lazily (only below, which suffices for rank and membership).
+    each other lazily (only below, which suffices for rank).
     """
 
     __slots__ = ("rows",)
@@ -256,9 +197,6 @@ class Span:
         c = v[p]
         self.rows[p] = {k: x / c for k, x in v.items()}
         return True
-
-    def contains(self, vec: dict) -> bool:
-        return not self.reduce(vec)
 
     @property
     def dim(self) -> int:

@@ -27,11 +27,6 @@ def monomials(nvars: int, degree: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def monomial_index(nvars: int, degree: int):
-    return {m: i for i, m in enumerate(monomials(nvars, degree))}
-
-
 def monomial_count(nvars: int, degree: int) -> int:
     if nvars == 0:
         return 1 if degree == 0 else 0
@@ -62,12 +57,6 @@ def poly_add_into(acc: dict, p: dict, coeff=1) -> None:
             acc[m] = v
         else:
             acc.pop(m, None)
-
-
-def poly_scale(p: dict, coeff) -> dict:
-    if not coeff:
-        return {}
-    return {m: coeff * c for m, c in p.items()}
 
 
 def matrix_columns_sparse(mat):
@@ -122,17 +111,3 @@ def act_on_monomial_monomial_matrix(cols_single, mono: tuple):
         img[i] += e
         coeff = coeff * c**e
     return tuple(img), coeff
-
-
-@lru_cache(maxsize=None)
-def compositions(total: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to total, descending lex."""
-    if parts == 0:
-        return ((),) if total == 0 else ()
-    if parts == 1:
-        return ((total,),)
-    out = []
-    for e in range(total, -1, -1):
-        for rest in compositions(total - e, parts - 1):
-            out.append((e,) + rest)
-    return tuple(out)

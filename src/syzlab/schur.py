@@ -20,7 +20,7 @@ from .invariants import Grading, InvariantRing, NoetherResult, build_E
 from .koszul import KoszulComplex, scan_ceiling, syzygy_degree
 from .limits import DEFAULT_BUDGET, Budget
 from .linalg import Matrix
-from .monomials import compositions
+from .monomials import monomials
 
 
 # -- partitions ------------------------------------------------------------------
@@ -243,7 +243,7 @@ def dominant_weights(total: int, multiplicities):
     """Flat weights that are weakly decreasing within each factor."""
     mults = tuple(multiplicities)
     out = []
-    for split in compositions(total, len(mults)):
+    for split in monomials(len(mults), total):
         per_factor = []
         for t, k in zip(split, mults):
             opts = [
@@ -296,14 +296,6 @@ class SchurDecomposition:
                 term *= kostka_number(lam, _strip_zeros(tuple(sorted(w, reverse=True))))
             total += term
         return total
-
-    def max_rows(self) -> tuple:
-        n = len(self.factor_dims)
-        rows = [0] * n
-        for lams in self.multiplicities:
-            for i, lam in enumerate(lams):
-                rows[i] = max(rows[i], len(lam))
-        return tuple(rows)
 
     def support(self):
         return sorted(self.multiplicities, reverse=True)
@@ -410,25 +402,6 @@ def cauchy_check(catalog: IrrepCatalog, i: int, k: int, d: int) -> dict:
     for lam in partitions_of(d, max_rows=min(di, k)):
         rhs += schur_dim(lam, di) * schur_dim(lam, k)
     return {"passed": lhs == rhs, "lhs": lhs, "rhs": rhs}
-
-
-def exterior_weight_dims(gens, p: int, internal_degree: int) -> dict:
-    """Weight -> dimension of (Wedge^p E) in one internal degree.
-
-    E elements carry weights from the ring they were built in; subsets with
-    repeated elements vanish in the exterior power.
-    """
-    from itertools import combinations
-
-    coords = len(gens.elements[0].weight) if gens.elements else 0
-    out: dict = {}
-    for s in combinations(range(len(gens.elements)), p):
-        els = [gens.elements[t] for t in s]
-        if sum(e.degree for e in els) != internal_degree:
-            continue
-        w = tuple(sum(e.weight[c] for e in els) for c in range(coords))
-        out[w] = out.get(w, 0) + 1
-    return out
 
 
 # -- engine-facing checks --------------------------------------------------------------

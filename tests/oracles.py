@@ -2,7 +2,8 @@
 
 Deliberately shares no code with the library: its own monomial enumeration
 (via combinations_with_replacement), its own textbook Gaussian elimination
-over Fractions, and direct construction of the Koszul complex for Veronese
+over Fractions, a dense Reynolds operator on symmetric powers built from
+plain lists, and direct construction of the Koszul complex for Veronese
 invariant rings, where invariance is just a degree-divisibility condition.
 """
 
@@ -41,6 +42,48 @@ def row_reduce_rank(rows):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def sym_power_basis(nvars, d):
+    """The monomial order of sym_power_action: descending lexicographic."""
+    return monos(nvars, d)[::-1]
+
+
+def sym_power_action(images, d):
+    """Matrices (lists of rows) of the degree-d symmetric power of each
+    square matrix in `images` on sym_power_basis; variable j maps to the
+    linear form given by column j."""
+    out = []
+    for a in images:
+        n = len(a)
+        basis = sym_power_basis(n, d)
+        index = {m: i for i, m in enumerate(basis)}
+        mat = [[Fraction(0)] * len(basis) for _ in basis]
+        for col, mono in enumerate(basis):
+            poly = {(0,) * n: Fraction(1)}
+            for j, e in enumerate(mono):
+                for _ in range(e):
+                    prod = {}
+                    for m, c in poly.items():
+                        for i in range(n):
+                            if a[i][j] != 0:
+                                key = m[:i] + (m[i] + 1,) + m[i + 1 :]
+                                prod[key] = prod.get(key, 0) + c * a[i][j]
+                    poly = prod
+            for m, c in poly.items():
+                mat[index[m]][col] = c
+        out.append(mat)
+    return out
+
+
+def reynolds_matrix(action):
+    """The group average (1/g) * sum of the action matrices."""
+    g = len(action)
+    size = len(action[0])
+    return [
+        [sum((m[i][j] for m in action), Fraction(0)) / g for j in range(size)]
+        for i in range(size)
+    ]
 
 
 def veronese_tor(modulus, p, d, nvars=2):

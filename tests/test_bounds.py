@@ -137,3 +137,24 @@ def test_audit_full_mode_triv_sign():
     assert r1.s_value == 2
     assert r1.mode == "full"
     assert not findings
+
+
+def test_audit_minimal_mode_selects_generators_once(monkeypatch):
+    import syzlab.bounds
+    import syzlab.invariants
+
+    group, catalog = builtin_group("builtin:cyclic:2")
+    rep = diag_rep("builtin:cyclic:2", [Fraction(-1), Fraction(-1)])
+    noe = noether_number(group)
+    original = syzlab.invariants.minimal_generators
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(syzlab.invariants, "minimal_generators", counting)
+    monkeypatch.setattr(syzlab.bounds, "minimal_generators", counting)
+    (r1,), _ = audit(catalog, rep, [1], "minimal", noe)
+    assert len(calls) == 1
+    assert r1.beta_v == 2

@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+import tempfile
 import threading
 from pathlib import Path
 
@@ -7,9 +10,10 @@ import pytest
 
 from syzlab import FORMAT_VERSION
 from syzlab.cache import Cache
-from syzlab.cli import main
+from syzlab.cli import _build_parser, main
 
-PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
+ROOT = Path(__file__).resolve().parent.parent
+PROBLEMS = ROOT / "problems"
 
 
 def run_cli(capsys, *argv):
@@ -242,16 +246,68 @@ def test_env_var_cache_dir(tmp_path, capsys, monkeypatch):
     assert os.listdir(env_dir)
 
 
-def test_jobs_flag_output_identical(tmp_path, capsys):
-    argv = [
-        "syzygies",
-        "--input",
-        str(PROBLEMS / "z2_antipodal_syzygies.json"),
-        "--no-cache",
+@pytest.mark.parametrize("failure", ["directory is a regular file", "write fails"])
+def test_unusable_cache_is_disabled(tmp_path, capsys, monkeypatch, failure):
+    argv = ["invariants", "--input", str(PROBLEMS / "z3_invariants.json")]
+    _, expected, _ = run_cli(capsys, *argv, "--no-cache")
+    cache_dir = tmp_path / "afile"
+    if failure == "directory is a regular file":
+        cache_dir.write_text("")
+    else:
+        def no_space(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(tempfile, "mkstemp", no_space)
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+    assert code == 0
+    assert out == expected
+    (line,) = err.splitlines()
+    assert line.startswith("syzlab: cache disabled: ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"group": "builtin:cyclic:1", "task": "chain", "g_max": "x"},
+        {"group": "builtin:sym:3", "task": "schur", "schur": {"check": "cauchy", "factor": 9}},
+        {"group": "builtin:sym:3", "task": "schur", "schur": {"check": "cauchy", "factor": -1}},
+        {"group": "builtin:sym:3", "task": "schur", "schur": {"check": "kostka", "shape": ["a"]}},
+        {"group": "builtin:sym:3", "task": "schur", "schur": {"check": "lr", "nu": [1, 2]}},
+        {
+            "group": "builtin:cyclic:2",
+            "task": "schur",
+            "schur": {"check": "stabilization", "multiplicities": ["a", 1]},
+        },
+    ],
+    ids=[
+        "chain-g_max",
+        "cauchy-factor",
+        "cauchy-negative-factor",
+        "kostka-shape",
+        "lr-nu",
+        "stabilization-multiplicities",
+    ],
+)
+def test_malformed_task_arguments_exit_one(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, doc["task"], "--input", str(path), "--no-cache")
+    assert code == 1
+    assert out == ""
+    (line,) = err.splitlines()
+    assert line.startswith("syzlab: invalid input:")
+
+
+def test_readme_synopsis_matches_parser():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```")[1]
+    documented = set(re.findall(r"--[a-z][a-z-]*", block))
+    (subparsers,) = [
+        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
     ]
-    _, one, _ = run_cli(capsys, *argv, "--jobs", "1")
-    _, four, _ = run_cli(capsys, *argv, "--jobs", "4")
-    assert one == four
+    for task, sub in subparsers.choices.items():
+        options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        assert options == documented, task
 
 
 def test_findings_file_absent_without_violations(tmp_path, capsys):
@@ -265,6 +321,9 @@ def test_findings_file_absent_without_violations(tmp_path, capsys):
 
 
 def test_usage_error_exit_code_is_one(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["syzygies"])  # missing --input
-    assert exc.value.code == 1
+    problem = str(PROBLEMS / "z2_antipodal_syzygies.json")
+    # missing --input; an option the parser does not have
+    for argv in (["syzygies"], ["syzygies", "--input", problem, "--jobs", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1

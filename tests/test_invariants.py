@@ -2,18 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from syzlab.groups import Representation, builtin_group, regular_representation, sym_power_action, reynolds_matrix
+from syzlab.errors import LimitExceeded
+from syzlab.groups import Representation, builtin_group, regular_representation
 from syzlab.invariants import (
     Grading,
     InvariantRing,
     build_E,
-    invariant_basis,
     minimal_generators,
     molien_series,
     noether_number,
 )
 from syzlab.linalg import Matrix
 from syzlab.monomials import matrix_columns_sparse, poly_mul
+
+from oracles import reynolds_matrix, sym_power_action, sym_power_basis
 
 
 def rep_from_diag(name, diag):
@@ -69,29 +71,34 @@ def test_invariant_basis_dimensions():
 
 
 def test_invariant_basis_matrix_op():
-    rep = antipodal_c2()
-    b2 = invariant_basis(rep, 2)
-    assert (b2.rows, b2.cols) == (3, 3)
-    assert b2 == Matrix.identity(3)  # x^2, xy, y^2 all survive
-    assert invariant_basis(rep, 1).cols == 0
-    b0 = invariant_basis(rep, 0)
-    assert (b0.rows, b0.cols) == (1, 1) and b0.at(0, 0) == 1
+    ring = InvariantRing(antipodal_c2())
+    # x^2, xy, y^2 all survive, each as a bare monomial
+    assert [el.poly for el in ring.basis(2)] == [{(2, 0): 1}, {(1, 1): 1}, {(0, 2): 1}]
+    assert ring.basis(1) == []
+    assert [el.poly for el in ring.basis(0)] == [{(0, 0): 1}]
 
 
 def test_invariant_basis_elements_are_fixed():
     ring = InvariantRing(triv_plus_sign())
     for d in (1, 2, 3, 4):
-        action = sym_power_action(ring.rep, d)
-        p = reynolds_matrix(action)
-        from syzlab.monomials import monomial_index
-
-        idx = monomial_index(2, d)
+        p = Matrix.from_rows(reynolds_matrix(sym_power_action([m.data for m in ring.rep.images], d)))
+        idx = {m: i for i, m in enumerate(sym_power_basis(2, d))}
         for el in ring.basis(d):
             col = [Fraction(0)] * len(idx)
             for m, c in el.poly.items():
                 col[idx[m]] = c
             v = Matrix.from_rows([[x] for x in col])
             assert (p @ v) == v
+
+
+def test_block_basis_monomial_limit():
+    _, catalog = builtin_group("builtin:sym:4")
+    ring = InvariantRing(catalog.irreps[3])
+    # Sym^200 of C^3 has 20301 monomials, above the default 20000
+    with pytest.raises(LimitExceeded):
+        ring.basis(200)
+    with pytest.raises(LimitExceeded):
+        ring.block_basis(200, ())
 
 
 def test_minimal_generators_antipodal():

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from syzlab.errors import InternalInconsistency, InvalidInput
@@ -10,7 +12,6 @@ from syzlab.schur import (
     dominant_weights,
     dominates,
     domination_check,
-    exterior_weight_dims,
     kostka_number,
     lr_coefficient,
     partitions_of,
@@ -218,7 +219,12 @@ def test_exterior_weight_dims_box_budget():
     p = 1
     seen = 0
     for e in range(1, noe.value * p + 1):
-        wd = exterior_weight_dims(gens, p, e)
+        # weight -> dimension of (Wedge^p E) in internal degree e
+        wd = {}
+        for s in combinations(gens.elements, p):
+            if sum(el.degree for el in s) == e:
+                w = tuple(map(sum, zip(*(el.weight for el in s))))
+                wd[w] = wd.get(w, 0) + 1
         seen += sum(wd.values())
         # every supported partition in every factor fits in beta*p boxes,
         # hence at most beta*p rows
