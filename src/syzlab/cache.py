@@ -3,8 +3,8 @@
 Keys are canonical-JSON documents hashed with SHA-256; entries are written
 via a temp file and os.replace, so concurrent writers of the same key leave
 exactly one intact winner. A format-version mismatch or a corrupted entry
-is a miss (the latter is deleted). A failed write prints one line to
-stderr and turns the cache off for the rest of the run.
+is a miss (the latter is deleted). A failed write removes its temp file,
+prints one line to stderr and turns the cache off for the rest of the run.
 """
 
 from __future__ import annotations
@@ -59,11 +59,17 @@ class Cache:
             return
         path = self._path(key_obj)
         entry = {"format_version": FORMAT_VERSION, "key": key_obj, "payload": payload}
+        tmp = None
         try:
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 json.dump(entry, fh, sort_keys=True)
             os.replace(tmp, path)
         except OSError as exc:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
             self.enabled = False
             sys.stderr.write(f"syzlab: cache disabled: cache write failed for {path}: {exc}\n")

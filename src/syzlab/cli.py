@@ -197,7 +197,7 @@ def parse_problem(doc, task: str | None = None, budget: Budget | None = None) ->
     rep, mults = _parse_rep(doc, group, catalog, budget)
     p = doc.get("p", 1)
     _expect(isinstance(p, int) and p >= 1, "p", "expected a positive integer")
-    p_max = doc.get("p_max", p)
+    p_max = doc.get("p_max", 12 if task == "chain" else p)
     _expect(isinstance(p_max, int) and p_max >= p - 1, "p_max", "expected an integer >= p - 1")
     g_max = doc.get("g_max", 12)
     _expect(isinstance(g_max, int) and g_max >= 1, "g_max", "expected a positive integer")
@@ -483,8 +483,7 @@ def _run_schur(problem: Problem, options) -> dict:
 
 
 def _run_chain(problem: Problem, options) -> dict:
-    p_max = problem.doc.get("p_max", 12)
-    return inequality_chain_check(g_max=problem.g_max, p_max=p_max)
+    return inequality_chain_check(g_max=problem.g_max, p_max=problem.p_max)
 
 
 def run(problem: Problem, options):

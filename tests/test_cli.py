@@ -108,8 +108,10 @@ def test_chain_task(capsys):
         capsys, "chain", "--input", str(PROBLEMS / "chain.json"), "--no-cache"
     )
     assert code == 0
-    res = json.loads(out)["results"]
+    report = json.loads(out)
+    res = report["results"]
     assert res["passed"] and res["tuples_checked"] > 0
+    assert report["parameters"]["p_max"] == res["p_max"] == 12
 
 
 def test_schema_error_multiplicity_length(tmp_path, capsys):
@@ -246,23 +248,29 @@ def test_env_var_cache_dir(tmp_path, capsys, monkeypatch):
     assert os.listdir(env_dir)
 
 
-@pytest.mark.parametrize("failure", ["directory is a regular file", "write fails"])
+@pytest.mark.parametrize(
+    "failure", ["directory is a regular file", "write fails", "rename fails"]
+)
 def test_unusable_cache_is_disabled(tmp_path, capsys, monkeypatch, failure):
     argv = ["invariants", "--input", str(PROBLEMS / "z3_invariants.json")]
     _, expected, _ = run_cli(capsys, *argv, "--no-cache")
     cache_dir = tmp_path / "afile"
+
+    def no_space(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
     if failure == "directory is a regular file":
         cache_dir.write_text("")
-    else:
-        def no_space(*args, **kwargs):
-            raise OSError(28, "No space left on device")
-
+    elif failure == "write fails":
         monkeypatch.setattr(tempfile, "mkstemp", no_space)
+    else:
+        monkeypatch.setattr(os, "replace", no_space)
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
     assert code == 0
     assert out == expected
     (line,) = err.splitlines()
     assert line.startswith("syzlab: cache disabled: ")
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize(

@@ -2,9 +2,11 @@ from itertools import combinations
 
 import pytest
 
+from syzlab import schur
 from syzlab.errors import InternalInconsistency, InvalidInput
 from syzlab.groups import builtin_group
-from syzlab.invariants import InvariantRing, noether_number
+from syzlab.invariants import InvariantRing, build_E, noether_number
+from syzlab.koszul import KoszulComplex, syzygy_degree
 from syzlab.schur import (
     SchurDecomposition,
     build_universal_rep,
@@ -267,12 +269,22 @@ def test_stabilization_degenerate_spec():
     assert res["nonzero_at_base"] is False
 
 
-def test_domination_check_z2_p1():
+def test_domination_check_z2_p1(monkeypatch):
     group, catalog = builtin_group("builtin:cyclic:2")
     noe = noether_number(group)
+    cross_checked = []
+    real_cross_check = schur._cross_check_nondominant
+
+    def counting_cross_check(cx, spec, decomp, p, d, samples=2):
+        cross_checked.append((spec.multiplicities, d))
+        return real_cross_check(cx, spec, decomp, p, d, samples)
+
+    monkeypatch.setattr(schur, "_cross_check_nondominant", counting_cross_check)
     res = domination_check(
         catalog, noe, p=1, samples=[(0, 1), (0, 2), (1, 1), (3, 3)]
     )
+    # the universal side, (3, 3), cross-checks every degree with Tor_1 != 0
+    assert ((3, 3), 2) in cross_checked and ((3, 3), 4) in cross_checked
     assert res["passed"]
     assert res["universal_dimension"] == 6
     assert res["s_prime_universal"] == 4
@@ -281,6 +293,40 @@ def test_domination_check_z2_p1():
     assert by_mult[(0, 2)] == 4
     assert by_mult[(1, 1)] == 2
     assert by_mult[(3, 3)] == 4  # the universal spec itself: equality
+
+
+def test_domination_matches_all_weights_scan():
+    """The dominant-only route of domination_check against complexes that
+    materialize every weight block."""
+    group, catalog = builtin_group("builtin:cyclic:2")
+    noe = noether_number(group)
+    samples = [(0, 2), (1, 1), (2, 2)]
+    res = domination_check(catalog, noe, p=1, samples=samples)
+    for mults, row in zip(samples, res["samples"]):
+        spec = spec_from_multiplicities(catalog, mults)
+        ring = InvariantRing(spec.rep, grading=spec.grading)
+        cx = KoszulComplex(
+            ring, build_E(ring, "full", noe), noe.value, weights_for_degree=None
+        )
+        assert row["s_prime"] == syzygy_degree(cx, 1).degree
+
+
+def test_domination_check_runs_molien_check(monkeypatch):
+    """Degree 5 is above every degree the generators need, so only the scan's
+    full-degree pass compares it with the Molien series."""
+    group, catalog = builtin_group("builtin:cyclic:2")
+    noe = noether_number(group)
+    real_molien = InvariantRing.molien
+
+    def wrong_molien(self, max_degree):
+        series = list(real_molien(self, max_degree))
+        if len(series) > 5:
+            series[5] += 1
+        return series
+
+    monkeypatch.setattr(InvariantRing, "molien", wrong_molien)
+    with pytest.raises(InternalInconsistency, match="Molien"):
+        domination_check(catalog, noe, p=1, samples=[])
 
 
 def test_tor_row_bounds_budget_gate():
