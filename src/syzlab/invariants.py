@@ -3,9 +3,13 @@
 Bases of each graded piece are computed per weight block (the diagonal
 torus multigrading when the representation is assembled from irreducible
 factors tensored with multiplicity spaces; a single block otherwise), as
-canonical reduced-echelon column bases of the Reynolds image. Dimensions
-are cross-checked against the Molien series on every full-degree
-computation: two independent routes that must agree exactly.
+canonical reduced-echelon column bases of the Reynolds image. The generic
+route takes that image as the column space of sum_g g, which equals the
+Reynolds operator's, so it needs no division by |G|. Dimensions are
+cross-checked against the Molien series on every full-degree computation
+and on every degree read back from the cache: two independent routes that
+must agree exactly. Minimal generators are selected in block coordinates,
+where the greedy scan becomes a pivot computation.
 """
 
 from __future__ import annotations
@@ -13,14 +17,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .cyclo import as_integer, decode_scalar, encode_scalar
 from .errors import InternalInconsistency, InvalidInput, LimitExceeded
 from .groups import FiniteGroup, Representation, regular_representation
 from .limits import DEFAULT_BUDGET, Budget
-from .linalg import Matrix, Span, column_echelon_basis
+from .linalg import Matrix, _int_if_integral, column_echelon_basis, pivot_columns
 from .monomials import (
-    act_on_monomial,
     act_on_monomial_monomial_matrix,
     is_monomial_matrix,
     matrix_columns_sparse,
@@ -134,6 +138,8 @@ class InvariantRing:
             ]
         else:
             self._cols_sparse = [matrix_columns_sparse(m) for m in rep.images]
+        # (element, variable) -> [(g . x_j)^1, (g . x_j)^2, ...]
+        self._powers: dict = {}
 
     # -- Molien series ----------------------------------------------------------
 
@@ -196,24 +202,47 @@ class InvariantRing:
                 out.append(InvElem(d, w, {m: c / scale for m, c in acc.items()}))
         return out
 
+    def _power(self, k: int, j: int, e: int) -> dict:
+        """(g_k . x_j)^e, each power built from the one before and kept."""
+        pows = self._powers.get((k, j))
+        if pows is None:
+            unit = [0] * self.nvars
+            linear = {}
+            for i, c in self._cols_sparse[k][j]:
+                unit[i] = 1
+                linear[tuple(unit)] = _int_if_integral(c)
+                unit[i] = 0
+            pows = self._powers[(k, j)] = [linear]
+        while len(pows) < e:
+            pows.append(poly_mul(pows[-1], pows[0]))
+        return pows[e - 1]
+
     def _block_basis_generic(self, d, w, monos):
+        """Column echelon basis of the image of sum_g g on the block.
+
+        g . m is the product of the memoized powers (g . x_j)^e_j, so the
+        integral coefficients of an integer representation stay ints.
+        """
         index = {m: i for i, m in enumerate(monos)}
         n = len(monos)
-        g = self.rep.group.order
+        one = {(0,) * self.nvars: 1}
         cols = []
         for m0 in monos:
-            acc: dict = {}
-            for sparse in self._cols_sparse:
-                poly_add_into(acc, act_on_monomial(sparse, m0))
-            col = [Fraction(0)] * n
-            for m, c in acc.items():
-                pos = index.get(m)
-                if pos is None:
-                    raise InternalInconsistency("group action does not preserve weights")
-                col[pos] = c / g
+            col = [0] * n
+            for k in range(len(self._cols_sparse)):
+                img = one
+                for j, e in enumerate(m0):
+                    if e:
+                        p = self._power(k, j, e)
+                        img = p if img is one else poly_mul(img, p)
+                for m, c in img.items():
+                    pos = index.get(m)
+                    if pos is None:
+                        raise InternalInconsistency("group action does not preserve weights")
+                    col[pos] += c
             cols.append(col)
-        reynolds_block = Matrix(n, n, [list(row) for row in zip(*cols)])
-        echelon = column_echelon_basis(reynolds_block)
+        image = Matrix(n, n, [list(row) for row in zip(*cols)])
+        echelon = column_echelon_basis(image)
         out = []
         for j in range(echelon.cols):
             poly = {
@@ -245,11 +274,14 @@ class InvariantRing:
         if hit is not None:
             return hit
         payload = self._cache_get(d)
-        if payload is not None:
-            blocks = self._deserialize_blocks(d, payload)
-        else:
+        blocks = None if payload is None else self._load_blocks(d, payload)
+        if blocks is None:
             blocks = self._compute_degree_blocks(d)
             self._cache_put(d, blocks)
+        else:
+            # coordinates are taken in the basis the ring publishes
+            for w in self.grading.all_weights(d):
+                self._block_cache[(d, w)] = blocks.get(w, [])
         self._degree_blocks[d] = blocks
         return blocks
 
@@ -320,16 +352,55 @@ class InvariantRing:
         }
         self.cache.put(key, payload)
 
-    def _deserialize_blocks(self, d: int, payload: dict) -> dict:
-        blocks = {}
-        for entry in payload["blocks"]:
-            w = tuple(entry["weight"])
-            els = []
-            for poly_enc in entry["polys"]:
-                poly = {tuple(m): decode_scalar(c) for m, c in poly_enc}
-                els.append(InvElem(d, w, poly))
-            blocks[w] = els
-        return blocks
+    def _load_blocks(self, d: int, payload):
+        """Blocks of degree d read back from a cache payload, in the order
+        computed blocks have; None unless the payload is a reduced echelon
+        basis (unit pivots, strictly descending) of monomials of degree d
+        in each block's weight, with the Molien dimension."""
+        weights = {w: w for w in self.grading.all_weights(d)}
+        found = {}
+        try:
+            for entry in payload["blocks"]:
+                w = weights.get(tuple(entry["weight"]))
+                if w is None or w in found:
+                    return None
+                els = [self._load_element(d, w, enc) for enc in entry["polys"]]
+                if not els or None in els:
+                    return None
+                for a, b in zip(els, els[1:]):
+                    if a.pivot <= b.pivot:
+                        return None
+                pivots = {el.pivot for el in els}
+                if any(el.poly.get(q) for el in els for q in pivots if q != el.pivot):
+                    return None
+                found[w] = els
+        except (KeyError, TypeError, ValueError, InvalidInput, LimitExceeded):
+            return None
+        if sum(len(els) for els in found.values()) != self.molien(d)[d]:
+            return None
+        return {w: found[w] for w in weights if w in found}
+
+    def _load_element(self, d: int, w: tuple, enc):
+        """One cached basis element, or None when it is malformed."""
+        poly = {}
+        for m, c in enc:
+            m = tuple(m)
+            if (
+                len(m) != self.nvars
+                or not all(type(e) is int and e >= 0 for e in m)
+                or sum(m) != d
+                or self.grading.weight(m) != w
+                or m in poly
+            ):
+                return None
+            c = decode_scalar(c)
+            if not c:
+                return None
+            poly[m] = c
+        if not poly:
+            return None
+        el = InvElem(d, w, poly)
+        return el if poly[el.pivot] == 1 else None
 
 
 # -- Molien series --------------------------------------------------------------------
@@ -421,12 +492,24 @@ def minimal_generators(
 ):
     """Greedy complement of (R+ . R+)_d inside R_d for each d <= stop.
 
-    Returns (degrees, GeneratorSet, beta_V). `selection` picks the greedy
-    scan order over basis columns; the syzygy degrees downstream must not
-    depend on it, which the test suite verifies. The warning fires when the
-    scan stops below the order fallback ceiling and the caller has no
-    better ceiling of its own.
+    Returns (degrees, GeneratorSet, beta_V). The scan visits the basis of
+    R_d in order (`selection="forward"`) or in reverse order, blocks and
+    elements within a block alike, and keeps an element when it is not in
+    the span of the products and the elements visited before it. Blocks
+    are independent, so each block is done in its own coordinates: every
+    product x*y lies in the block (d, wx + wy), where `coords_in_basis`
+    writes it (and checks that it is invariant). An element is kept
+    exactly when no vector in the span of the products has its last
+    nonzero coordinate, in scan order, at that element; with the columns
+    in reverse scan order those positions are the pivot columns of the
+    products' coordinate rows. The syzygy degrees downstream must not
+    depend on `selection`, which the test suite verifies. The warning
+    fires when the scan stops below the order fallback ceiling and the
+    caller has no better ceiling of its own.
     """
+    if selection not in ("forward", "reverse"):
+        raise InvalidInput(f"unknown selection order {selection!r}")
+    forward = selection == "forward"
     g = ring.rep.group.order
     if warn_below_order and stop < g:
         warnings.warn(
@@ -436,20 +519,21 @@ def minimal_generators(
         )
     chosen = []
     for d in range(1, stop + 1):
-        span = Span()
+        blocks = list(ring.blocks(d).items())
+        products: dict = {}  # weight -> coordinate rows, in reverse scan order
         for a in range(1, d // 2 + 1):
             for x in ring.basis(a):
                 for y in ring.basis(d - a):
-                    span.add(poly_mul(x.poly, y.poly))
-        candidates = ring.basis(d)
-        if selection == "reverse":
-            candidates = list(reversed(candidates))
-        elif selection != "forward":
-            raise InvalidInput(f"unknown selection order {selection!r}")
-        for el in candidates:
-            if span.add(dict(el.poly)):
-                chosen.append(el)
-    chosen.sort(key=lambda el: el.degree)
+                    w = tuple(map(add, x.weight, y.weight))
+                    coords = ring.coords_in_basis(poly_mul(x.poly, y.poly), d, w)
+                    products.setdefault(w, []).append(coords[::-1] if forward else coords)
+        if not forward:
+            blocks.reverse()
+        for w, block in blocks:
+            pivots = set(pivot_columns(Matrix.from_rows(products.get(w, ()))))
+            scan = block if forward else block[::-1]
+            last = len(scan) - 1
+            chosen.extend(el for s, el in enumerate(scan) if last - s not in pivots)
     beta_v = max((el.degree for el in chosen), default=0)
     gens = GeneratorSet(
         mode="minimal", elements=tuple(chosen), beta_V=beta_v, beta_group=None

@@ -8,8 +8,9 @@ column's pivot is the candidate entry of smallest bit-size, scaled to 1,
 and only the rows holding a nonzero in the pivot column are updated.
 `rank` stops after that forward pass; `rref` then clears the entries above
 each pivot, which gives the reduced row echelon form. That form is
-canonical, so the pivot choice affects cost, never results. `Span` is an
-incremental sparse row space that reports whether a vector enlarged it.
+canonical, so the pivot choice affects cost, never results. `pivot_columns`
+reads the pivot columns off the forward pass: the positions at which some
+vector of the row space has its first nonzero entry.
 """
 
 from __future__ import annotations
@@ -153,51 +154,12 @@ def rank(m: Matrix) -> int:
     return len(_forward(m))
 
 
+def pivot_columns(m: Matrix) -> tuple:
+    """Pivot columns of the row echelon form, increasing."""
+    return tuple(c for c, _ in _forward(m))
+
+
 def column_echelon_basis(m: Matrix) -> Matrix:
     """Canonical basis of the column space (reduced echelon by rows)."""
     red, _, rk = rref(m.transpose())
     return Matrix(rk, m.rows, red.data[:rk]).transpose()
-
-
-class Span:
-    """Incremental sparse row space over ordered hashable keys.
-
-    Vectors are dicts key -> scalar; the pivot of a vector is its largest
-    key. Rows are kept normalized (pivot coefficient 1) and reduced against
-    each other lazily (only below, which suffices for rank).
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self):
-        self.rows = {}
-
-    def reduce(self, vec: dict) -> dict:
-        v = {k: c for k, c in vec.items() if c}
-        while v:
-            p = max(v)
-            row = self.rows.get(p)
-            if row is None:
-                return v
-            c = v[p]
-            for k, x in row.items():
-                nv = v.get(k, 0) - c * x
-                if nv:
-                    v[k] = nv
-                else:
-                    v.pop(k, None)
-        return v
-
-    def add(self, vec: dict) -> bool:
-        """Insert vec's residual; True when the span grew."""
-        v = self.reduce(vec)
-        if not v:
-            return False
-        p = max(v)
-        c = v[p]
-        self.rows[p] = {k: x / c for k, x in v.items()}
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)

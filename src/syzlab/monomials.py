@@ -11,6 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add
 
 
 @lru_cache(maxsize=None)
@@ -34,7 +35,7 @@ def monomial_count(nvars: int, degree: int) -> int:
 
 
 def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def poly_mul(p: dict, q: dict) -> dict:
@@ -80,21 +81,6 @@ def is_monomial_matrix(mat) -> bool:
         if nonzero != 1:
             return False
     return True
-
-
-def act_on_monomial(cols_sparse, mono: tuple) -> dict:
-    """Image of a monomial under the linear substitution with given columns."""
-    acc = {(0,) * len(mono): Fraction(1)}
-    for j, e in enumerate(mono):
-        if e == 0:
-            continue
-        linear = {}
-        for i, c in cols_sparse[j]:
-            key = tuple(1 if t == i else 0 for t in range(len(mono)))
-            linear[key] = c
-        for _ in range(e):
-            acc = poly_mul(acc, linear)
-    return acc
 
 
 def act_on_monomial_monomial_matrix(cols_single, mono: tuple):

@@ -3,8 +3,9 @@
 Deliberately shares no code with the library: its own monomial enumeration
 (via combinations_with_replacement), its own textbook Gaussian elimination
 over Fractions, a dense Reynolds operator on symmetric powers built from
-plain lists, and direct construction of the Koszul complex for Veronese
-invariant rings, where invariance is just a degree-divisibility condition.
+plain lists, a greedy generator selection in polynomial space, and direct
+construction of the Koszul complex for Veronese invariant rings, where
+invariance is just a degree-divisibility condition.
 """
 
 from fractions import Fraction
@@ -21,7 +22,8 @@ def monos(nvars, d):
     return sorted(out)
 
 
-def row_reduce_rank(rows):
+def row_reduce(rows):
+    """(reduced row echelon form, rank) by textbook Gauss-Jordan."""
     rows = [list(r) for r in rows]
     rank = 0
     ncols = len(rows[0]) if rows else 0
@@ -41,7 +43,18 @@ def row_reduce_rank(rows):
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
-    return rank
+    return rows, rank
+
+
+def row_reduce_rank(rows):
+    return row_reduce(rows)[1]
+
+
+def column_echelon_basis(matrix):
+    """Canonical basis of the column space of a square matrix (list of
+    rows): the nonzero rows of the reduced echelon form of its transpose."""
+    red, rank = row_reduce([list(c) for c in zip(*matrix)])
+    return red[:rank]
 
 
 def sym_power_basis(nvars, d):
@@ -84,6 +97,53 @@ def reynolds_matrix(action):
         [sum((m[i][j] for m in action), Fraction(0)) / g for j in range(size)]
         for i in range(size)
     ]
+
+
+def greedy_generators(bases, stop, reverse=False):
+    """Greedy minimal generators from bases[d], the polynomials (dicts
+    exponent tuple -> scalar) spanning R_d, for d = 1..stop.
+
+    In each degree, start from the span of all products x*y with x, y in
+    lower degrees, then scan bases[d] (backwards when `reverse`) and keep
+    each polynomial that enlarges the span. Vectors are reduced against
+    rows keyed by their largest monomial. Returns the kept (d, index)
+    pairs in scan order.
+    """
+    chosen = []
+    for d in range(1, stop + 1):
+        rows = {}
+
+        def grows(vec):
+            v = {m: c for m, c in vec.items() if c}
+            while v:
+                top = max(v)
+                row = rows.get(top)
+                if row is None:
+                    rows[top] = {m: c / v[top] for m, c in v.items()}
+                    return True
+                f = v[top]
+                for m, c in row.items():
+                    x = v.get(m, 0) - f * c
+                    if x:
+                        v[m] = x
+                    else:
+                        v.pop(m, None)
+            return False
+
+        for a in range(1, d // 2 + 1):
+            for x in bases[a]:
+                for y in bases[d - a]:
+                    prod = {}
+                    for mx, cx in x.items():
+                        for my, cy in y.items():
+                            m = tuple(i + j for i, j in zip(mx, my))
+                            prod[m] = prod.get(m, 0) + cx * cy
+                    grows(prod)
+        order = range(len(bases[d]))
+        for i in reversed(order) if reverse else order:
+            if grows(bases[d][i]):
+                chosen.append((d, i))
+    return chosen
 
 
 def veronese_tor(modulus, p, d, nvars=2):

@@ -11,6 +11,7 @@ import pytest
 from syzlab import FORMAT_VERSION
 from syzlab.cache import Cache
 from syzlab.cli import _build_parser, main
+from syzlab.invariants import InvariantRing
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -236,6 +237,126 @@ def test_cache_concurrent_put_single_winner(tmp_path):
     assert got in range(8)
     files = [f for f in os.listdir(str(tmp_path)) if f.endswith(".json")]
     assert len(files) == 1
+
+
+@pytest.mark.parametrize(
+    "task, problem",
+    [
+        ("syzygies", "z2_antipodal_syzygies"),
+        ("syzygies", "triv_sign_full_syzygies"),
+        ("bounds", "z3_veronese_bounds"),
+    ],
+)
+def test_cache_hot_run_computes_no_block(tmp_path, capsys, monkeypatch, task, problem):
+    argv = [task, "--input", str(PROBLEMS / f"{problem}.json"), "--cache-dir", str(tmp_path)]
+    _, cold, _ = run_cli(capsys, *argv)
+    computed = []
+    for name in ("_block_basis_monomial", "_block_basis_generic"):
+        original = getattr(InvariantRing, name)
+
+        def counting(self, d, w, monos, original=original):
+            if self.cache is not None:
+                computed.append((d, w))
+            return original(self, d, w, monos)
+
+        monkeypatch.setattr(InvariantRing, name, counting)
+    code, hot, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hot == cold
+    assert computed == []
+
+
+def _invariant_entry(cache_dir, degree):
+    """Path of the cached invariant basis of one degree."""
+    (path,) = [
+        p
+        for p in Path(cache_dir).glob("*.json")
+        if json.loads(p.read_text())["key"].get("computation") == "invariant-basis"
+        and json.loads(p.read_text())["key"]["degree"] == degree
+    ]
+    return path
+
+
+def _scaled(poly, factor):
+    return [[m, [c[0] * factor, c[1]]] for m, c in poly]
+
+
+# Faults on the cached bases of z3_invariants, which has a trivial grading:
+# one block of weight () per degree, each element a list of
+# [monomial, [num, den]] terms. Degree 1 has no invariants, degree 2 has
+# {xy} and degree 3, the default, has {x^3, y^3}.
+CACHE_FAULT_DEGREE = {"polys-missing": 2, "empty-block": 1}
+CACHE_FAULTS = {
+    "polys-missing": lambda p: {"blocks": [{"weight": []}]},
+    "not-a-dict": lambda p: [p],
+    "blocks-not-a-list": lambda p: {"blocks": 3},
+    "block-not-a-dict": lambda p: {"blocks": [[[], p["blocks"][0]["polys"]]]},
+    "bad-weight": lambda p: {"blocks": [{"weight": [1], "polys": p["blocks"][0]["polys"]}]},
+    "repeated-block": lambda p: {"blocks": p["blocks"] * 2},
+    "empty-block": lambda p: {"blocks": [{"weight": [], "polys": []}]},
+    "element-dropped": lambda p: {"blocks": [{"weight": [], "polys": p["blocks"][0]["polys"][:1]}]},
+    "element-repeated": lambda p: {
+        "blocks": [{"weight": [], "polys": p["blocks"][0]["polys"][:1] * 2}]
+    },
+    "elements-swapped": lambda p: {
+        "blocks": [{"weight": [], "polys": p["blocks"][0]["polys"][::-1]}]
+    },
+    "pivot-not-unit": lambda p: {
+        "blocks": [{"weight": [], "polys": [_scaled(q, 2) for q in p["blocks"][0]["polys"]]}]
+    },
+    "not-reduced": lambda p: {
+        "blocks": [
+            {
+                "weight": [],
+                "polys": [
+                    p["blocks"][0]["polys"][0] + p["blocks"][0]["polys"][1],
+                    p["blocks"][0]["polys"][1],
+                ],
+            }
+        ]
+    },
+    "wrong-degree": lambda p: {
+        "blocks": [{"weight": [], "polys": [[[[4, 0], [1, 1]]], [[[0, 3], [1, 1]]]]}]
+    },
+    "wrong-length-monomial": lambda p: {
+        "blocks": [{"weight": [], "polys": [[[[3, 0, 0], [1, 1]]], [[[0, 3], [1, 1]]]]}]
+    },
+    "negative-exponent": lambda p: {
+        "blocks": [{"weight": [], "polys": [[[[4, -1], [1, 1]]], [[[0, 3], [1, 1]]]]}]
+    },
+    "repeated-monomial": lambda p: {
+        "blocks": [
+            {"weight": [], "polys": [[[[3, 0], [1, 1]], [[3, 0], [1, 1]]], [[[0, 3], [1, 1]]]]}
+        ]
+    },
+    "zero-coefficient": lambda p: {
+        "blocks": [{"weight": [], "polys": [[[[3, 0], [1, 1]], [[1, 2], [0, 1]]], [[[0, 3], [1, 1]]]]}]
+    },
+    "bad-scalar": lambda p: {
+        "blocks": [{"weight": [], "polys": [[[[3, 0], "x"]], [[[0, 3], [1, 1]]]]}]
+    },
+    "empty-element": lambda p: {"blocks": [{"weight": [], "polys": [[], [[[0, 3], [1, 1]]]]}]},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(CACHE_FAULTS))
+def test_invalid_cached_basis_is_recomputed(tmp_path, capsys, fault):
+    argv = ["invariants", "--input", str(PROBLEMS / "z3_invariants.json")]
+    _, expected, _ = run_cli(capsys, *argv, "--no-cache")
+    run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    degree = CACHE_FAULT_DEGREE.get(fault, 3)
+    path = _invariant_entry(tmp_path, degree)
+    entry = json.loads(path.read_text())
+    good = entry["payload"]
+    assert good == {
+        1: {"blocks": []},
+        2: {"blocks": [{"weight": [], "polys": [[[[1, 1], [1, 1]]]]}]},
+        3: {"blocks": [{"weight": [], "polys": [[[[3, 0], [1, 1]]], [[[0, 3], [1, 1]]]]}]},
+    }[degree]
+    path.write_text(json.dumps({**entry, "payload": CACHE_FAULTS[fault](good)}))
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert (code, out, err) == (0, expected, "")
+    assert json.loads(path.read_text())["payload"] == good
 
 
 def test_env_var_cache_dir(tmp_path, capsys, monkeypatch):

@@ -15,7 +15,13 @@ from syzlab.invariants import (
 from syzlab.linalg import Matrix
 from syzlab.monomials import matrix_columns_sparse, poly_mul
 
-from oracles import reynolds_matrix, sym_power_action, sym_power_basis
+from oracles import (
+    column_echelon_basis,
+    greedy_generators,
+    reynolds_matrix,
+    sym_power_action,
+    sym_power_basis,
+)
 
 
 def rep_from_diag(name, diag):
@@ -39,6 +45,36 @@ def z3_omega_omega():
 
     w = zeta(3)
     return rep_from_diag("builtin:cyclic:3", [w, w])
+
+
+# S3 on sign + standard: images of the builtin generators (0 1), (0 1 2)
+S3_SIGN_STANDARD = (
+    ((-1, 0, 0), (0, -1, 1), (0, 0, 1)),
+    ((1, 0, 0), (0, 0, -1), (0, 1, -1)),
+)
+
+
+def s3_sign_standard(diag=(1, 1, 1)):
+    """The representation conjugated by D = diag(diag): D M D^-1."""
+    group, _ = builtin_group("builtin:sym:3")
+    diag = [Fraction(x) for x in diag]
+    images = [
+        Matrix.from_rows(
+            [[Fraction(m[i][j]) * diag[i] / diag[j] for j in range(3)] for i in range(3)]
+        )
+        for m in S3_SIGN_STANDARD
+    ]
+    return Representation.from_generator_images(group, images)
+
+
+def z3_cyclotomic():
+    """Z3 acting by P diag(zeta, zeta, zeta^2) P^-1, P = I + superdiagonal ones."""
+    from syzlab.cyclo import zeta
+
+    w = zeta(3)
+    group, _ = builtin_group("builtin:cyclic:3")
+    image = Matrix.from_rows([[w, 0, 0], [0, w, -1 - 2 * w], [0, 0, -1 - w]])
+    return Representation.from_generator_images(group, [image])
 
 
 def test_molien_trivial_group_c2():
@@ -252,3 +288,63 @@ def test_generic_and_monomial_paths_agree():
         slow = ring_slow.basis(d)
         assert len(fast) == len(slow)
         assert [el.poly for el in fast] == [el.poly for el in slow]
+
+
+@pytest.mark.parametrize(
+    "diag", [(1, 1, 1), (1, 2, Fraction(1, 3))], ids=["integer", "rational"]
+)
+def test_generic_blocks_match_reynolds_oracle(diag):
+    rep = s3_sign_standard(diag)
+    ring = InvariantRing(rep)
+    assert not ring._monomial_fast
+    images = [m.data for m in rep.images]
+    for d in range(7):
+        basis = sym_power_basis(3, d)
+        expected = [
+            {basis[i]: c for i, c in enumerate(vec) if c}
+            for vec in column_echelon_basis(reynolds_matrix(sym_power_action(images, d)))
+        ]
+        assert [el.poly for el in ring.basis(d)] == expected, d
+
+
+def test_power_memo_is_bounded():
+    rep = s3_sign_standard()
+    ring = InvariantRing(rep)
+    top = 8
+    ring.precompute(range(top + 1))
+    entries = sum(len(pows) for pows in ring._powers.values())
+    assert 0 < entries <= rep.group.order * rep.degree * top
+
+
+@pytest.mark.parametrize(
+    "make, stop",
+    [
+        (lambda: InvariantRing(regular_representation(builtin_group("builtin:sym:3")[0])), 4),
+        (lambda: InvariantRing(s3_sign_standard()), 6),
+        (lambda: InvariantRing(s3_sign_standard((-1, 1, -1))), 6),
+        (lambda: InvariantRing(s3_sign_standard(), grading=Grading((1, 2))), 6),
+        (lambda: InvariantRing(z3_cyclotomic()), 3),
+        (lambda: InvariantRing(triv_plus_sign()), 2),
+        (lambda: InvariantRing(triv_plus_sign(), grading=Grading((1, 1))), 2),
+    ],
+    ids=[
+        "s3-regular",
+        "s3-sign-standard",
+        "s3-sign-conjugated",
+        "s3-sign-standard-graded",
+        "z3-cyclotomic",
+        "triv-sign",
+        "triv-sign-graded",
+    ],
+)
+@pytest.mark.parametrize("selection", ["forward", "reverse"])
+def test_minimal_generators_match_greedy_oracle(make, stop, selection):
+    ring = make()
+    _, gens, _ = minimal_generators(
+        ring, stop=stop, selection=selection, warn_below_order=False
+    )
+    bases = [ring.basis(d) for d in range(stop + 1)]
+    expected = greedy_generators(
+        [[el.poly for el in b] for b in bases], stop, reverse=selection == "reverse"
+    )
+    assert [id(el) for el in gens.elements] == [id(bases[d][i]) for d, i in expected]

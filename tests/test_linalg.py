@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzlab.linalg import Matrix, Span, column_echelon_basis, rank, rref
+from syzlab.linalg import Matrix, column_echelon_basis, pivot_columns, rank, rref
 from syzlab.cyclo import zeta
 
 from oracles import row_reduce_rank
@@ -109,16 +109,6 @@ def test_rank_equals_transpose_rank(r, c, data):
     assert (m @ k).is_zero()
 
 
-def test_span_rank_and_membership():
-    s = Span()
-    assert s.add({(1, 0): Fraction(2)})
-    assert s.add({(0, 1): Fraction(1), (1, 0): Fraction(1)})
-    assert not s.add({(1, 0): Fraction(1), (0, 1): Fraction(2)})
-    assert s.dim == 2
-    assert not s.reduce({(0, 1): Fraction(7)})
-    assert s.reduce({(2, 0): Fraction(1)})
-
-
 # -- the elimination kernel against the textbook oracle -----------------------
 
 Z3, Z4 = zeta(3), zeta(4)
@@ -169,6 +159,7 @@ def test_kernel_matches_oracle(m):
     assert rk == oracle_rank(m)
     red, pivots, rk2 = rref(m)
     assert rk2 == rk
+    assert pivot_columns(m) == pivots
     assert (red.rows, red.cols) == (m.rows, m.cols)
     assert_reduced_echelon(red, pivots, rk)
     assert rref(red) == (red, pivots, rk)
