@@ -707,6 +707,10 @@ def main(argv=None) -> int:
     except InternalInconsistency as exc:
         sys.stderr.write(f"syzlab: internal inconsistency: {exc}\n")
         return 3
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        sys.stderr.write(f"syzlab: unexpected error: {type(exc).__name__}: {message}\n")
+        return 4
 
 
 if __name__ == "__main__":

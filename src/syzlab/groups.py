@@ -45,6 +45,11 @@ class FiniteGroup:
             sum(1 for c in self.class_of if c == k) for k in range(self.class_count)
         )
 
+    def generator_elements(self) -> tuple:
+        """The distinct non-identity generators: the elements first reached
+        from the identity. They generate the group."""
+        return tuple(i for i, (p, _) in enumerate(self.parents) if p == 0)
+
     def mul(self, a: int, b: int) -> int:
         return self.mul_table[a][b]
 

@@ -8,7 +8,7 @@ route takes that image as the column space of sum_g g, which equals the
 Reynolds operator's, so it needs no division by |G|. Dimensions are
 cross-checked against the Molien series on every full-degree computation
 and on every degree read back from the cache: two independent routes that
-must agree exactly. Minimal generators are selected in block coordinates,
+must agree exactly. A cached basis must also be fixed by each generator. Minimal generators are selected in block coordinates,
 where the greedy scan becomes a pivot computation.
 """
 
@@ -217,25 +217,25 @@ class InvariantRing:
             pows.append(poly_mul(pows[-1], pows[0]))
         return pows[e - 1]
 
-    def _block_basis_generic(self, d, w, monos):
-        """Column echelon basis of the image of sum_g g on the block.
+    def _image(self, k: int, mono: tuple) -> dict:
+        """g_k . mono as the product of the memoized powers (g_k . x_j)^e_j,
+        so the integral coefficients of an integer representation stay ints."""
+        img = None
+        for j, e in enumerate(mono):
+            if e:
+                p = self._power(k, j, e)
+                img = p if img is None else poly_mul(img, p)
+        return {mono: 1} if img is None else img
 
-        g . m is the product of the memoized powers (g . x_j)^e_j, so the
-        integral coefficients of an integer representation stay ints.
-        """
+    def _block_basis_generic(self, d, w, monos):
+        """Column echelon basis of the image of sum_g g on the block."""
         index = {m: i for i, m in enumerate(monos)}
         n = len(monos)
-        one = {(0,) * self.nvars: 1}
         cols = []
         for m0 in monos:
             col = [0] * n
             for k in range(len(self._cols_sparse)):
-                img = one
-                for j, e in enumerate(m0):
-                    if e:
-                        p = self._power(k, j, e)
-                        img = p if img is one else poly_mul(img, p)
-                for m, c in img.items():
+                for m, c in self._image(k, m0).items():
                     pos = index.get(m)
                     if pos is None:
                         raise InternalInconsistency("group action does not preserve weights")
@@ -356,7 +356,9 @@ class InvariantRing:
         """Blocks of degree d read back from a cache payload, in the order
         computed blocks have; None unless the payload is a reduced echelon
         basis (unit pivots, strictly descending) of monomials of degree d
-        in each block's weight, with the Molien dimension."""
+        in each block's weight, with the Molien dimension, and every element
+        is fixed by each generator of the group. Such a basis spans each
+        invariant block, so it is the canonical one."""
         weights = {w: w for w in self.grading.all_weights(d)}
         found = {}
         try:
@@ -378,7 +380,24 @@ class InvariantRing:
             return None
         if sum(len(els) for els in found.values()) != self.molien(d)[d]:
             return None
+        if not all(self._fixed_by_generators(el.poly) for els in found.values() for el in els):
+            return None
         return {w: found[w] for w in weights if w in found}
+
+    def _fixed_by_generators(self, poly: dict) -> bool:
+        """g . poly == poly for every generator g, hence for all of G."""
+        for k in self.rep.group.generator_elements():
+            moved: dict = {}
+            for m, c in poly.items():
+                if self._monomial_fast:
+                    img, a = act_on_monomial_monomial_matrix(self._cols_single[k], m)
+                    poly_add_into(moved, {img: a}, c)
+                else:
+                    poly_add_into(moved, self._image(k, m), c)
+            poly_add_into(moved, poly, -1)
+            if moved:
+                return False
+        return True
 
     def _load_element(self, d: int, w: tuple, enc):
         """One cached basis element, or None when it is malformed."""

@@ -4,8 +4,10 @@ Tor over S = Sym(E) is computed by tensoring the Koszul resolution of the
 ground field with R, never materializing S itself: the complex in
 homological degree p and internal degree d is (R (x) Wedge^p E)_d with the
 standard differential. Every computation is split by the weight grading
-(one block in the ungraded case); differentials preserve weights, which is
-asserted each time an entry is expressed in a block basis.
+(one block in the ungraded case). Each product of an R basis element with
+a generator is written in its block basis once per complex and reused by
+every subset and every p; writing it there asserts that the differentials
+preserve weights.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from itertools import combinations
 
 from .errors import InternalInconsistency, InvalidInput
 from .invariants import GeneratorSet, InvariantRing
-from .linalg import Matrix, rank
+from .linalg import Matrix, _int_if_integral, rank
 from .monomials import poly_mul
 
 
@@ -63,6 +65,9 @@ class KoszulComplex:
         self._subsets_cache: dict = {}
         self._chains: dict = {}
         self._diffs: dict = {}
+        # (R degree, R weight, R index, t) -> nonzero [(index, coefficient)]
+        # of r . e_t in the block basis of (R degree + deg e_t, R weight + wt e_t)
+        self._products: dict = {}
         self._ranks: dict = {}
         self._tor: dict = {}
 
@@ -143,23 +148,33 @@ class KoszulComplex:
             data = [[Fraction(0)] * len(els) for _ in range(nrows)]
             pos = tgt_pos.get(w, {})
             for col, (s, rw, ri) in enumerate(els):
-                sdeg = sum(self.E[t].degree for t in s)
-                r_el = self.ring.block_basis(d - sdeg, rw)[ri]
+                rdeg = d - sum(self.E[t].degree for t in s)
                 for j, t in enumerate(s):
-                    e = self.E[t]
                     s2 = s[:j] + s[j + 1 :]
-                    prod = poly_mul(r_el.poly, e.poly)
-                    rdeg2 = r_el.degree + e.degree
-                    rw2 = _wadd(rw, e.weight)
-                    coords = self.ring.coords_in_basis(prod, rdeg2, rw2)
+                    rw2 = _wadd(rw, self.E[t].weight)
                     negate = j % 2 == 1
-                    for ri2, c in enumerate(coords):
-                        if c:
-                            row = pos[(s2, rw2, ri2)]
-                            data[row][col] = data[row][col] + (-c if negate else c)
+                    for ri2, c in self._times_generator(rdeg, rw, ri, t):
+                        row = pos[(s2, rw2, ri2)]
+                        data[row][col] = data[row][col] + (-c if negate else c)
             mats[w] = Matrix(nrows, len(els), data)
         self._diffs[key] = mats
         return mats
+
+    def _times_generator(self, rdeg: int, rw: tuple, ri: int, t: int) -> tuple:
+        """Nonzero coordinates of r . e_t, r the ri-th basis element of the
+        R block (rdeg, rw); computed once per complex, for every p."""
+        key = (rdeg, rw, ri, t)
+        hit = self._products.get(key)
+        if hit is None:
+            r_el = self.ring.block_basis(rdeg, rw)[ri]
+            e = self.E[t]
+            coords = self.ring.coords_in_basis(
+                poly_mul(r_el.poly, e.poly), rdeg + e.degree, _wadd(rw, e.weight)
+            )
+            hit = self._products[key] = tuple(
+                (i, _int_if_integral(c)) for i, c in enumerate(coords) if c
+            )
+        return hit
 
     def _rank(self, p: int, d: int, w: tuple) -> int:
         """Rank of the weight-w block of d_p in degree d, kept per (p, d):

@@ -2,7 +2,8 @@
 
 Entries are ints, Fractions or Cyclotomics; any mix works because the
 scalars coerce through their operators. `Matrix` is an immutable dense
-container. `rank` and `rref` share one sparse Gauss-Jordan kernel: rows
+container; its product walks only the nonzero entries of both factors.
+`rank` and `rref` share one sparse Gauss-Jordan kernel: rows
 become {column: nonzero} dicts with integral values carried as int, each
 column's pivot is the candidate entry of smallest bit-size, scaled to 1,
 and only the rows holding a nonzero in the pivot column are updated.
@@ -56,10 +57,16 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InvalidInput("matmul dimension mismatch")
-        bt = other.transpose().data
+        # each entry starts at Fraction(0) and takes its terms in increasing k
+        right = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
         out = []
         for r in self.data:
-            out.append([sum((a * b for a, b in zip(r, c) if a and b), Fraction(0)) for c in bt])
+            acc = [Fraction(0)] * other.cols
+            for k, a in enumerate(r):
+                if a:
+                    for j, b in right[k]:
+                        acc[j] = acc[j] + a * b
+            out.append(acc)
         return Matrix(self.rows, other.cols, out)
 
     def scale(self, c) -> "Matrix":

@@ -22,6 +22,15 @@ def monos(nvars, d):
     return sorted(out)
 
 
+def mat_mul(a, b, cols):
+    """Product of an r x k and a k x cols matrix given as lists of rows, by
+    the textbook triple loop over every index."""
+    return [
+        [sum((row[k] * b[k][j] for k in range(len(row))), 0) for j in range(cols)]
+        for row in a
+    ]
+
+
 def row_reduce(rows):
     """(reduced row echelon form, rank) by textbook Gauss-Jordan."""
     rows = [list(r) for r in rows]

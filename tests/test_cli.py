@@ -338,23 +338,58 @@ CACHE_FAULTS = {
     "empty-element": lambda p: {"blocks": [{"weight": [], "polys": [[], [[[0, 3], [1, 1]]]]}]},
 }
 
+# S3 on sign + standard, non-monomial: a cached element with one changed
+# non-pivot coefficient passes every structural check but is not invariant.
+S3_SIGN_STANDARD_INVARIANTS = {
+    "group": "builtin:sym:3",
+    "rep": {"multiplicities": [0, 1, 1]},
+    "task": "invariants",
+    "stop": 12,
+    "exact_limit": 0,
+}
+
+
+def _not_invariant(payload):
+    """Adds 1 to the last coefficient of x^2y^2 + x^2yz + x^2z^2."""
+    out = json.loads(json.dumps(payload))
+    (poly,) = [
+        q
+        for b in out["blocks"]
+        for q in b["polys"]
+        if [m for m, _ in q] == [[2, 2, 0], [2, 1, 1], [2, 0, 2]]
+    ]
+    assert [c for _, c in poly] == [[1, 1]] * 3
+    poly[-1][1] = [2, 1]
+    return out
+
+
+CACHE_FAULT_DEGREE["not-invariant"] = 4
+CACHE_FAULTS["not-invariant"] = _not_invariant
+CACHE_FAULT_PROBLEM = {"not-invariant": S3_SIGN_STANDARD_INVARIANTS}
+
 
 @pytest.mark.parametrize("fault", sorted(CACHE_FAULTS))
 def test_invalid_cached_basis_is_recomputed(tmp_path, capsys, fault):
-    argv = ["invariants", "--input", str(PROBLEMS / "z3_invariants.json")]
+    problem = PROBLEMS / "z3_invariants.json"
+    if fault in CACHE_FAULT_PROBLEM:
+        problem = tmp_path / "problem.json"
+        problem.write_text(json.dumps(CACHE_FAULT_PROBLEM[fault]))
+    cache_dir = tmp_path / "cache"
+    argv = ["invariants", "--input", str(problem)]
     _, expected, _ = run_cli(capsys, *argv, "--no-cache")
-    run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
     degree = CACHE_FAULT_DEGREE.get(fault, 3)
-    path = _invariant_entry(tmp_path, degree)
+    path = _invariant_entry(cache_dir, degree)
     entry = json.loads(path.read_text())
     good = entry["payload"]
-    assert good == {
-        1: {"blocks": []},
-        2: {"blocks": [{"weight": [], "polys": [[[[1, 1], [1, 1]]]]}]},
-        3: {"blocks": [{"weight": [], "polys": [[[[3, 0], [1, 1]]], [[[0, 3], [1, 1]]]]}]},
-    }[degree]
+    if fault not in CACHE_FAULT_PROBLEM:
+        assert good == {
+            1: {"blocks": []},
+            2: {"blocks": [{"weight": [], "polys": [[[[1, 1], [1, 1]]]]}]},
+            3: {"blocks": [{"weight": [], "polys": [[[[3, 0], [1, 1]]], [[[0, 3], [1, 1]]]]}]},
+        }[degree]
     path.write_text(json.dumps({**entry, "payload": CACHE_FAULTS[fault](good)}))
-    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
     assert (code, out, err) == (0, expected, "")
     assert json.loads(path.read_text())["payload"] == good
 
@@ -456,3 +491,17 @@ def test_usage_error_exit_code_is_one(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 1
+
+
+def test_unexpected_error_exit_code_is_four(capsys, monkeypatch):
+    import syzlab.cli
+
+    def broken(problem, options):
+        raise KeyError("missing")
+
+    monkeypatch.setattr(syzlab.cli, "run", broken)
+    code, out, err = run_cli(
+        capsys, "syzygies", "--input", str(PROBLEMS / "z2_antipodal_syzygies.json"), "--no-cache"
+    )
+    assert (code, out) == (4, "")
+    assert err.splitlines() == ["syzlab: unexpected error: KeyError: 'missing'"]

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from syzlab.cyclo import zeta
-from syzlab.errors import InvalidInput
+from syzlab.cyclo import Cyclotomic, zeta
+from syzlab.errors import InternalInconsistency, InvalidInput
 from syzlab.groups import Representation, builtin_group
 from syzlab.invariants import InvariantRing, build_E, noether_number
 from syzlab.koszul import KoszulComplex, SyzygyResult, scan_ceiling, syzygy_degree, tor_table
 from syzlab.linalg import Matrix, rank
+from syzlab.monomials import poly_mul
 
 from oracles import davenport_constant, veronese_tor
 
@@ -27,9 +28,23 @@ def make_cx(rep, mode, selection="forward"):
     return KoszulComplex(ring, gens, noe.value)
 
 
+def z2_rep():
+    return diag_rep("builtin:cyclic:2", [Fraction(-1), Fraction(-1)])
+
+
+def z3_cyclotomic_rep():
+    """Z3 on C^2 by P diag(zeta, zeta^2) P^-1 with P = [[1, zeta], [0, 1]]:
+    the invariants, and so the differentials, have entries in Q(zeta_3)."""
+    group, _ = builtin_group("builtin:cyclic:3")
+    w = zeta(3)
+    return Representation.from_generator_images(
+        group, [Matrix.from_rows([[w, 2 + w], [0, w * w]])]
+    )
+
+
 @pytest.fixture(scope="module")
 def z2_min():
-    return make_cx(diag_rep("builtin:cyclic:2", [Fraction(-1), Fraction(-1)]), "minimal")
+    return make_cx(z2_rep(), "minimal")
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +123,63 @@ def test_tor_table_ranks_each_block_once(monkeypatch):
     table = tor_table(cx, p_max=2)
     assert table.nonzero_rows() == [(0, 0, 1), (1, 4, 1)]
     assert ranked and len({id(m) for m in ranked}) == len(ranked)
+
+
+def _corrupt_one_entry(cx, p, d):
+    """Add 1 to one entry of the memoized weight block of d_(p+1) in degree
+    d, in a row whose column of d_p is nonzero, so d_p d_(p+1) != 0.
+    Returns the corrupted block."""
+    d_p, d_next = cx.differential(p, d), cx.differential(p + 1, d)
+    for w, m in d_next.items():
+        if w not in d_p or not m.cols:
+            continue
+        left = d_p[w]
+        for i in range(left.cols):
+            if any(left.at(r, i) for r in range(left.rows)):
+                data = [list(r) for r in m.data]
+                data[i][0] += 1
+                d_next[w] = Matrix(m.rows, m.cols, data)
+                return d_next[w]
+    raise AssertionError("no block of d_(p+1) meets a nonzero column of d_p")
+
+
+@pytest.mark.parametrize(
+    "make_rep, p, d", [(z2_rep, 1, 6), (z3_cyclotomic_rep, 1, 8)], ids=["z2", "z3-cyclotomic"]
+)
+def test_d_squared_check_fires(make_rep, p, d):
+    cx = make_cx(make_rep(), "minimal")
+    bad = _corrupt_one_entry(cx, p, d)
+    if make_rep is z3_cyclotomic_rep:
+        assert any(type(x) is Cyclotomic for r in bad.data for x in r)
+    with pytest.raises(InternalInconsistency, match="does not square to zero"):
+        cx.tor_data(p, d)
+
+
+@pytest.mark.parametrize("make_rep", [z2_rep, z3_cyclotomic_rep], ids=["z2", "z3-cyclotomic"])
+def test_tor_table_multiplies_each_pair_once(monkeypatch, make_rep):
+    """Each (R basis element, generator) product is formed and written in
+    the block basis once per complex, however many subsets and p use it."""
+    import syzlab.koszul
+
+    cx = make_cx(make_rep(), "minimal")
+    pairs = []
+    coords = []
+    coords_in_basis = InvariantRing.coords_in_basis
+
+    def counting_mul(p, q):
+        pairs.append((id(p), id(q)))
+        return poly_mul(p, q)
+
+    def counting_coords(self, poly, d, w):
+        coords.append((d, w))
+        return coords_in_basis(self, poly, d, w)
+
+    monkeypatch.setattr(syzlab.koszul, "poly_mul", counting_mul)
+    monkeypatch.setattr(InvariantRing, "coords_in_basis", counting_coords)
+    table = tor_table(cx, p_max=2)
+    assert table.nonzero_rows()[0] == (0, 0, 1)
+    assert pairs and len(pairs) == len(set(pairs))
+    assert len(coords) <= len(pairs)
 
 
 def test_tor_table_full_mode_triv_sign():

@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syzlab.linalg import Matrix, column_echelon_basis, pivot_columns, rank, rref
-from syzlab.cyclo import zeta
+from syzlab.cyclo import Cyclotomic, zeta
 
-from oracles import row_reduce_rank
+from oracles import mat_mul, row_reduce_rank
 
 
 def M(rows):
@@ -136,6 +136,33 @@ def sparse_matrices(draw, max_rows=6, max_cols=6):
     zero = st.just(0)
     cell = st.one_of(zero, zero, entries)
     return Matrix(r, c, [[draw(cell) for _ in range(c)] for _ in range(r)])
+
+
+@st.composite
+def product_pairs(draw, max_dim=5):
+    """(A, B) with A.cols == B.rows over one field, sparse (stored zeros,
+    int and Fraction) or dense, empty shapes included."""
+    entries = FIELDS[draw(st.sampled_from(sorted(FIELDS)))]
+    sparse = st.one_of(st.just(0), st.just(Fraction(0)), entries)
+    cell = draw(st.sampled_from((sparse, entries)))
+    r, k, c = (draw(st.integers(0, max_dim)) for _ in range(3))
+    a = Matrix(r, k, [[draw(cell) for _ in range(k)] for _ in range(r)])
+    b = Matrix(k, c, [[draw(cell) for _ in range(c)] for _ in range(k)])
+    return a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_pairs())
+def test_product_matches_oracle(pair):
+    a, b = pair
+    prod = a @ b
+    want = mat_mul([list(r) for r in a.data], [list(r) for r in b.data], b.cols)
+    assert (prod.rows, prod.cols) == (a.rows, b.cols) and len(want) == a.rows
+    for row, want_row in zip(prod.data, want):
+        for x, y in zip(row, want_row, strict=True):
+            assert x == y
+            # as the dense product: a Fraction unless the value is irrational
+            assert type(x) is (Cyclotomic if isinstance(y, Cyclotomic) else Fraction)
 
 
 def oracle_rank(m: Matrix) -> int:
