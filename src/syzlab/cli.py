@@ -677,6 +677,8 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"input is not valid JSON: {exc}")
         budget = Budget.preset(args.budget_level)
+        # the overrides below index the document, so check its shape first
+        _expect(isinstance(doc, dict), "document", "expected a JSON object")
         if args.p is not None:
             doc["p"] = args.p
         if args.p_max is not None:

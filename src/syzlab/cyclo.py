@@ -248,21 +248,6 @@ class Cyclotomic:
             k >>= 1
         return result
 
-    def galois(self, k: int):
-        """Image under zeta -> zeta^k for gcd(k, N) = 1."""
-        k %= self.conductor
-        if gcd(k, self.conductor) != 1:
-            raise InvalidInput(f"{k} is not coprime to conductor {self.conductor}")
-        raw = [Fraction(0)] * self.conductor
-        for i, c in enumerate(self.coeffs):
-            raw[(i * k) % self.conductor] += c
-        return Cyclotomic._normalized(
-            self.conductor, _reduce_mod_phi(raw, self.conductor)
-        )
-
-    def conjugate(self):
-        return self.galois(self.conductor - 1)
-
     # -- comparison -------------------------------------------------------------
 
     def __eq__(self, other):
@@ -319,12 +304,6 @@ def as_integer(x: Scalar):
     if q is None or q.denominator != 1:
         return None
     return q.numerator
-
-
-def conjugate(x: Scalar) -> Scalar:
-    if isinstance(x, Cyclotomic):
-        return x.conjugate()
-    return x
 
 
 def bit_size(x: Scalar) -> int:

@@ -3,13 +3,18 @@
 Bases of each graded piece are computed per weight block (the diagonal
 torus multigrading when the representation is assembled from irreducible
 factors tensored with multiplicity spaces; a single block otherwise), as
-canonical reduced-echelon column bases of the Reynolds image. The generic
-route takes that image as the column space of sum_g g, which equals the
-Reynolds operator's, so it needs no division by |G|. Dimensions are
-cross-checked against the Molien series on every full-degree computation
-and on every degree read back from the cache: two independent routes that
-must agree exactly. A cached basis must also be fixed by each generator. Minimal generators are selected in block coordinates,
-where the greedy scan becomes a pivot computation.
+canonical reduced-echelon column bases of the Reynolds image. Every
+representation takes one route: the image is the column space of sum_g g,
+which equals the Reynolds operator's, so it needs no division by |G|.
+Each column sum_g g . m is built as a sparse vector and the columns go
+straight to the elimination kernel as rows, whose reduced form is the
+basis. Dimensions are cross-checked against the Molien series on every
+full-degree computation and on every degree read back from the cache: two
+independent routes that must agree exactly. A cached basis must also be
+fixed by each generator.
+
+Minimal generators are selected in block coordinates, where the greedy
+scan becomes a pivot computation.
 """
 
 from __future__ import annotations
@@ -23,10 +28,8 @@ from .cyclo import as_integer, decode_scalar, encode_scalar
 from .errors import InternalInconsistency, InvalidInput, LimitExceeded
 from .groups import FiniteGroup, Representation, regular_representation
 from .limits import DEFAULT_BUDGET, Budget
-from .linalg import Matrix, _int_if_integral, column_echelon_basis, pivot_columns
+from .linalg import Matrix, _int_if_integral, pivot_columns, reduced_rows
 from .monomials import (
-    act_on_monomial_monomial_matrix,
-    is_monomial_matrix,
     matrix_columns_sparse,
     monomial_count,
     monomials,
@@ -127,17 +130,7 @@ class InvariantRing:
         self._block_cache: dict = {}
         self._degree_blocks: dict = {}
         self._molien: list[int] = []
-        self._monomial_fast = all(is_monomial_matrix(m) for m in rep.images)
-        if self._monomial_fast:
-            self._cols_single = [
-                [
-                    next((i, m.at(i, j)) for i in range(m.rows) if m.at(i, j))
-                    for j in range(m.cols)
-                ]
-                for m in rep.images
-            ]
-        else:
-            self._cols_sparse = [matrix_columns_sparse(m) for m in rep.images]
+        self._cols_sparse = [matrix_columns_sparse(m) for m in rep.images]
         # (element, variable) -> [(g . x_j)^1, (g . x_j)^2, ...]
         self._powers: dict = {}
 
@@ -168,39 +161,9 @@ class InvariantRing:
         if self._block_size(d, w) > self.budget.monomial_limit:
             raise LimitExceeded("degree too large")
         monos = self.grading.block_monomials(self.nvars, d, w)
-        if not monos:
-            basis = []
-        elif self._monomial_fast:
-            basis = self._block_basis_monomial(d, w, monos)
-        else:
-            basis = self._block_basis_generic(d, w, monos)
+        basis = self._block_basis_generic(d, w, monos) if monos else []
         self._block_cache[key] = basis
         return basis
-
-    def _block_basis_monomial(self, d, w, monos):
-        """Orbit averaging: monomial images make the Reynolds image orbit-local."""
-        index = {m: i for i, m in enumerate(monos)}
-        seen = [False] * len(monos)
-        out = []
-        for i0, m0 in enumerate(monos):
-            if seen[i0]:
-                continue
-            acc: dict = {}
-            for cols in self._cols_single:
-                img, c = act_on_monomial_monomial_matrix(cols, m0)
-                pos = index.get(img)
-                if pos is None:
-                    raise InternalInconsistency("group action does not preserve weights")
-                seen[pos] = True
-                v = acc.get(img, 0) + c
-                if v:
-                    acc[img] = v
-                else:
-                    acc.pop(img, None)
-            if acc:
-                scale = acc[max(acc)]
-                out.append(InvElem(d, w, {m: c / scale for m, c in acc.items()}))
-        return out
 
     def _power(self, k: int, j: int, e: int) -> dict:
         """(g_k . x_j)^e, each power built from the one before and kept."""
@@ -228,28 +191,23 @@ class InvariantRing:
         return {mono: 1} if img is None else img
 
     def _block_basis_generic(self, d, w, monos):
-        """Column echelon basis of the image of sum_g g on the block."""
+        """Column echelon basis of the image of sum_g g on the block: the
+        reduced rows of the columns sum_g g . m, read in pivot order."""
         index = {m: i for i, m in enumerate(monos)}
-        n = len(monos)
         cols = []
         for m0 in monos:
-            col = [0] * n
+            col: dict = {}
             for k in range(len(self._cols_sparse)):
                 for m, c in self._image(k, m0).items():
                     pos = index.get(m)
                     if pos is None:
                         raise InternalInconsistency("group action does not preserve weights")
-                    col[pos] += c
-            cols.append(col)
-        image = Matrix(n, n, [list(row) for row in zip(*cols)])
-        echelon = column_echelon_basis(image)
-        out = []
-        for j in range(echelon.cols):
-            poly = {
-                monos[i]: echelon.at(i, j) for i in range(n) if echelon.at(i, j)
-            }
-            out.append(InvElem(d, w, poly))
-        return out
+                    col[pos] = col.get(pos, 0) + c
+            cols.append({i: _int_if_integral(c) for i, c in col.items() if c})
+        return [
+            InvElem(d, w, {monos[i]: row[i] for i in sorted(row)})
+            for _, row in reduced_rows(cols, len(monos))
+        ]
 
     # -- full-degree views ---------------------------------------------------------
 
@@ -389,11 +347,7 @@ class InvariantRing:
         for k in self.rep.group.generator_elements():
             moved: dict = {}
             for m, c in poly.items():
-                if self._monomial_fast:
-                    img, a = act_on_monomial_monomial_matrix(self._cols_single[k], m)
-                    poly_add_into(moved, {img: a}, c)
-                else:
-                    poly_add_into(moved, self._image(k, m), c)
+                poly_add_into(moved, self._image(k, m), c)
             poly_add_into(moved, poly, -1)
             if moved:
                 return False

@@ -3,15 +3,16 @@
 Entries are ints, Fractions or Cyclotomics; any mix works because the
 scalars coerce through their operators. `Matrix` is an immutable dense
 container; its product walks only the nonzero entries of both factors.
-`rank` and `rref` share one sparse Gauss-Jordan kernel: rows
-become {column: nonzero} dicts with integral values carried as int, each
-column's pivot is the candidate entry of smallest bit-size, scaled to 1,
-and only the rows holding a nonzero in the pivot column are updated.
-`rank` stops after that forward pass; `rref` then clears the entries above
-each pivot, which gives the reduced row echelon form. That form is
-canonical, so the pivot choice affects cost, never results. `pivot_columns`
-reads the pivot columns off the forward pass: the positions at which some
-vector of the row space has its first nonzero entry.
+There is one sparse Gauss-Jordan kernel. Its rows are {column: nonzero}
+dicts with integral values carried as int; each column's pivot is the
+candidate entry of smallest bit-size, scaled to 1, and only the rows
+holding a nonzero in the pivot column are updated. `rank` and
+`pivot_columns` convert their `Matrix` once and stop after that forward
+pass: the pivot columns are the positions at which some vector of the row
+space has its first nonzero entry. `reduced_rows` takes sparse rows
+directly and then clears the entries above each pivot, which gives the
+reduced row echelon form. That form is canonical, so the pivot choice
+affects cost, never results.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ class Matrix:
 
     def at(self, i: int, j: int):
         return self.data[i][j]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows, list(zip(*self.data)) if self.data else [[] for _ in range(self.cols)])
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -107,30 +105,33 @@ def _clear(row: dict, pivot_row: dict, c: int) -> None:
             row.pop(k, None)
 
 
-def _forward(m: Matrix):
+def _sparse_rows(m: Matrix) -> list:
+    return [{j: _int_if_integral(x) for j, x in enumerate(data) if x} for data in m.data]
+
+
+def _forward(rows, ncols: int):
     """Row echelon form by sparse elimination: [(pivot column, row)] in
     increasing column order, each row a {column: nonzero} dict with a unit
-    pivot and no entry left of it."""
+    pivot and no entry left of it. The input rows are updated in place."""
     # rows waiting for a pivot, bucketed by their leading column; every
     # such row has a nonzero there and none before it
     waiting: dict = {}
-    for data in m.data:
-        row = {j: _int_if_integral(x) for j, x in enumerate(data) if x}
+    for row in rows:
         if row:
             waiting.setdefault(min(row), []).append(row)
     echelon = []
-    for c in range(m.cols):
-        rows = waiting.pop(c, None)
-        if rows is None:
+    for c in range(ncols):
+        bucket = waiting.pop(c, None)
+        if bucket is None:
             continue
-        best = min(range(len(rows)), key=lambda i: bit_size(rows[i][c]))
-        pivot_row = rows.pop(best)
+        best = min(range(len(bucket)), key=lambda i: bit_size(bucket[i][c]))
+        pivot_row = bucket.pop(best)
         piv = pivot_row[c]
         if piv != 1:
             inv = Fraction(1, piv) if type(piv) is int else 1 / piv
             pivot_row = {k: _int_if_integral(v * inv) for k, v in pivot_row.items()}
             pivot_row[c] = 1
-        for row in rows:
+        for row in bucket:
             _clear(row, pivot_row, c)
             if row:
                 waiting.setdefault(min(row), []).append(row)
@@ -138,35 +139,26 @@ def _forward(m: Matrix):
     return echelon
 
 
-def rref(m: Matrix):
-    """Reduced row echelon form.
+def reduced_rows(rows, ncols: int) -> list:
+    """Reduced row echelon form of sparse rows over columns 0..ncols-1.
 
-    Returns (R, pivot_columns, rank). R is canonical: it depends only on the
-    row space, so the bit-size pivoting affects cost, never results.
+    `rows` are {column: nonzero} dicts with integral values as int; they
+    are consumed. Returns the nonzero rows of the canonical form as
+    [(pivot column, row dict)], pivots increasing and each pivot entry 1.
     """
-    echelon = _forward(m)
+    echelon = _forward(rows, ncols)
     for t in range(len(echelon) - 1, 0, -1):
         c, pivot_row = echelon[t]
         for _, row in echelon[:t]:
             if c in row:
                 _clear(row, pivot_row, c)
-    data = [[Fraction(0)] * m.cols for _ in range(m.rows)]
-    for out, (_, row) in zip(data, echelon):
-        for k, v in row.items():
-            out[k] = Fraction(v) if type(v) is int else v
-    return Matrix(m.rows, m.cols, data), tuple(c for c, _ in echelon), len(echelon)
+    return echelon
 
 
 def rank(m: Matrix) -> int:
-    return len(_forward(m))
+    return len(_forward(_sparse_rows(m), m.cols))
 
 
 def pivot_columns(m: Matrix) -> tuple:
     """Pivot columns of the row echelon form, increasing."""
-    return tuple(c for c, _ in _forward(m))
-
-
-def column_echelon_basis(m: Matrix) -> Matrix:
-    """Canonical basis of the column space (reduced echelon by rows)."""
-    red, _, rk = rref(m.transpose())
-    return Matrix(rk, m.rows, red.data[:rk]).transpose()
+    return tuple(c for c, _ in _forward(_sparse_rows(m), m.cols))

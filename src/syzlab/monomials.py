@@ -8,7 +8,6 @@ are dicts exponent-tuple -> scalar with no explicit zeros.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import add
@@ -67,33 +66,3 @@ def matrix_columns_sparse(mat):
         col = [(i, mat.at(i, j)) for i in range(mat.rows) if mat.at(i, j)]
         cols.append(col)
     return cols
-
-
-def is_monomial_matrix(mat) -> bool:
-    """True when every column has exactly one nonzero entry."""
-    for j in range(mat.cols):
-        nonzero = 0
-        for i in range(mat.rows):
-            if mat.at(i, j):
-                nonzero += 1
-                if nonzero > 1:
-                    return False
-        if nonzero != 1:
-            return False
-    return True
-
-
-def act_on_monomial_monomial_matrix(cols_single, mono: tuple):
-    """Fast path when each variable maps to a scalar multiple of one variable.
-
-    cols_single[j] = (row, scalar). Returns (image monomial, coefficient).
-    """
-    img = [0] * len(mono)
-    coeff = Fraction(1)
-    for j, e in enumerate(mono):
-        if e == 0:
-            continue
-        i, c = cols_single[j]
-        img[i] += e
-        coeff = coeff * c**e
-    return tuple(img), coeff

@@ -251,15 +251,14 @@ def test_cache_hot_run_computes_no_block(tmp_path, capsys, monkeypatch, task, pr
     argv = [task, "--input", str(PROBLEMS / f"{problem}.json"), "--cache-dir", str(tmp_path)]
     _, cold, _ = run_cli(capsys, *argv)
     computed = []
-    for name in ("_block_basis_monomial", "_block_basis_generic"):
-        original = getattr(InvariantRing, name)
+    original = InvariantRing._block_basis_generic
 
-        def counting(self, d, w, monos, original=original):
-            if self.cache is not None:
-                computed.append((d, w))
-            return original(self, d, w, monos)
+    def counting(self, d, w, monos):
+        if self.cache is not None:
+            computed.append((d, w))
+        return original(self, d, w, monos)
 
-        monkeypatch.setattr(InvariantRing, name, counting)
+    monkeypatch.setattr(InvariantRing, "_block_basis_generic", counting)
     code, hot, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hot == cold
@@ -442,6 +441,7 @@ def test_unusable_cache_is_disabled(tmp_path, capsys, monkeypatch, failure):
             "task": "schur",
             "schur": {"check": "stabilization", "multiplicities": ["a", 1]},
         },
+        [1],
     ],
     ids=[
         "chain-g_max",
@@ -450,12 +450,15 @@ def test_unusable_cache_is_disabled(tmp_path, capsys, monkeypatch, failure):
         "kostka-shape",
         "lr-nu",
         "stabilization-multiplicities",
+        "list-document-with-override",
     ],
 )
 def test_malformed_task_arguments_exit_one(tmp_path, capsys, doc):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, doc["task"], "--input", str(path), "--no-cache")
+    # a document that is not an object must be refused before --p indexes it
+    argv = [doc["task"]] if isinstance(doc, dict) else ["group", "--p", "2"]
+    code, out, err = run_cli(capsys, *argv, "--input", str(path), "--no-cache")
     assert code == 1
     assert out == ""
     (line,) = err.splitlines()

@@ -13,7 +13,7 @@ from syzlab.invariants import (
     noether_number,
 )
 from syzlab.linalg import Matrix
-from syzlab.monomials import matrix_columns_sparse, poly_mul
+from syzlab.monomials import poly_mul
 
 from oracles import (
     column_echelon_basis,
@@ -273,33 +273,24 @@ def test_blocked_grading_matches_trivial_dims():
     assert wd == {(2, 0): 1, (0, 2): 1}
 
 
-def test_generic_and_monomial_paths_agree():
-    group, catalog = builtin_group("builtin:sym:3")
-    reg = regular_representation(group)
-    ring_fast = InvariantRing(reg)
-    assert ring_fast._monomial_fast
-    # same rep with a tiny perturbation path: force generic by constructing
-    # an equivalent ring through the generic branch
-    ring_slow = InvariantRing(reg)
-    ring_slow._monomial_fast = False
-    ring_slow._cols_sparse = [matrix_columns_sparse(m) for m in reg.images]
-    for d in (1, 2, 3):
-        fast = ring_fast.basis(d)
-        slow = ring_slow.basis(d)
-        assert len(fast) == len(slow)
-        assert [el.poly for el in fast] == [el.poly for el in slow]
-
-
 @pytest.mark.parametrize(
-    "diag", [(1, 1, 1), (1, 2, Fraction(1, 3))], ids=["integer", "rational"]
+    "make, top",
+    [
+        (lambda: s3_sign_standard(), 6),
+        (lambda: s3_sign_standard((1, 2, Fraction(1, 3))), 6),
+        (lambda: regular_representation(builtin_group("builtin:sym:3")[0]), 4),
+        (triv_plus_sign, 6),
+        (z3_omega_omega, 6),
+    ],
+    ids=["integer", "rational", "s3-regular", "triv-sign", "z3-omega-omega"],
 )
-def test_generic_blocks_match_reynolds_oracle(diag):
-    rep = s3_sign_standard(diag)
+def test_generic_blocks_match_reynolds_oracle(make, top):
+    """Non-monomial and monomial representations alike take the one route."""
+    rep = make()
     ring = InvariantRing(rep)
-    assert not ring._monomial_fast
     images = [m.data for m in rep.images]
-    for d in range(7):
-        basis = sym_power_basis(3, d)
+    for d in range(top + 1):
+        basis = sym_power_basis(rep.degree, d)
         expected = [
             {basis[i]: c for i, c in enumerate(vec) if c}
             for vec in column_echelon_basis(reynolds_matrix(sym_power_action(images, d)))

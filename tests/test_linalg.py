@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzlab.linalg import Matrix, column_echelon_basis, pivot_columns, rank, rref
+from syzlab.linalg import Matrix, _sparse_rows, pivot_columns, rank, reduced_rows
 from syzlab.cyclo import Cyclotomic, zeta
 
 from oracles import mat_mul, row_reduce_rank
@@ -11,6 +11,27 @@ from oracles import mat_mul, row_reduce_rank
 
 def M(rows):
     return Matrix.from_rows([[Fraction(x) for x in r] for r in rows])
+
+
+def transpose(m: Matrix) -> Matrix:
+    return Matrix(m.cols, m.rows, list(zip(*m.data)) if m.data else [[] for _ in range(m.cols)])
+
+
+def rref(m: Matrix):
+    """(R, pivot columns, rank): the dense reduced row echelon form rebuilt
+    from the kernel's sparse reduced rows, zero rows below."""
+    echelon = reduced_rows(_sparse_rows(m), m.cols)
+    data = [[0] * m.cols for _ in range(m.rows)]
+    for out, (_, row) in zip(data, echelon):
+        for k, v in row.items():
+            out[k] = v
+    return Matrix(m.rows, m.cols, data), tuple(c for c, _ in echelon), len(echelon)
+
+
+def column_echelon_basis(m: Matrix) -> Matrix:
+    """Canonical basis of the column space (reduced echelon by rows)."""
+    echelon = reduced_rows(_sparse_rows(transpose(m)), m.rows)
+    return Matrix(m.rows, len(echelon), [[row.get(i, 0) for _, row in echelon] for i in range(m.rows)])
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -103,7 +124,7 @@ def test_rank_equals_transpose_rank(r, c, data):
         for _ in range(r)
     ]
     m = Matrix.from_rows(rows)
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(transpose(m))
     k = kernel_basis(m)
     assert m.cols == rank(m) + k.cols
     assert (m @ k).is_zero()
@@ -170,7 +191,7 @@ def oracle_rank(m: Matrix) -> int:
 
 
 def assert_reduced_echelon(red: Matrix, pivots, rk):
-    assert not any(isinstance(x, float) for r in red.data for x in r)
+    assert all(type(x) in (int, Fraction, Cyclotomic) for r in red.data for x in r)
     assert len(pivots) == rk and list(pivots) == sorted(set(pivots))
     for t, c in enumerate(pivots):
         assert red.at(t, c) == 1
@@ -230,5 +251,5 @@ def test_irrational_pivot_candidates_only():
     assert red == Matrix.identity(3) and pivots == (0, 1, 2)
     singular = Matrix.from_rows([[Z3, Z3 * Z4], [Z3 * Z3, Z3 * Z3 * Z4], [1 + Z3, 0]])
     assert rank(singular) == oracle_rank(singular) == 2
-    k = kernel_basis(singular.transpose())
-    assert k.cols == 1 and (singular.transpose() @ k).is_zero()
+    k = kernel_basis(transpose(singular))
+    assert k.cols == 1 and (transpose(singular) @ k).is_zero()
