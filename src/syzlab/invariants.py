@@ -490,6 +490,7 @@ def minimal_generators(
             "generators above it would be missed",
             stacklevel=2,
         )
+    ring.precompute(range(1, stop + 1))
     chosen = []
     for d in range(1, stop + 1):
         blocks = list(ring.blocks(d).items())
@@ -540,6 +541,7 @@ def build_E(
     """The generator space: all of R_1..R_beta (full) or a minimal complement."""
     beta = noether.value
     if mode == "full":
+        ring.precompute(range(1, beta + 1))
         elements = []
         for d in range(1, beta + 1):
             elements.extend(ring.basis(d))

@@ -3,21 +3,27 @@
 Entries are ints, Fractions or Cyclotomics; any mix works because the
 scalars coerce through their operators. `Matrix` is an immutable dense
 container; its product walks only the nonzero entries of both factors.
-There is one sparse Gauss-Jordan kernel. Its rows are {column: nonzero}
-dicts with integral values carried as int; each column's pivot is the
-candidate entry of smallest bit-size, scaled to 1, and only the rows
-holding a nonzero in the pivot column are updated. `rank` and
+There is one sparse elimination kernel. Its rows are {column: nonzero}
+dicts with integral values carried as int. Each column's pivot is the
+candidate of smallest (bit-size of its entry, row length): the entry size
+controls growth and the length limits fill-in. Pivots are not scaled, and
+only the rows holding a nonzero in the pivot column are updated, by
+row := a*row - b*pivot_row. For two int entries a and b are coprime
+integers and an all-int result is divided by its content, so integer rows
+stay integer and primitive (fraction-free); otherwise a = 1 and b uses
+the pivot's inverse, computed once per pivot. `rank` and
 `pivot_columns` convert their `Matrix` once and stop after that forward
 pass: the pivot columns are the positions at which some vector of the row
 space has its first nonzero entry. `reduced_rows` takes sparse rows
-directly and then clears the entries above each pivot, which gives the
-reduced row echelon form. That form is canonical, so the pivot choice
-affects cost, never results.
+directly, scales each echelon row to a unit pivot and then clears the
+entries above each pivot, which gives the reduced row echelon form. That
+form is canonical, so the pivot choice affects cost, never results.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .cyclo import bit_size
@@ -94,25 +100,52 @@ def _int_if_integral(x):
     return x
 
 
-def _clear(row: dict, pivot_row: dict, c: int) -> None:
-    """row -= row[c] * pivot_row, in place; pivot_row[c] is 1."""
-    f = row[c]
+def _clear(row: dict, pivot_row: dict, c: int, inv) -> None:
+    """row := a*row - b*pivot_row in place, which removes row[c]; `inv` is
+    1 / pivot_row[c]. When row[c] and the pivot are both ints, a and b are
+    the coprime integers pivot/g and row[c]/g (g their gcd), and a row left
+    with int entries only is divided by their gcd; otherwise a = 1 and
+    b = row[c] * inv."""
+    f, piv = row[c], pivot_row[c]
+    integral = type(f) is int and type(piv) is int
+    if integral:
+        g = gcd(piv, f)
+        a, b = piv // g, f // g
+        if a != 1:
+            for k, v in row.items():
+                row[k] = a * v if type(v) is int else _int_if_integral(a * v)
+    else:
+        b = f * inv
+    get = row.get
     for k, v in pivot_row.items():
-        x = row.get(k, 0) - f * v
+        x = get(k, 0) - b * v
         if x:
-            row[k] = _int_if_integral(x)
+            row[k] = x if type(x) is int else _int_if_integral(x)
         else:
-            row.pop(k, None)
+            del row[k]
+    if integral and row:
+        try:
+            g = gcd(*row.values())
+        except TypeError:  # math.gcd takes ints only: the row holds another scalar
+            return
+        if g != 1:
+            for k, v in row.items():
+                row[k] = v // g
 
 
 def _sparse_rows(m: Matrix) -> list:
     return [{j: _int_if_integral(x) for j, x in enumerate(data) if x} for data in m.data]
 
 
+def _inverse(piv):
+    return Fraction(1, piv) if type(piv) is int else 1 / piv
+
+
 def _forward(rows, ncols: int):
-    """Row echelon form by sparse elimination: [(pivot column, row)] in
-    increasing column order, each row a {column: nonzero} dict with a unit
-    pivot and no entry left of it. The input rows are updated in place."""
+    """Row echelon form by fraction-free sparse elimination: [(pivot
+    column, row)] in increasing column order, each row a {column: nonzero}
+    dict with no entry left of its pivot, which is not scaled. The input
+    rows are updated in place."""
     # rows waiting for a pivot, bucketed by their leading column; every
     # such row has a nonzero there and none before it
     waiting: dict = {}
@@ -124,17 +157,14 @@ def _forward(rows, ncols: int):
         bucket = waiting.pop(c, None)
         if bucket is None:
             continue
-        best = min(range(len(bucket)), key=lambda i: bit_size(bucket[i][c]))
+        best = min(range(len(bucket)), key=lambda i: (bit_size(bucket[i][c]), len(bucket[i])))
         pivot_row = bucket.pop(best)
-        piv = pivot_row[c]
-        if piv != 1:
-            inv = Fraction(1, piv) if type(piv) is int else 1 / piv
-            pivot_row = {k: _int_if_integral(v * inv) for k, v in pivot_row.items()}
-            pivot_row[c] = 1
-        for row in bucket:
-            _clear(row, pivot_row, c)
-            if row:
-                waiting.setdefault(min(row), []).append(row)
+        if bucket:
+            inv = _inverse(pivot_row[c])
+            for row in bucket:
+                _clear(row, pivot_row, c, inv)
+                if row:
+                    waiting.setdefault(min(row), []).append(row)
         echelon.append((c, pivot_row))
     return echelon
 
@@ -147,11 +177,15 @@ def reduced_rows(rows, ncols: int) -> list:
     [(pivot column, row dict)], pivots increasing and each pivot entry 1.
     """
     echelon = _forward(rows, ncols)
+    for t, (c, row) in enumerate(echelon):
+        if row[c] != 1:
+            inv = _inverse(row[c])
+            echelon[t] = (c, {k: _int_if_integral(v * inv) for k, v in row.items()})
     for t in range(len(echelon) - 1, 0, -1):
         c, pivot_row = echelon[t]
         for _, row in echelon[:t]:
             if c in row:
-                _clear(row, pivot_row, c)
+                _clear(row, pivot_row, c, 1)
     return echelon
 
 

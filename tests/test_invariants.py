@@ -175,6 +175,7 @@ def test_noether_small_groups():
         ("builtin:cyclic:3", 3),
         ("builtin:klein:4", 3),
         ("builtin:cyclic:4", 4),
+        ("builtin:sym:3", 4),
     ]:
         group, _ = builtin_group(name)
         res = noether_number(group)

@@ -3,7 +3,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzlab.linalg import Matrix, _sparse_rows, pivot_columns, rank, reduced_rows
+from syzlab.linalg import Matrix, _forward, _sparse_rows, pivot_columns, rank, reduced_rows
 from syzlab.cyclo import Cyclotomic, zeta
 
 from oracles import mat_mul, row_reduce_rank
@@ -214,6 +214,9 @@ def test_kernel_matches_oracle(m):
     k = kernel_basis(m)
     assert k.cols == m.cols - rk
     assert (m @ k).is_zero()
+    if all(type(x) is int for r in m.data for x in r):
+        echelon = _forward(_sparse_rows(m), m.cols)
+        assert all(type(v) is int for _, row in echelon for v in row.values())
 
 
 @settings(max_examples=80, deadline=None)
@@ -234,6 +237,20 @@ def test_rref_is_canonical(m, data):
     red2, pivots2, rk2 = rref(Matrix(len(gens), m.cols, gens))
     assert (pivots2, rk2) == (pivots, rk)
     assert red2.data[:rk] == red.data[:rk]
+
+
+def test_forward_pivot_prefers_shorter_row():
+    # both candidates have bit-size 1; the shorter row limits fill-in
+    echelon = _forward([{0: 1, 1: 1, 2: 1, 3: 1}, {0: 1, 3: 2}], 4)
+    assert echelon[0] == (0, {0: 1, 3: 2})
+
+
+def test_forward_is_fraction_free():
+    # the pivot 2 is not scaled; 2*row - 3*pivot_row = {1: -2} is divided
+    # by its content
+    echelon = _forward([{0: 2, 1: 4}, {0: 3, 1: 5}], 2)
+    assert echelon == [(0, {0: 2, 1: 4}), (1, {1: -1})]
+    assert all(type(v) is int for _, row in echelon for v in row.values())
 
 
 def test_empty_shapes():
