@@ -2,7 +2,9 @@
 
 Rationals are ``fractions.Fraction`` (already reduced, positive
 denominator). Irrational values live in Q(zeta_N) represented on the power
-basis 1, z, ..., z^(phi(N)-1) modulo the N-th cyclotomic polynomial.
+basis 1, z, ..., z^(phi(N)-1) modulo the N-th cyclotomic polynomial. Each
+power-basis coefficient is an ``int`` when it is integral and a
+``Fraction`` otherwise, so elements of Z[zeta_N] compute with ints only.
 Arithmetic between different conductors lifts both operands to the lcm on
 demand; results that turn out rational are demoted to Fraction, so a
 Cyclotomic instance produced by arithmetic is always irrational.
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-from .errors import InvalidInput, LimitExceeded
+from .errors import InternalInconsistency, InvalidInput, LimitExceeded
 
 DEFAULT_CONDUCTOR_LIMIT = 64
 
@@ -29,6 +31,12 @@ def totient(n: int) -> int:
     return count
 
 
+def _int_if_integral(x):
+    if type(x) is Fraction and x.denominator == 1:
+        return x.numerator
+    return x
+
+
 def _poly_trim(coeffs):
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
@@ -40,13 +48,14 @@ def _poly_divmod_exact(num, den):
     num = list(num)
     q = [0] * (len(num) - len(den) + 1)
     for k in range(len(q) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        assert c % den[-1] == 0
-        c //= den[-1]
+        c, rem = divmod(num[k + len(den) - 1], den[-1])
+        if rem:
+            raise InternalInconsistency("cyclotomic polynomial division was not exact")
         q[k] = c
         for j, d in enumerate(den):
             num[k + j] -= c * d
-    assert not _poly_trim(num), "division was not exact"
+    if _poly_trim(num):
+        raise InternalInconsistency("cyclotomic polynomial division was not exact")
     return q
 
 
@@ -71,7 +80,8 @@ def cyclotomic_polynomial(n: int, limit: int = DEFAULT_CONDUCTOR_LIMIT):
 
 
 def _reduce_mod_phi(coeffs, n):
-    """Remainder of a Fraction-coefficient polynomial modulo Phi_n, padded to phi(n)."""
+    """Remainder modulo Phi_n of a polynomial with int and Fraction
+    coefficients, padded to phi(n); integer input gives integer output."""
     phi = _cyclotomic_poly_cached(n)
     deg = len(phi) - 1
     coeffs = list(coeffs)
@@ -81,12 +91,12 @@ def _reduce_mod_phi(coeffs, n):
             for j in range(deg):
                 coeffs[k - deg + j] -= c * phi[j]
         coeffs.pop()
-    coeffs += [Fraction(0)] * (deg - len(coeffs))
-    return [Fraction(c) for c in coeffs]
+    coeffs += [0] * (deg - len(coeffs))
+    return coeffs
 
 
 def _poly_ext_gcd_mod(a, n):
-    """u with u*a = 1 modulo Phi_n, both over Q. a must be nonzero mod Phi_n."""
+    """u with u*a = 1 modulo Phi_n, both over Q; a is nonzero of degree < phi(n)."""
     phi = [Fraction(c) for c in _cyclotomic_poly_cached(n)]
     r0, r1 = phi, _poly_trim([Fraction(c) for c in a])
     s0, s1 = [], [Fraction(1)]
@@ -113,19 +123,25 @@ def _poly_ext_gcd_mod(a, n):
         _poly_trim(new_s)
         r0, r1 = r1, r
         s0, s1 = s1, new_s
-    assert len(r0) == 1, "element not invertible modulo an irreducible polynomial?"
+    if len(r0) != 1:
+        raise InternalInconsistency(
+            f"nonzero element not invertible modulo Phi_{n}, which is irreducible"
+        )
     inv_lead = 1 / r0[0]
     return [c * inv_lead for c in s0]
 
 
 class Cyclotomic:
-    """Element of Q(zeta_N) on the power basis, fully reduced modulo Phi_N."""
+    """Element of Q(zeta_N) on the power basis, fully reduced modulo Phi_N.
+
+    `coeffs` holds phi(N) coefficients, each an int when integral and a
+    Fraction otherwise."""
 
     __slots__ = ("conductor", "coeffs")
 
     def __init__(self, conductor: int, coeffs):
         self.conductor = conductor
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
+        self.coeffs = tuple(_int_if_integral(Fraction(c)) for c in coeffs)
         if len(self.coeffs) != totient(conductor):
             raise InvalidInput(
                 f"conductor {conductor} needs {totient(conductor)} coefficients, "
@@ -136,12 +152,14 @@ class Cyclotomic:
 
     @staticmethod
     def _normalized(conductor, coeffs):
-        """Demote to Fraction when the reduced element is rational."""
-        if all(c == 0 for c in coeffs[1:]):
-            return coeffs[0] if coeffs else Fraction(0)
+        """The element with reduced int/Fraction coefficients `coeffs`: a
+        Fraction when it is rational, otherwise a Cyclotomic whose integral
+        coefficients are ints and the others Fractions."""
+        if not any(coeffs[1:]):
+            return Fraction(coeffs[0]) if coeffs else Fraction(0)
         el = Cyclotomic.__new__(Cyclotomic)
         el.conductor = conductor
-        el.coeffs = tuple(coeffs)
+        el.coeffs = tuple(c if type(c) is int else _int_if_integral(c) for c in coeffs)
         return el
 
     def lift(self, m: int):
@@ -151,7 +169,7 @@ class Cyclotomic:
         if m % self.conductor != 0:
             raise InvalidInput(f"cannot lift conductor {self.conductor} to {m}")
         step = m // self.conductor
-        raw = [Fraction(0)] * ((len(self.coeffs) - 1) * step + 1)
+        raw = [0] * ((len(self.coeffs) - 1) * step + 1)
         for i, c in enumerate(self.coeffs):
             raw[i * step] = c
         return _reduce_mod_phi(raw, m)
@@ -163,8 +181,8 @@ class Cyclotomic:
             m = lcm(self.conductor, other.conductor)
             return m, self.lift(m), other.lift(m)
         if isinstance(other, (int, Fraction)):
-            rc = [Fraction(0)] * len(self.coeffs)
-            rc[0] = Fraction(other)
+            rc = [0] * len(self.coeffs)
+            rc[0] = _int_if_integral(other)
             return self.conductor, list(self.coeffs), rc
         return None
 
@@ -200,6 +218,7 @@ class Cyclotomic:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return Fraction(0)
+            other = _int_if_integral(other)
             return Cyclotomic._normalized(
                 self.conductor, [c * other for c in self.coeffs]
             )
@@ -207,7 +226,7 @@ class Cyclotomic:
         if p is None:
             return NotImplemented
         n, a, b = p
-        prod = [Fraction(0)] * (len(a) + len(b) - 1)
+        prod = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if not x:
                 continue
@@ -219,6 +238,8 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self):
+        if not self:
+            raise ZeroDivisionError("zero has no inverse")
         u = _poly_ext_gcd_mod(self.coeffs, self.conductor)
         return Cyclotomic._normalized(self.conductor, _reduce_mod_phi(u, self.conductor))
 
@@ -280,8 +301,8 @@ def zeta(n: int, limit: int = DEFAULT_CONDUCTOR_LIMIT) -> Scalar:
         return Fraction(1)
     if n == 2:
         return Fraction(-1)
-    coeffs = [Fraction(0)] * totient(n)
-    coeffs[1] = Fraction(1)
+    coeffs = [0] * totient(n)
+    coeffs[1] = 1
     return Cyclotomic(n, coeffs)
 
 
@@ -292,8 +313,8 @@ def as_rational(x: Scalar):
     if isinstance(x, Fraction):
         return x
     if isinstance(x, Cyclotomic):
-        if all(c == 0 for c in x.coeffs[1:]):
-            return x.coeffs[0]
+        if not any(x.coeffs[1:]):
+            return Fraction(x.coeffs[0])
         return None
     raise TypeError(f"not a scalar: {x!r}")
 
@@ -364,5 +385,8 @@ def decode_scalar(obj, limit: int = DEFAULT_CONDUCTOR_LIMIT) -> Scalar:
             raise InvalidInput(
                 f"conductor {n} needs {totient(n)} coefficients, got {len(vals)}"
             )
-        return Cyclotomic._normalized(n, [Fraction(v) for v in vals])
+        rationals = [as_rational(v) for v in vals]
+        if None in rationals:
+            raise InvalidInput(f"cyclotomic coefficients must be rational in {obj!r}")
+        return Cyclotomic._normalized(n, rationals)
     raise InvalidInput(f"not a scalar encoding: {obj!r}")

@@ -398,7 +398,8 @@ def _char_poly_det(m: Matrix):
 
 
 def _series_inverse(q, max_degree: int):
-    assert q[0] == 1
+    if q[0] != 1:
+        raise InternalInconsistency(f"det(I - t*M) has constant term {q[0]}, not 1")
     out = [Fraction(1)]
     for d in range(1, max_degree + 1):
         acc = Fraction(0)

@@ -13,7 +13,6 @@ preserve weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .errors import InternalInconsistency, InvalidInput
@@ -145,7 +144,7 @@ class KoszulComplex:
         mats = {}
         for w, els in src.items():
             nrows = len(tgt.get(w, ()))
-            data = [[Fraction(0)] * len(els) for _ in range(nrows)]
+            data = [[0] * len(els) for _ in range(nrows)]
             pos = tgt_pos.get(w, {})
             for col, (s, rw, ri) in enumerate(els):
                 rdeg = d - sum(self.E[t].degree for t in s)

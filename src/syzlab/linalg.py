@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .cyclo import bit_size
+from .cyclo import _int_if_integral, bit_size
 from .errors import InvalidInput
 
 
@@ -92,12 +92,6 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
-
-
-def _int_if_integral(x):
-    if type(x) is Fraction and x.denominator == 1:
-        return x.numerator
-    return x
 
 
 def _clear(row: dict, pivot_row: dict, c: int, inv) -> None:

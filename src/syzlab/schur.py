@@ -157,7 +157,8 @@ def schur_dim(lam: tuple, k: int) -> int:
         for j in range(part):
             hook = part - j + conj[j] - i - 1
             dim *= Fraction(k + j - i, hook)
-    assert dim.denominator == 1
+    if dim.denominator != 1:
+        raise InternalInconsistency(f"hook-content formula gave dim S_{lam}(C^{k}) = {dim}")
     return dim.numerator
 
 

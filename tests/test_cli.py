@@ -442,6 +442,18 @@ def test_unusable_cache_is_disabled(tmp_path, capsys, monkeypatch, failure):
             "schur": {"check": "stabilization", "multiplicities": ["a", 1]},
         },
         [1],
+        {
+            "group": "builtin:cyclic:3",
+            "rep": {
+                "generator_images": [
+                    [[{"conductor": 3, "coeffs": [
+                        {"conductor": 3, "coeffs": [[0, 1], [1, 1]]}, [0, 1]
+                    ]}]]
+                ]
+            },
+            "task": "invariants",
+            "stop": 3,
+        },
     ],
     ids=[
         "chain-g_max",
@@ -451,6 +463,7 @@ def test_unusable_cache_is_disabled(tmp_path, capsys, monkeypatch, failure):
         "lr-nu",
         "stabilization-multiplicities",
         "list-document-with-override",
+        "nested-cyclotomic-coefficient",
     ],
 )
 def test_malformed_task_arguments_exit_one(tmp_path, capsys, doc):

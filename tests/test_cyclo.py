@@ -1,4 +1,9 @@
+import cmath
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -100,6 +105,34 @@ def test_division_and_inverse():
     assert b + b == a
 
 
+def test_inverse_of_zero_raises():
+    zero = Cyclotomic(3, [0, 0])
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+    with pytest.raises(ZeroDivisionError):
+        1 / zero
+    with pytest.raises(ZeroDivisionError):
+        zeta(3) / zero
+
+
+def test_inverse_of_zero_raises_under_optimize():
+    """The check is no assert, so python -O keeps it."""
+    code = (
+        "from syzlab.cyclo import Cyclotomic\n"
+        "try:\n"
+        "    print(1 / Cyclotomic(3, [0, 0]))\n"
+        "except ZeroDivisionError:\n"
+        "    print('ZeroDivisionError')\n"
+    )
+    paths = [str(Path(__file__).resolve().parent.parent / "src")]
+    paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "ZeroDivisionError\n"
+
+
 def test_wire_encoding_roundtrip():
     vals = [Fraction(3, 7), Fraction(-2), zeta(5), 1 + zeta(8) / 3, zeta(3) - zeta(4)]
     for v in vals:
@@ -112,6 +145,10 @@ def test_wire_encoding_roundtrip():
         decode_scalar({"conductor": 4, "coeffs": [[1, 1]]})
     with pytest.raises(InvalidInput):
         decode_scalar("x")
+    # a coefficient is a rational, never another cyclotomic number
+    nested = {"conductor": 3, "coeffs": [encode_scalar(zeta(3)), [0, 1]]}
+    with pytest.raises(InvalidInput):
+        decode_scalar(nested)
 
 
 def test_scalar_key_identifies_equal_values():
@@ -146,3 +183,89 @@ def test_field_axioms(a, b, c):
     assert a * b == b * a
     if a != 0:
         assert a * (1 / a) == 1
+
+
+# -- integral coefficients ---------------------------------------------------------
+
+
+@st.composite
+def integral_elements(draw):
+    """(conductor, int coefficients) of an element of Z[zeta_N]."""
+    n = draw(st.sampled_from([3, 4, 5, 8, 12]))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=totient(n), max_size=totient(n)))
+    return n, coeffs
+
+
+def _embed(x):
+    """x as a complex number, zeta_N taken as exp(2 pi i / N)."""
+    if isinstance(x, Cyclotomic):
+        z = cmath.exp(2j * cmath.pi / x.conductor)
+        return sum(float(c) * z**i for i, c in enumerate(x.coeffs))
+    return complex(float(x))
+
+
+def _int_coefficients(x):
+    if isinstance(x, Cyclotomic):
+        return all(type(c) is int for c in x.coeffs)
+    return type(x) is Fraction and x.denominator == 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(integral_elements(), integral_elements())
+def test_integral_operands_keep_int_coefficients(p, q):
+    (n, a), (m, b) = p, q
+    x, y = Cyclotomic(n, a), Cyclotomic(m, b)
+    xf = Cyclotomic(n, [Fraction(c) for c in a])
+    yf = Cyclotomic(m, [Fraction(c) for c in b])
+    for op in (
+        lambda u, v: u + v,
+        lambda u, v: u - v,
+        lambda u, v: u * v,
+        lambda u, v: u * 3 - v,
+    ):
+        r = op(x, y)
+        assert _int_coefficients(r)
+        assert r == op(xf, yf)
+        assert encode_scalar(r) == encode_scalar(op(xf, yf))
+        assert abs(_embed(r) - op(_embed(x), _embed(y))) < 1e-6
+
+
+@settings(max_examples=80, deadline=None)
+@given(integral_elements())
+def test_int_and_fraction_coefficients_encode_alike(p):
+    n, a = p
+    x, xf = Cyclotomic(n, a), Cyclotomic(n, [Fraction(c) for c in a])
+    assert all(type(c) is int for c in x.coeffs)
+    assert scalar_key(x) == scalar_key(xf)
+    assert encode_scalar(x) == encode_scalar(xf)
+    assert bit_size(x) == bit_size(xf)
+    # the sizes and encodings of the Fraction coefficients themselves
+    fracs = [Fraction(c) for c in a]
+    assert bit_size(x) == sum(
+        c.numerator.bit_length() + c.denominator.bit_length() for c in fracs
+    )
+    if any(a[1:]):
+        assert scalar_key(x) == (n, tuple((c, 1) for c in a))
+        assert encode_scalar(x) == {"conductor": n, "coeffs": [[c, 1] for c in a]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(integral_elements(), st.integers(-9, 9))
+def test_rational_values_are_fractions(p, k):
+    n, a = p
+    hand_built = Cyclotomic(n, [k] + [0] * (totient(n) - 1))
+    assert type(as_rational(hand_built)) is Fraction
+    assert as_rational(hand_built) == k
+    x = Cyclotomic(n, a)
+    for r in (x - x, x * 0, (x + 1) - x):
+        assert type(r) is Fraction
+        assert type(as_rational(r)) is Fraction
+
+
+def test_mixed_int_and_fraction_coefficients():
+    x = Cyclotomic(5, [Fraction(1, 2), 2, Fraction(4, 2), 0])
+    assert [type(c) for c in x.coeffs] == [Fraction, int, int, int]
+    y = x + x
+    assert all(type(c) is int for c in y.coeffs)
+    assert y == Cyclotomic(5, [1, 4, 4, 0])
+    assert encode_scalar(x)["coeffs"] == [[1, 2], [2, 1], [2, 1], [0, 1]]

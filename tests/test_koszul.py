@@ -10,7 +10,7 @@ from syzlab.koszul import KoszulComplex, SyzygyResult, scan_ceiling, syzygy_degr
 from syzlab.linalg import Matrix, rank
 from syzlab.monomials import poly_mul
 
-from oracles import davenport_constant, veronese_tor
+from oracles import davenport_constant, row_reduce_rank, veronese_tor
 
 
 def diag_rep(name, diag):
@@ -123,6 +123,30 @@ def test_tor_table_ranks_each_block_once(monkeypatch):
     table = tor_table(cx, p_max=2)
     assert table.nonzero_rows() == [(0, 0, 1), (1, 4, 1)]
     assert ranked and len({id(m) for m in ranked}) == len(ranked)
+
+
+def test_cyclotomic_tor_table_matches_oracle_and_diagonal_conjugate(monkeypatch):
+    """The non-diagonal Z3 representation ranks Koszul blocks over
+    Q(zeta_3); each rank agrees with textbook Gauss-Jordan, and the table
+    agrees with that of the conjugate diagonal representation."""
+    import syzlab.koszul
+
+    ranked = []
+
+    def recording_rank(m):
+        ranked.append((m, rank(m)))
+        return ranked[-1][1]
+
+    monkeypatch.setattr(syzlab.koszul, "rank", recording_rank)
+    table = tor_table(make_cx(z3_cyclotomic_rep(), "minimal"), p_max=2)
+    assert any(type(x) is Cyclotomic for m, _ in ranked for r in m.data for x in r)
+    for m, engine in ranked:
+        # the oracle divides entries, so it is given no int
+        exact = [[Fraction(x) if type(x) is int else x for x in r] for r in m.data]
+        assert engine == row_reduce_rank(exact)
+    w = zeta(3)
+    diagonal = make_cx(diag_rep("builtin:cyclic:3", [w, w**2]), "minimal")
+    assert table == tor_table(diagonal, p_max=2)
 
 
 def _corrupt_one_entry(cx, p, d):
