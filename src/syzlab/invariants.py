@@ -8,10 +8,14 @@ representation takes one route: the image is the column space of sum_g g,
 which equals the Reynolds operator's, so it needs no division by |G|.
 Each column sum_g g . m is built as a sparse vector and the columns go
 straight to the elimination kernel as rows, whose reduced form is the
-basis. Dimensions are cross-checked against the Molien series on every
-full-degree computation and on every degree read back from the cache: two
-independent routes that must agree exactly. A cached basis must also be
-fixed by each generator.
+basis. A full degree is one elimination over all of its monomials: blocks
+have disjoint supports, so the reduced rows fall apart into the blocks'
+bases. The images g . m are built on packed monomial keys (one fixed-width
+bit field per exponent), where multiplying monomials is adding ints; the
+published bases keep exponent tuples. Dimensions are cross-checked against
+the Molien series on every full-degree computation and on every degree
+read back from the cache: two independent routes that must agree exactly.
+A cached basis must also be fixed by each generator.
 
 Minimal generators are selected in block coordinates, where the greedy
 scan becomes a pivot computation.
@@ -19,6 +23,7 @@ scan becomes a pivot computation.
 
 from __future__ import annotations
 
+import struct
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,6 +42,32 @@ from .monomials import (
     poly_mul,
 )
 
+# Packed monomial keys: exponent j fills a field of _EXP_BITS bits, variable
+# 0 most significant, so a product of monomials is the sum of their keys. No
+# exponent of a polynomial of degree below _DEGREE_LIMIT can overflow its
+# field; the block routes refuse higher degrees.
+_EXP_BITS = 16  # the struct format "H": one unsigned 16-bit field
+_DEGREE_LIMIT = 1 << _EXP_BITS
+
+
+def _packed_mul(p: dict, q: dict) -> dict:
+    """poly_mul on packed keys."""
+    if len(q) == 1:
+        # times a term: distinct keys stay distinct and no product vanishes
+        ((mb, cb),) = q.items()
+        return {ma + mb: ca * cb for ma, ca in p.items()}
+    out: dict = {}
+    get = out.get
+    for ma, ca in p.items():
+        for mb, cb in q.items():
+            m = ma + mb
+            c = get(m, 0) + ca * cb
+            if c:
+                out[m] = c
+            else:
+                out.pop(m, None)
+    return out
+
 
 class Grading:
     """Multigrading by contiguous variable groups, one weight coordinate each.
@@ -44,16 +75,16 @@ class Grading:
     `group_sizes = ()` is the trivial grading: every monomial has weight ().
     """
 
-    __slots__ = ("group_sizes", "offsets", "coords")
+    __slots__ = ("group_sizes", "coords", "_slices")
 
     def __init__(self, group_sizes=()):
         self.group_sizes = tuple(group_sizes)
         self.coords = len(self.group_sizes)
-        offs, pos = [], 0
+        slices, pos = [], 0
         for s in self.group_sizes:
-            offs.append(pos)
+            slices.append(slice(pos, pos + s))
             pos += s
-        self.offsets = tuple(offs)
+        self._slices = tuple(slices)
 
     @property
     def trivial(self) -> bool:
@@ -65,10 +96,7 @@ class Grading:
     def weight(self, mono: tuple) -> tuple:
         if self.trivial:
             return ()
-        return tuple(
-            sum(mono[o : o + s])
-            for o, s in zip(self.offsets, self.group_sizes)
-        )
+        return tuple([sum(mono[sl]) for sl in self._slices])
 
     def all_weights(self, degree: int):
         if self.trivial:
@@ -131,8 +159,9 @@ class InvariantRing:
         self._degree_blocks: dict = {}
         self._molien: list[int] = []
         self._cols_sparse = [matrix_columns_sparse(m) for m in rep.images]
-        # (element, variable) -> [(g . x_j)^1, (g . x_j)^2, ...]
+        # (element, variable) -> [(g . x_j)^1, (g . x_j)^2, ...], packed keys
         self._powers: dict = {}
+        self._packer = struct.Struct(f">{self.nvars}H")
 
     # -- Molien series ----------------------------------------------------------
 
@@ -158,88 +187,118 @@ class InvariantRing:
         hit = self._block_cache.get(key)
         if hit is not None:
             return hit
-        if self._block_size(d, w) > self.budget.monomial_limit:
+        if d >= _DEGREE_LIMIT or self._block_size(d, w) > self.budget.monomial_limit:
             raise LimitExceeded("degree too large")
         monos = self.grading.block_monomials(self.nvars, d, w)
         basis = self._block_basis_generic(d, w, monos) if monos else []
         self._block_cache[key] = basis
         return basis
 
+    def _pack(self, mono: tuple) -> int:
+        return int.from_bytes(self._packer.pack(*mono), "big")
+
     def _power(self, k: int, j: int, e: int) -> dict:
-        """(g_k . x_j)^e, each power built from the one before and kept."""
+        """(g_k . x_j)^e on packed keys, each power built from the one
+        before and kept."""
         pows = self._powers.get((k, j))
         if pows is None:
-            unit = [0] * self.nvars
-            linear = {}
-            for i, c in self._cols_sparse[k][j]:
-                unit[i] = 1
-                linear[tuple(unit)] = _int_if_integral(c)
-                unit[i] = 0
+            last = self.nvars - 1
+            linear = {
+                1 << _EXP_BITS * (last - i): _int_if_integral(c) for i, c in self._cols_sparse[k][j]
+            }
             pows = self._powers[(k, j)] = [linear]
         while len(pows) < e:
-            pows.append(poly_mul(pows[-1], pows[0]))
+            pows.append(_packed_mul(pows[-1], pows[0]))
         return pows[e - 1]
 
-    def _image(self, k: int, mono: tuple) -> dict:
-        """g_k . mono as the product of the memoized powers (g_k . x_j)^e_j,
-        so the integral coefficients of an integer representation stay ints."""
-        img = None
-        for j, e in enumerate(mono):
-            if e:
-                p = self._power(k, j, e)
-                img = p if img is None else poly_mul(img, p)
-        return {mono: 1} if img is None else img
+    def _images(self, k: int, monos):
+        """g_k . m for each m in `monos`, on packed keys: the product of the
+        memoized powers (g_k . x_j)^e_j, so the integral coefficients of an
+        integer representation stay ints. A monomial whose first exponents
+        equal those of the one before starts from that one's partial
+        product over them. Callers must not change the images."""
+        n = self.nvars
+        partial = [None] * (n + 1)  # partial[j]: product over variables < j
+        prev = None
+        for m in monos:
+            j = 0
+            if prev is not None:
+                while j < n and m[j] == prev[j]:
+                    j += 1
+            for t in range(j, n):
+                img = partial[t]
+                if m[t]:
+                    p = self._power(k, t, m[t])
+                    img = p if img is None else _packed_mul(img, p)
+                partial[t + 1] = img
+            prev = m
+            yield {0: 1} if partial[n] is None else partial[n]
 
     def _block_basis_generic(self, d, w, monos):
-        """Column echelon basis of the image of sum_g g on the block: the
-        reduced rows of the columns sum_g g . m, read in pivot order."""
-        index = {m: i for i, m in enumerate(monos)}
-        cols = []
-        for m0 in monos:
-            col: dict = {}
-            for k in range(len(self._cols_sparse)):
-                for m, c in self._image(k, m0).items():
+        """Column echelon basis of the image of sum_g g on the monomials
+        `monos` of degree d: the reduced rows of the columns sum_g g . m,
+        read in pivot order. `monos` is the block of weight w, or all of
+        degree d when w is None: blocks have disjoint supports and the
+        elimination only updates rows with an entry in the pivot column, so
+        one elimination gives every block's basis, each element with its
+        block's weight. Every image term must have the weight of its source
+        monomial."""
+        if w is None:
+            ids: dict = {}
+            wid = [ids.setdefault(self.grading.weight(m), len(ids)) for m in monos]
+            weights = list(ids)
+        else:
+            wid, weights = [0] * len(monos), [w]
+        pack = self._pack
+        index = {pack(m): i for i, m in enumerate(monos)}
+        sums: list = [{} for _ in monos]
+        for k in range(len(self._cols_sparse)):
+            for col, w0, img in zip(sums, wid, self._images(k, monos)):
+                for m, c in img.items():
                     pos = index.get(m)
-                    if pos is None:
+                    if pos is None or wid[pos] != w0:
                         raise InternalInconsistency("group action does not preserve weights")
                     col[pos] = col.get(pos, 0) + c
-            cols.append({i: _int_if_integral(c) for i, c in col.items() if c})
+        cols = [{i: _int_if_integral(c) for i, c in col.items() if c} for col in sums]
         return [
-            InvElem(d, w, {monos[i]: row[i] for i in sorted(row)})
-            for _, row in reduced_rows(cols, len(monos))
+            InvElem(d, weights[wid[c]], {monos[i]: row[i] for i in sorted(row)})
+            for c, row in reduced_rows(cols, len(monos))
         ]
 
     # -- full-degree views ---------------------------------------------------------
 
     def _compute_degree_blocks(self, d: int):
+        """Nonempty blocks of degree d, in weight order, from one elimination."""
         if monomial_count(self.nvars, d) > self.budget.monomial_limit:
             raise LimitExceeded("degree too large")
-        blocks = {}
-        for w in self.grading.all_weights(d):
-            b = self.block_basis(d, w)
-            if b:
-                blocks[w] = b
-        total = sum(len(b) for b in blocks.values())
-        if total != self.molien(d)[d]:
+        basis = self._block_basis_generic(d, None, monomials(self.nvars, d))
+        if len(basis) != self.molien(d)[d]:
             raise InternalInconsistency(
-                f"Reynolds rank {total} disagrees with Molien coefficient "
+                f"Reynolds rank {len(basis)} disagrees with Molien coefficient "
                 f"{self.molien(d)[d]} in degree {d}"
             )
-        return blocks
+        grouped: dict = {}
+        for el in basis:
+            grouped.setdefault(el.weight, []).append(el)
+        return {w: grouped[w] for w in self.grading.all_weights(d) if w in grouped}
 
     def blocks(self, d: int) -> dict:
         hit = self._degree_blocks.get(d)
         if hit is not None:
             return hit
+        if d >= _DEGREE_LIMIT:
+            raise LimitExceeded("degree too large")
         payload = self._cache_get(d)
         blocks = None if payload is None else self._load_blocks(d, payload)
         if blocks is None:
             blocks = self._compute_degree_blocks(d)
             self._cache_put(d, blocks)
-        else:
-            # coordinates are taken in the basis the ring publishes
-            for w in self.grading.all_weights(d):
-                self._block_cache[(d, w)] = blocks.get(w, [])
+        # coordinates are taken in the basis the ring publishes; a block
+        # computed on its own before keeps its list, which equals this one
+        for w in self.grading.all_weights(d):
+            b = self._block_cache.setdefault((d, w), blocks.get(w, []))
+            if b:
+                blocks[w] = b
         self._degree_blocks[d] = blocks
         return blocks
 
@@ -344,11 +403,12 @@ class InvariantRing:
 
     def _fixed_by_generators(self, poly: dict) -> bool:
         """g . poly == poly for every generator g, hence for all of G."""
+        packed = {self._pack(m): c for m, c in poly.items()}
         for k in self.rep.group.generator_elements():
             moved: dict = {}
-            for m, c in poly.items():
-                poly_add_into(moved, self._image(k, m), c)
-            poly_add_into(moved, poly, -1)
+            for c, img in zip(poly.values(), self._images(k, poly)):
+                poly_add_into(moved, img, c)
+            poly_add_into(moved, packed, -1)
             if moved:
                 return False
         return True

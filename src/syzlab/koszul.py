@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import add, ge, sub
 
 from .errors import InternalInconsistency, InvalidInput
 from .invariants import GeneratorSet, InvariantRing
@@ -27,16 +28,7 @@ def scan_ceiling(beta: int, dim_v: int, p: int) -> int:
 
 
 def _wadd(a: tuple, b: tuple) -> tuple:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _wsub_nonneg(a: tuple, b: tuple):
-    out = []
-    for x, y in zip(a, b):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+    return tuple(map(add, a, b))
 
 
 class KoszulComplex:
@@ -96,29 +88,31 @@ class KoszulComplex:
         allowed = (
             None if self.weights_for_degree is None else set(self.weights_for_degree(d))
         )
+        # (R degree, subset weight) -> [(total weight, R weight, R block size)]
+        # over the nonempty R blocks; many subsets share one key
+        fits: dict = {}
         for s, sdeg, sw in self._subsets(p):
             rdeg = d - sdeg
             if rdeg < 0:
                 continue
-            if allowed is None:
-                r_blocks = self.ring.blocks(rdeg)
-                items = r_blocks.items()
-            else:
-                items = []
-                for w in allowed:
-                    rw = _wsub_nonneg(w, sw)
-                    if rw is None:
-                        continue
-                    basis = self.ring.block_basis(rdeg, rw)
-                    if basis:
-                        items.append((rw, basis))
-            for rw, basis in items:
-                w = _wadd(sw, rw)
-                if allowed is not None and w not in allowed:
-                    continue
-                lst = blocks.setdefault(w, [])
-                for ri in range(len(basis)):
-                    lst.append((s, rw, ri))
+            found = fits.get((rdeg, sw))
+            if found is None:
+                if allowed is None:
+                    found = [
+                        (_wadd(sw, rw), rw, len(basis))
+                        for rw, basis in self.ring.blocks(rdeg).items()
+                    ]
+                else:
+                    found = []
+                    for w in allowed:
+                        if all(map(ge, w, sw)):
+                            rw = tuple(map(sub, w, sw))
+                            n = len(self.ring.block_basis(rdeg, rw))
+                            if n:
+                                found.append((w, rw, n))
+                fits[(rdeg, sw)] = found
+            for w, rw, n in found:
+                blocks.setdefault(w, []).extend((s, rw, ri) for ri in range(n))
         ordered = {w: blocks[w] for w in sorted(blocks, reverse=True)}
         self._chains[key] = ordered
         return ordered

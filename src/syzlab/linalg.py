@@ -15,9 +15,11 @@ the pivot's inverse, computed once per pivot. `rank` and
 `pivot_columns` convert their `Matrix` once and stop after that forward
 pass: the pivot columns are the positions at which some vector of the row
 space has its first nonzero entry. `reduced_rows` takes sparse rows
-directly, scales each echelon row to a unit pivot and then clears the
-entries above each pivot, which gives the reduced row echelon form. That
-form is canonical, so the pivot choice affects cost, never results.
+directly and finishes the echelon rows last pivot first: each is scaled
+to a unit pivot and cleared only in the pivot columns it holds, against
+rows already finished, so no row is visited for a pivot it does not hold.
+That gives the reduced row echelon form. It is canonical, so the pivot
+choice affects cost, never results.
 """
 
 from __future__ import annotations
@@ -151,9 +153,11 @@ def _forward(rows, ncols: int):
         bucket = waiting.pop(c, None)
         if bucket is None:
             continue
-        best = min(range(len(bucket)), key=lambda i: (bit_size(bucket[i][c]), len(bucket[i])))
-        pivot_row = bucket.pop(best)
-        if bucket:
+        if len(bucket) == 1:
+            pivot_row = bucket[0]
+        else:
+            best = min(range(len(bucket)), key=lambda i: (bit_size(bucket[i][c]), len(bucket[i])))
+            pivot_row = bucket.pop(best)
             inv = _inverse(pivot_row[c])
             for row in bucket:
                 _clear(row, pivot_row, c, inv)
@@ -169,17 +173,33 @@ def reduced_rows(rows, ncols: int) -> list:
     `rows` are {column: nonzero} dicts with integral values as int; they
     are consumed. Returns the nonzero rows of the canonical form as
     [(pivot column, row dict)], pivots increasing and each pivot entry 1.
+    Echelon rows are finished last pivot first: each is scaled to a unit
+    pivot (by exact division when its int pivot divides every entry),
+    then only the pivot columns it holds are cleared against the rows
+    already finished, which hold no other pivot column.
     """
     echelon = _forward(rows, ncols)
-    for t, (c, row) in enumerate(echelon):
-        if row[c] != 1:
-            inv = _inverse(row[c])
-            echelon[t] = (c, {k: _int_if_integral(v * inv) for k, v in row.items()})
-    for t in range(len(echelon) - 1, 0, -1):
-        c, pivot_row = echelon[t]
-        for _, row in echelon[:t]:
-            if c in row:
-                _clear(row, pivot_row, c, 1)
+    done: dict = {}  # pivot column -> finished row
+    for t in range(len(echelon) - 1, -1, -1):
+        c, row = echelon[t]
+        piv = row[c]
+        if piv != 1:
+            if type(piv) is int and all(type(v) is int and not v % piv for v in row.values()):
+                row = {k: v // piv for k, v in row.items()}
+            else:
+                inv = _inverse(piv)
+                row = {k: _int_if_integral(v * inv) for k, v in row.items()}
+        get = row.get
+        for k in sorted((k for k in row if k in done), reverse=True):
+            f = row[k]
+            for j, v in done[k].items():
+                x = get(j, 0) - f * v
+                if x:
+                    row[j] = x if type(x) is int else _int_if_integral(x)
+                else:
+                    del row[j]
+        done[c] = row
+        echelon[t] = (c, row)
     return echelon
 
 

@@ -32,8 +32,9 @@ def mat_mul(a, b, cols):
 
 
 def row_reduce(rows):
-    """(reduced row echelon form, rank) by textbook Gauss-Jordan."""
-    rows = [list(r) for r in rows]
+    """(reduced row echelon form, rank) by textbook Gauss-Jordan. Int
+    entries become Fractions, so every division is exact."""
+    rows = [[Fraction(x) if type(x) is int else x for x in r] for r in rows]
     rank = 0
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):

@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from syzlab.errors import LimitExceeded
+from syzlab.cache import Cache
+from syzlab.errors import InternalInconsistency, LimitExceeded
 from syzlab.groups import Representation, builtin_group, regular_representation
 from syzlab.invariants import (
+    _DEGREE_LIMIT,
     Grading,
     InvariantRing,
     build_E,
@@ -13,7 +15,8 @@ from syzlab.invariants import (
     noether_number,
 )
 from syzlab.linalg import Matrix
-from syzlab.monomials import poly_mul
+from syzlab.monomials import monomial_count, poly_mul
+from syzlab.schur import spec_from_multiplicities
 
 from oracles import (
     column_echelon_basis,
@@ -135,6 +138,86 @@ def test_block_basis_monomial_limit():
         ring.basis(200)
     with pytest.raises(LimitExceeded):
         ring.block_basis(200, ())
+
+
+def graded_ring(group, mults, **kw):
+    """The ring of a universal specialization, graded per factor copy."""
+    spec = spec_from_multiplicities(builtin_group(group)[1], mults)
+    return InvariantRing(spec.rep, grading=spec.grading, **kw)
+
+
+def described(block):
+    return [(el.degree, el.weight, el.pivot, list(el.poly.items())) for el in block]
+
+
+@pytest.mark.parametrize(
+    "group, mults, top",
+    [("builtin:cyclic:2", (3, 3), 8), ("builtin:sym:3", (0, 2, 1), 6)],
+    ids=["z2-universal", "s3-sign-standard"],
+)
+def test_degree_elimination_matches_single_blocks(group, mults, top):
+    """One elimination over a whole degree gives each weight block the
+    basis that eliminating the block alone gives, in weight order."""
+    whole, single = graded_ring(group, mults), graded_ring(group, mults)
+    for d in range(top + 1):
+        blocks = whole.blocks(d)
+        weights = whole.grading.all_weights(d)
+        assert list(blocks) == [w for w in weights if single.block_basis(d, w)]
+        for w in weights:
+            assert described(blocks.get(w, [])) == described(single.block_basis(d, w))
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["computed", "cache-hot"])
+def test_block_basis_is_the_published_block(tmp_path, monkeypatch, cached):
+    """Koszul keeps indices into block_basis lists, so after precompute each
+    is the very list blocks() publishes, computed or read from the cache,
+    and a block computed on its own before keeps its list."""
+    early_w = next(iter(graded_ring("builtin:sym:3", (0, 2, 1)).blocks(4)))
+    kw = {"cache": Cache(str(tmp_path)), "cache_prefix": {"ring": "s3"}} if cached else {}
+    if cached:
+        graded_ring("builtin:sym:3", (0, 2, 1), **kw).precompute(range(6))
+        monkeypatch.setattr(
+            InvariantRing, "_compute_degree_blocks", lambda self, d: pytest.fail("not cache-hot")
+        )
+    ring = graded_ring("builtin:sym:3", (0, 2, 1), **kw)
+    early = ring.block_basis(4, early_w)
+    ring.precompute(range(6))
+    assert ring.blocks(4)[early_w] is early
+    for d in range(6):
+        blocks = ring.blocks(d)
+        for w in ring.grading.all_weights(d):
+            if w in blocks:
+                assert ring.block_basis(d, w) is blocks[w]
+            else:
+                assert ring.block_basis(d, w) == []
+
+
+def test_weight_breaking_action_is_an_inconsistency():
+    """A swap of two variables graded (1, 1) moves x to y: every image term
+    is checked against its source monomial's weight, on both routes."""
+    group, _ = builtin_group("builtin:cyclic:2")
+    swap = Representation.from_generator_images(
+        group, [Matrix.from_rows([[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]])]
+    )
+    for d, w in ((1, (1, 0)), (2, (2, 0))):
+        with pytest.raises(InternalInconsistency, match="preserve weights"):
+            InvariantRing(swap, grading=Grading((1, 1))).blocks(d)
+        with pytest.raises(InternalInconsistency, match="preserve weights"):
+            InvariantRing(swap, grading=Grading((1, 1))).block_basis(d, w)
+
+
+def test_packed_exponent_guard():
+    """Exponents are packed in fixed-width fields; a degree they cannot
+    hold is refused before any monomial work. One variable keeps the
+    monomial limit from firing first."""
+    ring = InvariantRing(rep_from_diag("builtin:cyclic:2", [Fraction(-1)]))
+    assert monomial_count(1, _DEGREE_LIMIT) <= ring.budget.monomial_limit
+    with pytest.raises(LimitExceeded):
+        ring.blocks(_DEGREE_LIMIT)
+    with pytest.raises(LimitExceeded):
+        ring.block_basis(_DEGREE_LIMIT, ())
+    assert ring._powers == {} and ring._molien == []
+    assert ring.dim(4) == 1 and ring.basis(4)[0].poly == {(4,): 1}
 
 
 def test_minimal_generators_antipodal():

@@ -1,4 +1,7 @@
+import random
 from fractions import Fraction
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 from syzlab.linalg import Matrix, _forward, _sparse_rows, pivot_columns, rank, reduced_rows
 from syzlab.cyclo import Cyclotomic, zeta
 
-from oracles import mat_mul, row_reduce_rank
+from oracles import mat_mul, row_reduce, row_reduce_rank
 
 
 def M(rows):
@@ -187,7 +190,7 @@ def test_product_matches_oracle(pair):
 
 
 def oracle_rank(m: Matrix) -> int:
-    return row_reduce_rank([[Fraction(x) if type(x) is int else x for x in r] for r in m.data])
+    return row_reduce_rank(m.data)
 
 
 def assert_reduced_echelon(red: Matrix, pivots, rk):
@@ -251,6 +254,42 @@ def test_forward_is_fraction_free():
     echelon = _forward([{0: 2, 1: 4}, {0: 3, 1: 5}], 2)
     assert echelon == [(0, {0: 2, 1: 4}), (1, {1: -1})]
     assert all(type(v) is int for _, row in echelon for v in row.values())
+
+
+def banded(pivots, cols, step, seed):
+    """A sparse banded integer matrix: row i has pivots[i] in column i and
+    step(i, c) at offsets 1, 3 and 17 from it; each tenth row also adds
+    the row before, so the forward pass eliminates as well."""
+    rng = random.Random(seed)
+    rows = []
+    for i, p in enumerate(pivots):
+        row = [0] * cols
+        row[i] = p
+        for j in (i + 1, i + 3, i + 17):
+            if j < cols:
+                row[j] = step(p, rng.randint(-3, 3))
+        if i % 10 == 9:
+            row = [a + b for a, b in zip(row, rows[-1])]
+        rows.append(row)
+    return Matrix(len(rows), cols, rows)
+
+
+@pytest.mark.parametrize(
+    "cycle, step, all_int",
+    [((1, -2, 2), lambda p, r: p * r, True), ((1, -1, 2, 3, -3), lambda p, r: r, False)],
+    ids=["pivot-divides-row", "fractions"],
+)
+def test_reduced_rows_of_banded_integer_matrix(cycle, step, all_int):
+    """Back-substitution clears only the pivot columns each row holds; the
+    result is still the oracle's, and integral entries stay int."""
+    m = banded([cycle[i % len(cycle)] for i in range(60)], 90, step, seed=11)
+    red, pivots, rk = rref(m)
+    want, want_rk = row_reduce(m.data)
+    assert rk == want_rk >= 50 and len(pivots) == rk
+    assert red.data[:rk] == tuple(tuple(r) for r in want[:rk])
+    entries = [x for r in red.data[:rk] for x in r]
+    assert all(type(x) is (int if Fraction(x).denominator == 1 else Fraction) for x in entries)
+    assert all(type(x) is int for x in entries) is all_int
 
 
 def test_empty_shapes():
