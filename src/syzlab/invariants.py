@@ -159,6 +159,9 @@ class InvariantRing:
         self._degree_blocks: dict = {}
         self._molien: list[int] = []
         self._cols_sparse = [matrix_columns_sparse(m) for m in rep.images]
+        # the Reynolds sums take element 0's images as the monomials themselves
+        if self._cols_sparse[0] != [[(j, 1)] for j in range(self.nvars)]:
+            raise InternalInconsistency("group element 0 does not act as the identity")
         # (element, variable) -> [(g . x_j)^1, (g . x_j)^2, ...], packed keys
         self._powers: dict = {}
         self._packer = struct.Struct(f">{self.nvars}H")
@@ -241,8 +244,8 @@ class InvariantRing:
         degree d when w is None: blocks have disjoint supports and the
         elimination only updates rows with an entry in the pivot column, so
         one elimination gives every block's basis, each element with its
-        block's weight. Every image term must have the weight of its source
-        monomial."""
+        block's weight. Every term of a non-identity image must have the
+        weight of its source monomial."""
         if w is None:
             ids: dict = {}
             wid = [ids.setdefault(self.grading.weight(m), len(ids)) for m in monos]
@@ -251,8 +254,9 @@ class InvariantRing:
             wid, weights = [0] * len(monos), [w]
         pack = self._pack
         index = {pack(m): i for i, m in enumerate(monos)}
-        sums: list = [{} for _ in monos]
-        for k in range(len(self._cols_sparse)):
+        # element 0 is the identity (checked in __init__): g . m = m
+        sums: list = [{i: 1} for i in range(len(monos))]
+        for k in range(1, len(self._cols_sparse)):
             for col, w0, img in zip(sums, wid, self._images(k, monos)):
                 for m, c in img.items():
                     pos = index.get(m)

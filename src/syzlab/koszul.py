@@ -13,8 +13,8 @@ preserve weights.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from operator import add, ge, sub
+from itertools import combinations, repeat
+from operator import add, sub
 
 from .errors import InternalInconsistency, InvalidInput
 from .invariants import GeneratorSet, InvariantRing
@@ -29,6 +29,41 @@ def scan_ceiling(beta: int, dim_v: int, p: int) -> int:
 
 def _wadd(a: tuple, b: tuple) -> tuple:
     return tuple(map(add, a, b))
+
+
+class _WeightIndex:
+    """The allowed weights of one degree, indexed for the query "every w
+    with w >= lower componentwise": one bitmask over the weights per
+    (coordinate, threshold), ANDed over lower's nonzero coordinates. A
+    weight with a negative coordinate is at least no subset weight and is
+    dropped."""
+
+    __slots__ = ("weights", "masks")
+
+    def __init__(self, weights):
+        self.weights = [w for w in dict.fromkeys(weights) if min(w, default=0) >= 0]
+        self.masks = []  # per coordinate: threshold -> weights at least it
+        for c in range(len(self.weights[0]) if self.weights else 0):
+            by_value: dict = {}
+            for i, w in enumerate(self.weights):
+                by_value[w[c]] = by_value.get(w[c], 0) | 1 << i
+            masks = [0] * (max(by_value) + 1)
+            acc = 0
+            for v in range(len(masks) - 1, -1, -1):
+                acc |= by_value.get(v, 0)
+                masks[v] = acc
+            self.masks.append(masks)
+
+    def at_least(self, lower: tuple):
+        mask = (1 << len(self.weights)) - 1
+        for masks, v in zip(self.masks, lower):
+            if v:
+                mask &= masks[v] if v < len(masks) else 0
+        weights = self.weights
+        while mask:
+            low = mask & -mask
+            yield weights[low.bit_length() - 1]
+            mask ^= low
 
 
 class KoszulComplex:
@@ -55,9 +90,11 @@ class KoszulComplex:
         self.E = list(gens.elements)
         self._subsets_cache: dict = {}
         self._chains: dict = {}
+        self._allowed: dict = {}  # d -> _WeightIndex of the allowed weights
         self._diffs: dict = {}
-        # (R degree, R weight, R index, t) -> nonzero [(index, coefficient)]
-        # of r . e_t in the block basis of (R degree + deg e_t, R weight + wt e_t)
+        # (R degree, R weight, t) -> for each R index, the nonzero
+        # [(index, coefficient)] of r . e_t in the block basis of
+        # (R degree + deg e_t, R weight + wt e_t)
         self._products: dict = {}
         self._ranks: dict = {}
         self._tor: dict = {}
@@ -79,18 +116,24 @@ class KoszulComplex:
         return hit
 
     def chain_blocks(self, p: int, d: int) -> dict:
-        """Weight -> ordered chain basis [(subset, r_weight, r_index)] at (p, d)."""
+        """Weight -> ordered chain basis [(subset, r_weight, r_index)] at (p, d).
+
+        The elements of one (subset, R weight) pair form a contiguous run
+        with R indices 0..n-1, in subset order within each weight."""
         key = (p, d)
         hit = self._chains.get(key)
         if hit is not None:
             return hit
         blocks: dict = {}
-        allowed = (
-            None if self.weights_for_degree is None else set(self.weights_for_degree(d))
-        )
-        # (R degree, subset weight) -> [(total weight, R weight, R block size)]
+        allowed = None
+        if self.weights_for_degree is not None:
+            allowed = self._allowed.get(d)
+            if allowed is None:
+                allowed = self._allowed[d] = _WeightIndex(self.weights_for_degree(d))
+        # (R degree, subset weight) -> [(R weight, R block size, chain block)]
         # over the nonempty R blocks; many subsets share one key
         fits: dict = {}
+        block_basis = self.ring.block_basis
         for s, sdeg, sw in self._subsets(p):
             rdeg = d - sdeg
             if rdeg < 0:
@@ -98,21 +141,22 @@ class KoszulComplex:
             found = fits.get((rdeg, sw))
             if found is None:
                 if allowed is None:
-                    found = [
+                    sizes = [
                         (_wadd(sw, rw), rw, len(basis))
                         for rw, basis in self.ring.blocks(rdeg).items()
                     ]
                 else:
-                    found = []
-                    for w in allowed:
-                        if all(map(ge, w, sw)):
-                            rw = tuple(map(sub, w, sw))
-                            n = len(self.ring.block_basis(rdeg, rw))
-                            if n:
-                                found.append((w, rw, n))
-                fits[(rdeg, sw)] = found
-            for w, rw, n in found:
-                blocks.setdefault(w, []).extend((s, rw, ri) for ri in range(n))
+                    sizes = []
+                    for w in allowed.at_least(sw):
+                        rw = tuple(map(sub, w, sw))
+                        n = len(block_basis(rdeg, rw))
+                        if n:
+                            sizes.append((w, rw, n))
+                found = fits[(rdeg, sw)] = [
+                    (rw, n, blocks.setdefault(w, [])) for w, rw, n in sizes
+                ]
+            for rw, n, els in found:
+                els.extend(zip(repeat(s), repeat(rw), range(n)))
         ordered = {w: blocks[w] for w in sorted(blocks, reverse=True)}
         self._chains[key] = ordered
         return ordered
@@ -123,7 +167,14 @@ class KoszulComplex:
     # -- differential ----------------------------------------------------------------
 
     def differential(self, p: int, d: int) -> dict:
-        """Weight -> matrix of d_p : C_p -> C_(p-1) in internal degree d."""
+        """Weight -> matrix of d_p : C_p -> C_(p-1) in internal degree d.
+
+        Works run by run. A subset meets a weight block in at most one run,
+        so face j of a source run (s, rw) lands in the target run of s
+        without its j-th generator, and an entry's row is that run's first
+        position plus the R index of the product's coordinate. The faces of
+        one column remove distinct generators and so meet distinct target
+        runs: every entry receives at most one term."""
         if p < 1:
             raise InvalidInput("the differential is defined for p >= 1")
         key = (p, d)
@@ -132,41 +183,39 @@ class KoszulComplex:
             return hit
         src = self.chain_blocks(p, d)
         tgt = self.chain_blocks(p - 1, d)
-        tgt_pos = {
-            w: {elem: i for i, elem in enumerate(els)} for w, els in tgt.items()
-        }
         mats = {}
         for w, els in src.items():
-            nrows = len(tgt.get(w, ()))
-            data = [[0] * len(els) for _ in range(nrows)]
-            pos = tgt_pos.get(w, {})
+            tgt_els = tgt.get(w, ())
+            starts = {s: i for i, (s, _, ri) in enumerate(tgt_els) if not ri}
+            data = [[0] * len(els) for _ in tgt_els]
             for col, (s, rw, ri) in enumerate(els):
-                rdeg = d - sum(self.E[t].degree for t in s)
-                for j, t in enumerate(s):
-                    s2 = s[:j] + s[j + 1 :]
-                    rw2 = _wadd(rw, self.E[t].weight)
-                    negate = j % 2 == 1
-                    for ri2, c in self._times_generator(rdeg, rw, ri, t):
-                        row = pos[(s2, rw2, ri2)]
-                        data[row][col] = data[row][col] + (-c if negate else c)
-            mats[w] = Matrix(nrows, len(els), data)
+                if not ri:  # a run starts: (first target row, sign, products) per face
+                    rdeg = d - sum(self.E[t].degree for t in s)
+                    faces = [
+                        (starts[s[:j] + s[j + 1 :]], j % 2 == 1, self._times_generator(rdeg, rw, t))
+                        for j, t in enumerate(s)
+                    ]
+                for row0, negate, products in faces:
+                    for ri2, c in products[ri]:
+                        data[row0 + ri2][col] = -c if negate else c
+            mats[w] = Matrix(len(tgt_els), len(els), data)
         self._diffs[key] = mats
         return mats
 
-    def _times_generator(self, rdeg: int, rw: tuple, ri: int, t: int) -> tuple:
-        """Nonzero coordinates of r . e_t, r the ri-th basis element of the
-        R block (rdeg, rw); computed once per complex, for every p."""
-        key = (rdeg, rw, ri, t)
+    def _times_generator(self, rdeg: int, rw: tuple, t: int) -> list:
+        """For each basis element r of the R block (rdeg, rw), in order, the
+        nonzero coordinates of r . e_t; computed once per complex, for every
+        p."""
+        key = (rdeg, rw, t)
         hit = self._products.get(key)
         if hit is None:
-            r_el = self.ring.block_basis(rdeg, rw)[ri]
             e = self.E[t]
-            coords = self.ring.coords_in_basis(
-                poly_mul(r_el.poly, e.poly), rdeg + e.degree, _wadd(rw, e.weight)
-            )
-            hit = self._products[key] = tuple(
-                (i, _int_if_integral(c)) for i, c in enumerate(coords) if c
-            )
+            tdeg, tw = rdeg + e.degree, _wadd(rw, e.weight)
+            hit = []
+            for r_el in self.ring.block_basis(rdeg, rw):
+                coords = self.ring.coords_in_basis(poly_mul(r_el.poly, e.poly), tdeg, tw)
+                hit.append(tuple((i, _int_if_integral(c)) for i, c in enumerate(coords) if c))
+            self._products[key] = hit
         return hit
 
     def _rank(self, p: int, d: int, w: tuple) -> int:

@@ -31,6 +31,8 @@ from typing import Iterable
 from .cyclo import _int_if_integral, bit_size
 from .errors import InvalidInput
 
+_ZERO = Fraction(0)
+
 
 class Matrix:
     """Immutable dense matrix, row-major."""
@@ -63,16 +65,18 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InvalidInput("matmul dimension mismatch")
-        # each entry starts at Fraction(0) and takes its terms in increasing k
+        # each entry starts at int 0 and takes its terms in increasing k; an
+        # entry still int at the end becomes a Fraction, so values and types
+        # are those of a Fraction(0) start
         right = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
         out = []
         for r in self.data:
-            acc = [Fraction(0)] * other.cols
+            acc = [0] * other.cols
             for k, a in enumerate(r):
                 if a:
                     for j, b in right[k]:
                         acc[j] = acc[j] + a * b
-            out.append(acc)
+            out.append([(Fraction(x) if x else _ZERO) if type(x) is int else x for x in acc])
         return Matrix(self.rows, other.cols, out)
 
     def scale(self, c) -> "Matrix":

@@ -423,3 +423,15 @@ def test_minimal_generators_match_greedy_oracle(make, stop, selection):
         [[el.poly for el in b] for b in bases], stop, reverse=selection == "reverse"
     )
     assert [id(el) for el in gens.elements] == [id(bases[d][i]) for d, i in expected]
+
+
+def test_element_zero_must_act_as_the_identity():
+    """The Reynolds sums take element 0's image of a monomial to be the
+    monomial itself, so a representation whose element 0 acts otherwise is
+    refused before any block is computed."""
+    group, _ = builtin_group("builtin:cyclic:2")
+    swapped = Representation(
+        group, [Matrix.from_rows([[Fraction(-1)]]), Matrix.identity(1)], check=False
+    )
+    with pytest.raises(InternalInconsistency, match="element 0"):
+        InvariantRing(swapped)

@@ -9,6 +9,7 @@ from syzlab.invariants import InvariantRing, build_E, noether_number
 from syzlab.koszul import KoszulComplex, SyzygyResult, scan_ceiling, syzygy_degree, tor_table
 from syzlab.linalg import Matrix, rank
 from syzlab.monomials import poly_mul
+from syzlab.schur import dominant_weights, spec_from_multiplicities
 
 from oracles import davenport_constant, row_reduce_rank, veronese_tor
 
@@ -289,3 +290,52 @@ def test_noether_matches_davenport():
 def test_syzygy_degree_requires_positive_p(z2_min):
     with pytest.raises(InvalidInput):
         syzygy_degree(z2_min, 0)
+
+
+# Non-dominant weights of the S3 specialization (0, 2, 1): increasing in its
+# two sign copies. They are offered in every degree, as the non-dominant
+# probes of the Schur cross-check are, so most do not match the degree.
+S3_NONDOMINANT = (
+    (0, 1, 0), (0, 2, 0), (1, 3, 0), (0, 2, 2), (0, 1, 3), (0, 2, 3),
+    (2, 3, 1), (1, 3, 2), (0, 3, 3), (1, 3, 3), (0, 2, 5),
+)
+
+
+@pytest.mark.parametrize(
+    "group, mults, top, allowed",
+    [
+        ("builtin:cyclic:2", (3, 3), 10, "dominant"),
+        ("builtin:sym:3", (0, 2, 1), 7, "dominant"),
+        ("builtin:sym:3", (0, 2, 1), 7, "nondominant"),
+    ],
+    ids=["z2-universal", "s3-dominant", "s3-nondominant"],
+)
+def test_restricted_chains_are_those_of_all_weights(group, mults, top, allowed):
+    """A complex restricted to some weights has, block for block, the chain
+    bases and differentials of the all-weights complex on the same ring:
+    the same elements in the same order, the same matrices."""
+    spec = spec_from_multiplicities(builtin_group(group)[1], mults)
+    ring = InvariantRing(spec.rep, grading=spec.grading)
+    noe = noether_number(spec.rep.group)
+    gens = build_E(ring, "full", noe)
+    if allowed == "dominant":
+        weights = lambda d: dominant_weights(d, spec.multiplicities)
+    else:
+        weights = lambda d: list(S3_NONDOMINANT)
+    restricted = KoszulComplex(ring, gens, noe.value, weights_for_degree=weights)
+    everything = KoszulComplex(ring, gens, noe.value)
+    nonempty = 0
+    for p in range(3):
+        for d in range(top + 1):
+            keep = set(weights(d))
+            chains = restricted.chain_blocks(p, d)
+            want = [(w, els) for w, els in everything.chain_blocks(p, d).items() if w in keep]
+            assert list(chains.items()) == want
+            nonempty += bool(want)
+            if p:
+                mats = restricted.differential(p, d)
+                full = everything.differential(p, d)
+                assert list(mats) == [w for w, _ in want]
+                for w, m in mats.items():
+                    assert m == full[w]
+    assert nonempty >= top

@@ -309,3 +309,20 @@ def test_irrational_pivot_candidates_only():
     assert rank(singular) == oracle_rank(singular) == 2
     k = kernel_basis(transpose(singular))
     assert k.cols == 1 and (transpose(singular) @ k).is_zero()
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[1, -1]], [[1], [1]]),  # cancels to zero, as d_p d_(p+1) does
+        ([[2, 0, 3], [0, 0, 0], [1, -1, 0]], [[1, -1], [4, 0], [0, 5]]),
+    ],
+    ids=["cancelling", "nonzero"],
+)
+def test_integer_product_entries_are_fractions(a, b):
+    """Int factors accumulate in int; every entry of the product, zero or
+    not, is still a Fraction with the oracle's value."""
+    prod = Matrix.from_rows(a) @ Matrix.from_rows(b)
+    want = mat_mul(a, b, len(b[0]))
+    assert [list(r) for r in prod.data] == want
+    assert all(type(x) is Fraction for r in prod.data for x in r)

@@ -2,6 +2,9 @@
 
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "syzlab"
@@ -51,3 +54,38 @@ def test_tracer_targets_resolve():
             unresolved.append(target)
     assert len(layers) > len(STALE_TRACER_TARGETS)
     assert set(unresolved) <= STALE_TRACER_TARGETS
+
+
+def test_traced_child_sees_the_koszul_layers(tmp_path):
+    """A traced benchmark child still counts the d^2 = 0 products, the
+    differentials and the nonzeros the ranks read, and misses only the
+    layers of the stale targets: an engine change that took the d^2 product
+    or the differentials out of the benchmark's sight fails here."""
+    root = PACKAGE.parent.parent
+    timing = tmp_path / "timing.json"
+    run = subprocess.run(
+        [
+            sys.executable,
+            str(root / "perfbench" / "child.py"),
+            str(timing),
+            "1",
+            "syzygies",
+            "--input",
+            str(root / "problems" / "z2_antipodal_syzygies.json"),
+            "--no-cache",
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    trace = json.loads(timing.read_text(encoding="utf-8"))["trace"]
+    assert trace["layers"]["koszul.d2_check"][0] > 0
+    assert trace["layers"]["koszul.differential"][0] > 0
+    assert trace["counts"]["linalg.rank.nnz"] > 0
+    assert set(trace["missing"]) == {
+        "linalg.column_echelon_basis",
+        "linalg.span_add",
+        "invariants.block_basis_monomial",
+    }
