@@ -1,25 +1,26 @@
 """Command-line frontend: problem parsing, orchestration, report emission.
 
 Problems are single JSON documents (matrices over cyclotomic fields do not
-fit in command-line flags); the subcommand picks the task and flags carry
+fit in command-line flags); the task word picks the task and options carry
 overrides only. Reports are deterministic: identical problems produce
 byte-identical output, cache hot or cold.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 from . import FORMAT_VERSION, __version__
 from .bounds import audit, inequality_chain_check, m_bound_check
 from .cache import Cache, content_hash
-from .cyclo import decode_scalar
+from .cyclo import decode_scalar, is_int
 from .errors import InternalInconsistency, InvalidInput, LimitExceeded
 from .groups import (
     FiniteGroup,
@@ -114,7 +115,7 @@ def _parse_group(doc, budget: Budget):
         perms = []
         for i, p in enumerate(gens):
             _expect(
-                isinstance(p, list) and all(isinstance(v, int) for v in p),
+                isinstance(p, list) and all(is_int(v) for v in p),
                 f"group.permutation_generators[{i}]",
                 "expected a list of integers (images of 0..n-1)",
             )
@@ -161,7 +162,7 @@ def _parse_rep(doc, group, catalog, budget: Budget):
     if "multiplicities" in spec:
         mults = spec["multiplicities"]
         _expect(
-            isinstance(mults, list) and all(isinstance(k, int) for k in mults),
+            isinstance(mults, list) and all(is_int(k) for k in mults),
             "rep.multiplicities",
             "expected a list of integers",
         )
@@ -196,18 +197,18 @@ def parse_problem(doc, task: str | None = None, budget: Budget | None = None) ->
     group, catalog = _parse_group(doc, budget)
     rep, mults = _parse_rep(doc, group, catalog, budget)
     p = doc.get("p", 1)
-    _expect(isinstance(p, int) and p >= 1, "p", "expected a positive integer")
+    _expect(is_int(p) and p >= 1, "p", "expected a positive integer")
     p_max = doc.get("p_max", 12 if task == "chain" else p)
-    _expect(isinstance(p_max, int) and p_max >= p - 1, "p_max", "expected an integer >= p - 1")
+    _expect(is_int(p_max) and p_max >= p - 1, "p_max", "expected an integer >= p - 1")
     g_max = doc.get("g_max", 12)
-    _expect(isinstance(g_max, int) and g_max >= 1, "g_max", "expected a positive integer")
+    _expect(is_int(g_max) and g_max >= 1, "g_max", "expected a positive integer")
     mode = doc.get("mode", "minimal")
     _expect(mode in ("minimal", "full"), "mode", "expected minimal or full")
     stop = doc.get("stop")
-    _expect(stop is None or (isinstance(stop, int) and stop >= 0), "stop", "expected a nonnegative integer")
+    _expect(stop is None or (is_int(stop) and stop >= 0), "stop", "expected a nonnegative integer")
     exact_limit = doc.get("exact_limit")
     _expect(
-        exact_limit is None or (isinstance(exact_limit, int) and exact_limit >= 0),
+        exact_limit is None or (is_int(exact_limit) and exact_limit >= 0),
         "exact_limit",
         "expected a nonnegative integer",
     )
@@ -395,7 +396,7 @@ def _run_universal(problem: Problem, options) -> dict:
 
 def _int_list(value, path: str) -> tuple:
     _expect(
-        isinstance(value, list) and all(isinstance(x, int) and x >= 0 for x in value),
+        isinstance(value, list) and all(is_int(x) and x >= 0 for x in value),
         path,
         "expected a list of nonnegative integers",
     )
@@ -417,7 +418,7 @@ def _run_schur(problem: Problem, options) -> dict:
     def int_arg(name, default, minimum=0):
         value = args.get(name, default)
         _expect(
-            isinstance(value, int) and value >= minimum,
+            is_int(value) and value >= minimum,
             f"schur.{name}",
             f"expected an integer >= {minimum}",
         )
@@ -618,28 +619,98 @@ def _emit_markdown(report: dict) -> str:
 # -- entry point -------------------------------------------------------------------------
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+# Each option maps to (dest, kind, default). A kind is `int`, a tuple of
+# choices, None for a flag, or the metavar of a free-text value. The table
+# is the parser, the usage text and the README synopsis at once.
+OPTION_TABLE = {
+    "--input": ("input", "FILE", None),
+    "--p": ("p", int, None),
+    "--p-max": ("p_max", int, None),
+    "--mode": ("mode", ("minimal", "full"), None),
+    "--format": ("format", ("json", "csv", "markdown"), "json"),
+    "--cache-dir": ("cache_dir", "DIR", None),
+    "--no-cache": ("no_cache", None, False),
+    "--budget-level": ("budget_level", ("small", "default", "large"), "default"),
+}
 
 
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="syzlab", description=__doc__)
-    sub = parser.add_subparsers(dest="task", required=True)
-    for task in TASKS:
-        sp = sub.add_parser(task)
-        sp.add_argument("--input", required=True, help="problem JSON document")
-        sp.add_argument("--p", type=int, default=None)
-        sp.add_argument("--p-max", type=int, default=None, dest="p_max")
-        sp.add_argument("--mode", choices=("minimal", "full"), default=None)
-        sp.add_argument("--format", choices=("json", "csv", "markdown"), default="json")
-        sp.add_argument("--cache-dir", default=None)
-        sp.add_argument("--no-cache", action="store_true")
-        sp.add_argument(
-            "--budget-level", choices=("small", "default", "large"), default="default"
-        )
-    return parser
+def option_synopsis(option: str) -> str:
+    """How one option is written in the usage text: `--p N`, `--mode
+    minimal|full`, `--no-cache`."""
+    _, kind, _ = OPTION_TABLE[option]
+    if kind is None:
+        return option
+    if kind is int:
+        return f"{option} N"
+    return f"{option} {kind if isinstance(kind, str) else '|'.join(kind)}"
+
+
+def usage() -> str:
+    """The synopsis, wrapped at 79 columns, then the task words."""
+    words = [
+        option_synopsis(o) if o == "--input" else f"[{option_synopsis(o)}]"
+        for o in OPTION_TABLE
+    ]
+    lines, line = [], "usage: syzlab TASK"
+    for word in words:
+        if len(line) + 1 + len(word) > 79:
+            lines.append(line)
+            line = " " * 13
+        line += " " + word
+    lines.append(line)
+    lines.append(f"tasks: {', '.join(TASKS)}")
+    return "\n".join(lines) + "\n"
+
+
+def _usage_error(message: str):
+    sys.stderr.write(usage())
+    sys.stderr.write(f"syzlab: error: {message}\n")
+    raise SystemExit(1)
+
+
+def parse_args(argv) -> SimpleNamespace:
+    """The task word, then options in any order as `--opt value` or
+    `--opt=value`; a repeated option keeps its last value. `-h`/`--help`
+    prints the usage and exits 0; a usage error prints the usage and one
+    `syzlab: error:` line to stderr and exits 1."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(usage())
+        raise SystemExit(0)
+    if not argv:
+        _usage_error("the following arguments are required: TASK")
+    if argv[0] not in TASKS:
+        _usage_error(f"invalid task {argv[0]!r} (choose from {', '.join(TASKS)})")
+    args = {dest: default for dest, _, default in OPTION_TABLE.values()}
+    args["task"] = argv[0]
+    words = iter(argv[1:])
+    for word in words:
+        option, eq, value = word.partition("=")
+        if option not in OPTION_TABLE:
+            _usage_error(f"unrecognized argument {word!r}")
+        dest, kind, _ = OPTION_TABLE[option]
+        if kind is None:
+            if eq:
+                _usage_error(f"option {option} takes no value")
+            args[dest] = True
+            continue
+        if not eq:
+            value = next(words, None)
+            if value is None or (value.startswith("-") and not value[1:].isdigit()):
+                _usage_error(f"option {option} expects a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"option {option}: invalid int value {value!r}")
+        elif isinstance(kind, tuple) and value not in kind:
+            _usage_error(
+                f"option {option}: invalid choice {value!r} (choose from {', '.join(kind)})"
+            )
+        args[dest] = value
+    if args["input"] is None:
+        _usage_error("the following arguments are required: --input")
+    return SimpleNamespace(**args)
 
 
 @dataclass
@@ -666,8 +737,19 @@ def _resolve_cache(args) -> Cache | None:
         return None
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None):
+    sys.stderr.write(f"syzlab: warning: {message}\n")
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = parse_args(argv)
+    # an engine warning is one line on stderr, as every other message is
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        return _execute(args)
+
+
+def _execute(args) -> int:
     try:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:

@@ -360,13 +360,17 @@ def encode_scalar(x: Scalar):
     }
 
 
+def is_int(x) -> bool:
+    """An integer and not a bool: JSON's true and false decode to bools,
+    which isinstance(x, int) accepts."""
+    return type(x) is int
+
+
 def decode_scalar(obj, limit: int = DEFAULT_CONDUCTOR_LIMIT) -> Scalar:
-    if isinstance(obj, bool):
-        raise InvalidInput(f"not a scalar encoding: {obj!r}")
-    if isinstance(obj, int):
+    if is_int(obj):
         return Fraction(obj)
     if isinstance(obj, list):
-        if len(obj) != 2 or not all(isinstance(v, int) for v in obj):
+        if len(obj) != 2 or not all(is_int(v) for v in obj):
             raise InvalidInput(f"rational encoding must be [num, den], got {obj!r}")
         if obj[1] <= 0:
             raise InvalidInput(f"denominator must be positive in {obj!r}")
@@ -377,7 +381,7 @@ def decode_scalar(obj, limit: int = DEFAULT_CONDUCTOR_LIMIT) -> Scalar:
             coeffs = obj["coeffs"]
         except (KeyError, TypeError) as exc:
             raise InvalidInput(f"bad cyclotomic encoding: {obj!r}") from exc
-        if not isinstance(n, int) or n < 1:
+        if not is_int(n) or n < 1:
             raise InvalidInput(f"bad conductor in {obj!r}")
         cyclotomic_polynomial(n, limit)
         vals = [decode_scalar(c, limit) for c in coeffs]

@@ -27,6 +27,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from operator import add
 
 from .cyclo import as_integer, decode_scalar, encode_scalar
@@ -406,7 +407,12 @@ class InvariantRing:
         return {w: found[w] for w in weights if w in found}
 
     def _fixed_by_generators(self, poly: dict) -> bool:
-        """g . poly == poly for every generator g, hence for all of G."""
+        """g . poly == poly for every generator g, hence for all of G. A
+        rational poly is first scaled by the lcm of its denominators, which
+        leaves the test unchanged and keeps integer arithmetic integer."""
+        if all(type(c) is int or type(c) is Fraction for c in poly.values()):
+            den = lcm(*(c.denominator for c in poly.values()))
+            poly = {m: c.numerator * (den // c.denominator) for m, c in poly.items()}
         packed = {self._pack(m): c for m, c in poly.items()}
         for k in self.rep.group.generator_elements():
             moved: dict = {}
@@ -430,7 +436,7 @@ class InvariantRing:
                 or m in poly
             ):
                 return None
-            c = decode_scalar(c)
+            c = _int_if_integral(decode_scalar(c))
             if not c:
                 return None
             poly[m] = c

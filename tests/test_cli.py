@@ -1,16 +1,16 @@
-import argparse
 import json
 import os
 import re
 import tempfile
 import threading
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from syzlab import FORMAT_VERSION
 from syzlab.cache import Cache
-from syzlab.cli import _build_parser, main
+from syzlab.cli import OPTION_TABLE, main, option_synopsis, parse_problem, usage
 from syzlab.invariants import InvariantRing
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -481,13 +481,8 @@ def test_malformed_task_arguments_exit_one(tmp_path, capsys, doc):
 def test_readme_synopsis_matches_parser():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     block = readme.split("## Command line", 1)[1].split("```")[1]
-    documented = set(re.findall(r"--[a-z][a-z-]*", block))
-    (subparsers,) = [
-        a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-    ]
-    for task, sub in subparsers.choices.items():
-        options = {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
-        assert options == documented, task
+    documented = re.findall(r"--[a-z][a-z-]*(?: [A-Za-z|]+)?", block)
+    assert sorted(documented) == sorted(option_synopsis(o) for o in OPTION_TABLE)
 
 
 def test_findings_file_absent_without_violations(tmp_path, capsys):
@@ -521,3 +516,165 @@ def test_unexpected_error_exit_code_is_four(capsys, monkeypatch):
     )
     assert (code, out) == (4, "")
     assert err.splitlines() == ["syzlab: unexpected error: KeyError: 'missing'"]
+
+
+def _usage_exit(capsys, argv):
+    """(exit code, stdout, stderr) of a call that ends in SystemExit."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_option_equals_form_and_last_repeat_win(capsys):
+    path = str(PROBLEMS / "s3_group.json")
+    code, spaced, _ = run_cli(capsys, "group", "--input", path, "--no-cache", "--format", "markdown")
+    assert code == 0
+    code, joined, _ = run_cli(capsys, "group", "--no-cache", f"--input={path}", "--format=markdown")
+    assert (code, joined) == (0, spaced)
+    code, repeated, _ = run_cli(
+        capsys, "group", "--input", path, "--format", "csv", "--no-cache", "--format=markdown"
+    )
+    assert (code, repeated) == (0, spaced)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["syzygies"], "the following arguments are required: --input"),
+        (["cohomology", "--input", "x.json"], "invalid task 'cohomology'"),
+        (["group", "--input", "x.json", "--jobs", "2"], "unrecognized argument '--jobs'"),
+        (["group", "--inp", "x.json"], "unrecognized argument '--inp'"),
+        (["group", "--input", "x.json", "--p", "two"], "option --p: invalid int value 'two'"),
+        (["group", "--input", "x.json", "--p-max=1.5"], "option --p-max: invalid int value '1.5'"),
+        (["group", "--input", "x.json", "--mode", "all"], "option --mode: invalid choice 'all'"),
+        (["group", "--input"], "option --input expects a value"),
+        (["group", "--input", "x.json", "--no-cache=1"], "option --no-cache takes no value"),
+        ([], "the following arguments are required: TASK"),
+    ],
+    ids=[
+        "missing-input",
+        "unknown-task",
+        "unknown-option",
+        "abbreviation",
+        "bad-int",
+        "bad-int-equals",
+        "bad-choice",
+        "missing-value",
+        "flag-with-value",
+        "no-task",
+    ],
+)
+def test_usage_errors_print_usage_and_one_line(capsys, argv, message):
+    code, out, err = _usage_exit(capsys, argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(usage())
+    (line,) = err[len(usage()):].splitlines()
+    assert line.startswith(f"syzlab: error: {message}")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["bounds", "-h"], ["group", "--input", "x", "--help"]])
+def test_help_prints_usage_and_exits_zero(capsys, argv):
+    assert _usage_exit(capsys, argv) == (0, usage(), "")
+
+
+_Z2 = {"group": "builtin:cyclic:2", "rep": {"multiplicities": [0, 1]}, "task": "invariants"}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_Z2, "p": True},
+        {**_Z2, "p_max": True},
+        {**_Z2, "task": "chain", "g_max": True},
+        {**_Z2, "stop": True},
+        {**_Z2, "exact_limit": False},
+        {**_Z2, "rep": {"multiplicities": [True, 1]}},
+        {"group": {"permutation_generators": [[True, False]]}, "task": "group"},
+        {**_Z2, "rep": {"generator_images": [[[[True, 1]]]]}},
+        {**_Z2, "rep": {"generator_images": [[[{"conductor": True, "coeffs": [[-1, 1]]}]]]}},
+        {"group": "builtin:sym:3", "task": "schur", "schur": {"check": "cauchy", "factor": True}},
+        {"group": "builtin:sym:3", "task": "schur", "schur": {"check": "kostka", "shape": [True], "content": [1]}},
+        {"group": "builtin:sym:3", "task": "schur", "schur": {"check": "kostka", "shape": [1], "content": [True]}},
+    ],
+    ids=[
+        "p",
+        "p_max",
+        "g_max",
+        "stop",
+        "exact_limit",
+        "multiplicities",
+        "permutation_generators",
+        "rational-pair",
+        "conductor",
+        "schur-int-arg",
+        "partition",
+        "int-list",
+    ],
+)
+def test_json_booleans_are_not_integers(tmp_path, capsys, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, doc["task"], "--input", str(path), "--no-cache")
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("syzlab: invalid input:")
+
+
+def test_engine_warning_is_one_line(tmp_path, capsys):
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({**_Z2, "stop": 1}))
+    code, out, err = run_cli(capsys, "invariants", "--input", str(path), "--no-cache")
+    assert code == 0
+    assert json.loads(out)["results"]["scanned_up_to"] == 1
+    assert err == (
+        "syzlab: warning: scan ceiling 1 is below the group order 2; "
+        "generators above it would be missed\n"
+    )
+
+
+def test_hot_blocks_equal_cold_blocks_in_value_and_type(tmp_path):
+    problem = parse_problem(dict(S3_SIGN_STANDARD_INVARIANTS))
+    degrees = range(S3_SIGN_STANDARD_INVARIANTS["stop"] + 1)
+
+    def ring():
+        return InvariantRing(problem.rep, cache=Cache(str(tmp_path)), cache_prefix={"k": "s3"})
+
+    def terms(r):
+        return {
+            d: [(w, [(m, c, type(c)) for m, c in el.poly.items()]) for w, b in r.blocks(d).items() for el in b]
+            for d in degrees
+        }
+
+    cold = terms(ring())
+    hot_ring = ring()
+    hot_ring._compute_degree_blocks = None  # a hot ring must read every degree
+    assert terms(hot_ring) == cold
+    assert {t for blocks in cold.values() for _, ts in blocks for *_, t in ts} == {int, Fraction}
+
+
+def test_non_invariant_rational_coefficient_is_rejected(tmp_path, capsys, monkeypatch):
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps(S3_SIGN_STANDARD_INVARIANTS))
+    cache_dir = tmp_path / "cache"
+    argv = ["invariants", "--input", str(problem)]
+    _, expected, _ = run_cli(capsys, *argv, "--no-cache")
+    run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+    path = _invariant_entry(cache_dir, 4)
+    entry = json.loads(path.read_text())
+    bad = _not_invariant(entry["payload"])
+    (poly,) = [q for b in bad["blocks"] for q in b["polys"] if q[-1][1] == [2, 1]]
+    poly[-1][1] = [3, 2]  # a non-pivot coefficient: the pivot stays 1
+    path.write_text(json.dumps({**entry, "payload": bad}))
+    verdicts = []
+    original = InvariantRing._fixed_by_generators
+
+    def spy(self, poly):
+        verdicts.append(original(self, poly))
+        return verdicts[-1]
+
+    monkeypatch.setattr(InvariantRing, "_fixed_by_generators", spy)
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache_dir))
+    assert (code, out, err) == (0, expected, "")
+    assert False in verdicts
+    assert json.loads(path.read_text())["payload"] == entry["payload"]
