@@ -767,7 +767,7 @@ def _execute(args) -> int:
             doc["p_max"] = args.p_max
         if args.mode is not None:
             doc["mode"] = args.mode
-        if args.p is not None and args.p_max is None and "p_max" in doc:
+        if args.p is not None and args.p_max is None and is_int(doc.get("p_max")):
             doc["p_max"] = max(doc["p_max"], args.p)
         problem = parse_problem(doc, task=args.task, budget=budget)
         options = Options(budget=budget, cache=_resolve_cache(args))

@@ -10,20 +10,21 @@ Each column sum_g g . m is built as a sparse vector and the columns go
 straight to the elimination kernel as rows, whose reduced form is the
 basis. A full degree is one elimination over all of its monomials: blocks
 have disjoint supports, so the reduced rows fall apart into the blocks'
-bases. The images g . m are built on packed monomial keys (one fixed-width
-bit field per exponent), where multiplying monomials is adding ints; the
-published bases keep exponent tuples. Dimensions are cross-checked against
+bases. Polynomials, the images g . m and the published bases alike are
+keyed by packed monomials (see `monomials`), where multiplying monomials
+is adding ints; exponent tuples appear only where monomials are
+enumerated and in the cache payloads. Dimensions are cross-checked against
 the Molien series on every full-degree computation and on every degree
 read back from the cache: two independent routes that must agree exactly.
 A cached basis must also be fixed by each generator.
 
-Minimal generators are selected in block coordinates, where the greedy
-scan becomes a pivot computation.
+Coordinates in a block basis are sparse: the nonzero (index, coefficient)
+pairs. Minimal generators are selected in block coordinates, where the
+greedy scan becomes a pivot computation.
 """
 
 from __future__ import annotations
 
-import struct
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,38 +37,14 @@ from .groups import FiniteGroup, Representation, regular_representation
 from .limits import DEFAULT_BUDGET, Budget
 from .linalg import Matrix, _int_if_integral, pivot_columns, reduced_rows
 from .monomials import (
-    matrix_columns_sparse,
+    _DEGREE_LIMIT,
     monomial_count,
     monomials,
+    pack,
     poly_add_into,
     poly_mul,
+    unpack,
 )
-
-# Packed monomial keys: exponent j fills a field of _EXP_BITS bits, variable
-# 0 most significant, so a product of monomials is the sum of their keys. No
-# exponent of a polynomial of degree below _DEGREE_LIMIT can overflow its
-# field; the block routes refuse higher degrees.
-_EXP_BITS = 16  # the struct format "H": one unsigned 16-bit field
-_DEGREE_LIMIT = 1 << _EXP_BITS
-
-
-def _packed_mul(p: dict, q: dict) -> dict:
-    """poly_mul on packed keys."""
-    if len(q) == 1:
-        # times a term: distinct keys stay distinct and no product vanishes
-        ((mb, cb),) = q.items()
-        return {ma + mb: ca * cb for ma, ca in p.items()}
-    out: dict = {}
-    get = out.get
-    for ma, ca in p.items():
-        for mb, cb in q.items():
-            m = ma + mb
-            c = get(m, 0) + ca * cb
-            if c:
-                out[m] = c
-            else:
-                out.pop(m, None)
-    return out
 
 
 class Grading:
@@ -159,13 +136,16 @@ class InvariantRing:
         self._block_cache: dict = {}
         self._degree_blocks: dict = {}
         self._molien: list[int] = []
-        self._cols_sparse = [matrix_columns_sparse(m) for m in rep.images]
+        # per element, per variable j: the nonzero (i, entry) of column j
+        self._cols_sparse = [
+            [[(i, r[j]) for i, r in enumerate(m.data) if r[j]] for j in range(m.cols)]
+            for m in rep.images
+        ]
         # the Reynolds sums take element 0's images as the monomials themselves
         if self._cols_sparse[0] != [[(j, 1)] for j in range(self.nvars)]:
             raise InternalInconsistency("group element 0 does not act as the identity")
-        # (element, variable) -> [(g . x_j)^1, (g . x_j)^2, ...], packed keys
+        # (element, variable) -> [(g . x_j)^1, (g . x_j)^2, ...]
         self._powers: dict = {}
-        self._packer = struct.Struct(f">{self.nvars}H")
 
     # -- Molien series ----------------------------------------------------------
 
@@ -198,25 +178,19 @@ class InvariantRing:
         self._block_cache[key] = basis
         return basis
 
-    def _pack(self, mono: tuple) -> int:
-        return int.from_bytes(self._packer.pack(*mono), "big")
-
     def _power(self, k: int, j: int, e: int) -> dict:
-        """(g_k . x_j)^e on packed keys, each power built from the one
-        before and kept."""
+        """(g_k . x_j)^e, each power built from the one before and kept."""
         pows = self._powers.get((k, j))
         if pows is None:
-            last = self.nvars - 1
-            linear = {
-                1 << _EXP_BITS * (last - i): _int_if_integral(c) for i, c in self._cols_sparse[k][j]
-            }
+            xs = monomials(self.nvars, 1)  # x_0, x_1, ...
+            linear = {pack(xs[i]): _int_if_integral(c) for i, c in self._cols_sparse[k][j]}
             pows = self._powers[(k, j)] = [linear]
         while len(pows) < e:
-            pows.append(_packed_mul(pows[-1], pows[0]))
+            pows.append(poly_mul(pows[-1], pows[0]))
         return pows[e - 1]
 
     def _images(self, k: int, monos):
-        """g_k . m for each m in `monos`, on packed keys: the product of the
+        """g_k . m for each exponent tuple m in `monos`: the product of the
         memoized powers (g_k . x_j)^e_j, so the integral coefficients of an
         integer representation stay ints. A monomial whose first exponents
         equal those of the one before starts from that one's partial
@@ -233,7 +207,7 @@ class InvariantRing:
                 img = partial[t]
                 if m[t]:
                     p = self._power(k, t, m[t])
-                    img = p if img is None else _packed_mul(img, p)
+                    img = p if img is None else poly_mul(img, p)
                 partial[t + 1] = img
             prev = m
             yield {0: 1} if partial[n] is None else partial[n]
@@ -253,8 +227,8 @@ class InvariantRing:
             weights = list(ids)
         else:
             wid, weights = [0] * len(monos), [w]
-        pack = self._pack
-        index = {pack(m): i for i, m in enumerate(monos)}
+        keys = [pack(m) for m in monos]
+        index = {m: i for i, m in enumerate(keys)}
         # element 0 is the identity (checked in __init__): g . m = m
         sums: list = [{i: 1} for i in range(len(monos))]
         for k in range(1, len(self._cols_sparse)):
@@ -266,7 +240,7 @@ class InvariantRing:
                     col[pos] = col.get(pos, 0) + c
         cols = [{i: _int_if_integral(c) for i, c in col.items() if c} for col in sums]
         return [
-            InvElem(d, weights[wid[c]], {monos[i]: row[i] for i in sorted(row)})
+            InvElem(d, weights[wid[c]], {keys[i]: row[i] for i in sorted(row)})
             for c, row in reduced_rows(cols, len(monos))
         ]
 
@@ -324,14 +298,17 @@ class InvariantRing:
         for d in degrees:
             self.blocks(d)
 
-    def coords_in_basis(self, poly: dict, d: int, w: tuple):
-        """Coordinates of an invariant in the block basis (pivots are unit)."""
-        basis = self.block_basis(d, w)
-        coords = [poly.get(el.pivot, 0) for el in basis]
+    def coords_in_basis(self, poly: dict, d: int, w: tuple) -> tuple:
+        """Nonzero coordinates of an invariant in the block basis, read off
+        the unit pivots: ((index, coefficient), ...), indices increasing,
+        integral values as int."""
+        basis = self.block_basis(d, w)  # refuses a degree the keys cannot hold
+        coords = tuple(
+            (i, _int_if_integral(c)) for i, el in enumerate(basis) if (c := poly.get(el.pivot))
+        )
         check = dict(poly)
-        for c, el in zip(coords, basis):
-            if c:
-                poly_add_into(check, el.poly, -c)
+        for i, c in coords:
+            poly_add_into(check, basis[i].poly, -c)
         if check:
             raise InternalInconsistency(
                 "polynomial does not lie in the computed invariant block"
@@ -360,12 +337,16 @@ class InvariantRing:
         key = self._cache_key(d)
         if key is None:
             return
+        n = self.nvars
         payload = {
             "blocks": [
                 {
                     "weight": list(w),
                     "polys": [
-                        [[list(m), encode_scalar(c)] for m, c in sorted(el.poly.items(), reverse=True)]
+                        [
+                            [list(unpack(m, n)), encode_scalar(c)]
+                            for m, c in sorted(el.poly.items(), reverse=True)
+                        ]
                         for el in b
                     ],
                 }
@@ -413,18 +394,19 @@ class InvariantRing:
         if all(type(c) is int or type(c) is Fraction for c in poly.values()):
             den = lcm(*(c.denominator for c in poly.values()))
             poly = {m: c.numerator * (den // c.denominator) for m, c in poly.items()}
-        packed = {self._pack(m): c for m, c in poly.items()}
+        monos = [unpack(m, self.nvars) for m in poly]
         for k in self.rep.group.generator_elements():
             moved: dict = {}
-            for c, img in zip(poly.values(), self._images(k, poly)):
+            for c, img in zip(poly.values(), self._images(k, monos)):
                 poly_add_into(moved, img, c)
-            poly_add_into(moved, packed, -1)
+            poly_add_into(moved, poly, -1)
             if moved:
                 return False
         return True
 
     def _load_element(self, d: int, w: tuple, enc):
-        """One cached basis element, or None when it is malformed."""
+        """One cached basis element, or None when it is malformed. Its
+        exponent tuples are checked before they are packed."""
         poly = {}
         for m, c in enc:
             m = tuple(m)
@@ -433,13 +415,13 @@ class InvariantRing:
                 or not all(type(e) is int and e >= 0 for e in m)
                 or sum(m) != d
                 or self.grading.weight(m) != w
-                or m in poly
             ):
                 return None
+            key = pack(m)
             c = _int_if_integral(decode_scalar(c))
-            if not c:
+            if not c or key in poly:
                 return None
-            poly[m] = c
+            poly[key] = c
         if not poly:
             return None
         el = InvElem(d, w, poly)
@@ -565,19 +547,20 @@ def minimal_generators(
     chosen = []
     for d in range(1, stop + 1):
         blocks = list(ring.blocks(d).items())
-        products: dict = {}  # weight -> coordinate rows, in reverse scan order
+        products: dict = {}  # weight -> the products' coordinates
         for a in range(1, d // 2 + 1):
             for x in ring.basis(a):
                 for y in ring.basis(d - a):
                     w = tuple(map(add, x.weight, y.weight))
                     coords = ring.coords_in_basis(poly_mul(x.poly, y.poly), d, w)
-                    products.setdefault(w, []).append(coords[::-1] if forward else coords)
+                    products.setdefault(w, []).append(coords)
         if not forward:
             blocks.reverse()
         for w, block in blocks:
-            pivots = set(pivot_columns(Matrix.from_rows(products.get(w, ()))))
             scan = block if forward else block[::-1]
             last = len(scan) - 1
+            rows = [{last - i: c for i, c in cs} if forward else dict(cs) for cs in products.get(w, ())]
+            pivots = set(pivot_columns(rows, len(scan)))
             chosen.extend(el for s, el in enumerate(scan) if last - s not in pivots)
     beta_v = max((el.degree for el in chosen), default=0)
     gens = GeneratorSet(

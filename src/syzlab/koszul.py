@@ -18,7 +18,7 @@ from operator import add, sub
 
 from .errors import InternalInconsistency, InvalidInput
 from .invariants import GeneratorSet, InvariantRing
-from .linalg import Matrix, _int_if_integral, rank
+from .linalg import Matrix, rank
 from .monomials import poly_mul
 
 
@@ -93,7 +93,7 @@ class KoszulComplex:
         self._allowed: dict = {}  # d -> _WeightIndex of the allowed weights
         self._diffs: dict = {}
         # (R degree, R weight, t) -> for each R index, the nonzero
-        # [(index, coefficient)] of r . e_t in the block basis of
+        # (index, coefficient) pairs of r . e_t in the block basis of
         # (R degree + deg e_t, R weight + wt e_t)
         self._products: dict = {}
         self._ranks: dict = {}
@@ -211,11 +211,10 @@ class KoszulComplex:
         if hit is None:
             e = self.E[t]
             tdeg, tw = rdeg + e.degree, _wadd(rw, e.weight)
-            hit = []
-            for r_el in self.ring.block_basis(rdeg, rw):
-                coords = self.ring.coords_in_basis(poly_mul(r_el.poly, e.poly), tdeg, tw)
-                hit.append(tuple((i, _int_if_integral(c)) for i, c in enumerate(coords) if c))
-            self._products[key] = hit
+            hit = self._products[key] = [
+                self.ring.coords_in_basis(poly_mul(r_el.poly, e.poly), tdeg, tw)
+                for r_el in self.ring.block_basis(rdeg, rw)
+            ]
         return hit
 
     def _rank(self, p: int, d: int, w: tuple) -> int:

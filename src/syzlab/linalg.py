@@ -11,11 +11,11 @@ only the rows holding a nonzero in the pivot column are updated, by
 row := a*row - b*pivot_row. For two int entries a and b are coprime
 integers and an all-int result is divided by its content, so integer rows
 stay integer and primitive (fraction-free); otherwise a = 1 and b uses
-the pivot's inverse, computed once per pivot. `rank` and
-`pivot_columns` convert their `Matrix` once and stop after that forward
-pass: the pivot columns are the positions at which some vector of the row
-space has its first nonzero entry. `reduced_rows` takes sparse rows
-directly and finishes the echelon rows last pivot first: each is scaled
+the pivot's inverse, computed once per pivot. `rank` converts its
+`Matrix` once, and `pivot_columns` takes sparse rows; both stop after that
+forward pass: the pivot columns are the positions at which some vector of
+the row space has its first nonzero entry. `reduced_rows` takes sparse
+rows too and finishes the echelon rows last pivot first: each is scaled
 to a unit pivot and cleared only in the pivot columns it holds, against
 rows already finished, so no row is visited for a pivot it does not hold.
 That gives the reduced row echelon form. It is canonical, so the pivot
@@ -211,6 +211,8 @@ def rank(m: Matrix) -> int:
     return len(_forward(_sparse_rows(m), m.cols))
 
 
-def pivot_columns(m: Matrix) -> tuple:
-    """Pivot columns of the row echelon form, increasing."""
-    return tuple(c for c, _ in _forward(_sparse_rows(m), m.cols))
+def pivot_columns(rows, ncols: int) -> tuple:
+    """Pivot columns of the row echelon form of sparse rows over columns
+    0..ncols-1, increasing. The rows are {column: nonzero} dicts with
+    integral values as int; they are consumed."""
+    return tuple(c for c, _ in _forward(rows, ncols))

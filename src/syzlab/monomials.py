@@ -1,16 +1,22 @@
-"""Monomial bases and sparse polynomial arithmetic.
+"""Monomials, the packed monomial key and sparse polynomial arithmetic.
 
-Monomials are exponent tuples. Within a fixed degree the canonical order is
-descending lexicographic on the exponent tuple, so the global graded
-lexicographic order is (degree, then position in that list). Polynomials
-are dicts exponent-tuple -> scalar with no explicit zeros.
+Monomials are enumerated as exponent tuples, each degree in descending lex
+order; the graded order is (degree, position in that list). Polynomials
+are dicts packed key -> scalar with no explicit zeros. A packed key holds
+exponent j in a field of _EXP_BITS bits, variable 0 most significant: a
+product of monomials is the sum of their keys, and descending key order is
+descending lex order. Callers refuse degrees of _DEGREE_LIMIT and up, whose
+exponents can overflow a field, before they multiply.
 """
 
 from __future__ import annotations
 
+import struct
 from functools import lru_cache
 from math import comb
-from operator import add
+
+_EXP_BITS = 16  # the struct format "H": one unsigned 16-bit field
+_DEGREE_LIMIT = 1 << _EXP_BITS
 
 
 @lru_cache(maxsize=None)
@@ -33,16 +39,32 @@ def monomial_count(nvars: int, degree: int) -> int:
     return comb(nvars + degree - 1, degree)
 
 
-def mono_mul(a: tuple, b: tuple) -> tuple:
-    return tuple(map(add, a, b))
+@lru_cache(maxsize=None)
+def _layout(nvars: int) -> struct.Struct:
+    return struct.Struct(f">{nvars}H")
+
+
+def pack(mono: tuple) -> int:
+    """The packed key of an exponent tuple; each exponent below 2^_EXP_BITS."""
+    return int.from_bytes(_layout(len(mono)).pack(*mono), "big")
+
+
+def unpack(key: int, nvars: int) -> tuple:
+    """The exponent tuple of a packed key over `nvars` variables."""
+    return _layout(nvars).unpack(key.to_bytes(nvars * _EXP_BITS // 8, "big"))
 
 
 def poly_mul(p: dict, q: dict) -> dict:
+    if len(q) == 1:
+        # times a term: distinct keys stay distinct and no product vanishes
+        ((mb, cb),) = q.items()
+        return {ma + mb: ca * cb for ma, ca in p.items()}
     out: dict = {}
+    get = out.get
     for ma, ca in p.items():
         for mb, cb in q.items():
-            m = mono_mul(ma, mb)
-            c = out.get(m, 0) + ca * cb
+            m = ma + mb
+            c = get(m, 0) + ca * cb
             if c:
                 out[m] = c
             else:
@@ -57,12 +79,3 @@ def poly_add_into(acc: dict, p: dict, coeff=1) -> None:
             acc[m] = v
         else:
             acc.pop(m, None)
-
-
-def matrix_columns_sparse(mat):
-    """Per-column sparse view [(row, scalar), ...] of a linalg.Matrix."""
-    cols = []
-    for j in range(mat.cols):
-        col = [(i, mat.at(i, j)) for i in range(mat.rows) if mat.at(i, j)]
-        cols.append(col)
-    return cols

@@ -22,6 +22,17 @@ def monos(nvars, d):
     return sorted(out)
 
 
+def tuple_poly_mul(p, q):
+    """Product of two polynomials keyed by exponent tuples, term by term,
+    vanishing coefficients dropped."""
+    prod = {}
+    for mx, cx in p.items():
+        for my, cy in q.items():
+            m = tuple(i + j for i, j in zip(mx, my))
+            prod[m] = prod.get(m, 0) + cx * cy
+    return {m: c for m, c in prod.items() if c}
+
+
 def mat_mul(a, b, cols):
     """Product of an r x k and a k x cols matrix given as lists of rows, by
     the textbook triple loop over every index."""
@@ -143,12 +154,7 @@ def greedy_generators(bases, stop, reverse=False):
         for a in range(1, d // 2 + 1):
             for x in bases[a]:
                 for y in bases[d - a]:
-                    prod = {}
-                    for mx, cx in x.items():
-                        for my, cy in y.items():
-                            m = tuple(i + j for i, j in zip(mx, my))
-                            prod[m] = prod.get(m, 0) + cx * cy
-                    grows(prod)
+                    grows(tuple_poly_mul(x, y))
         order = range(len(bases[d]))
         for i in reversed(order) if reverse else order:
             if grows(bases[d][i]):

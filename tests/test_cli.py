@@ -621,6 +621,19 @@ def test_json_booleans_are_not_integers(tmp_path, capsys, doc):
     assert line.startswith("syzlab: invalid input:")
 
 
+@pytest.mark.parametrize("p_max", ["x", None, [1], True], ids=["string", "null", "list", "bool"])
+def test_p_override_with_malformed_p_max_exits_one(tmp_path, capsys, p_max):
+    """--p raises a document's p_max to at least p only when p_max is an
+    integer; any other value reaches the parser, which refuses it."""
+    doc = json.loads((PROBLEMS / "z2_antipodal_syzygies.json").read_text())
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**doc, "p_max": p_max}))
+    code, out, err = run_cli(capsys, "syzygies", "--input", str(path), "--no-cache", "--p", "2")
+    assert (code, out) == (1, "")
+    (line,) = err.splitlines()
+    assert line.startswith("syzlab: invalid input: p_max: ")
+
+
 def test_engine_warning_is_one_line(tmp_path, capsys):
     path = tmp_path / "z2.json"
     path.write_text(json.dumps({**_Z2, "stop": 1}))

@@ -210,7 +210,7 @@ def test_kernel_matches_oracle(m):
     assert rk == oracle_rank(m)
     red, pivots, rk2 = rref(m)
     assert rk2 == rk
-    assert pivot_columns(m) == pivots
+    assert pivot_columns(_sparse_rows(m), m.cols) == pivots
     assert (red.rows, red.cols) == (m.rows, m.cols)
     assert_reduced_echelon(red, pivots, rk)
     assert rref(red) == (red, pivots, rk)

@@ -23,6 +23,24 @@ def test_engine_has_no_assert_statements():
     assert found == []
 
 
+def test_only_monomials_imports_struct():
+    """Packed monomial keys have one layout, owned by monomials.py: a
+    second module building keys with struct would be a second format."""
+    importers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(n.split(".")[0] == "struct" for n in names):
+                importers.append(path.name)
+    assert importers == ["monomials.py"]
+
+
 # Targets the tracer still names although the engine no longer has them; the
 # tracer reports their layers as missing.
 STALE_TRACER_TARGETS = {
