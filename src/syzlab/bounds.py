@@ -108,7 +108,7 @@ def audit(
     findings = []
     for p in p_values:
         bounds = compute_bounds(g, group.class_count, catalog.m, noether.value, rep.degree, p)
-        s = syzygy_degree(cx, p).degree
+        s = syzygy_degree(cx, p)
         verdicts = {
             "derksen_bound": _verdict(s, bounds["derksen_bound"]),
             "universal_bound": _verdict(s, bounds["universal_bound"]),

@@ -44,7 +44,7 @@ class Cache:
                 entry = json.load(fh)
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
+        except (ValueError, RecursionError, OSError):  # decoding errors are ValueErrors
             try:
                 os.unlink(path)
             except OSError:

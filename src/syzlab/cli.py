@@ -37,7 +37,7 @@ from .invariants import (
     molien_series,
     noether_number,
 )
-from .koszul import KoszulComplex, scan_ceiling, syzygy_degree, tor_table
+from .koszul import KoszulComplex, syzygy_degree, tor_table
 from .limits import Budget
 from .linalg import Matrix
 from .schur import (
@@ -326,8 +326,7 @@ def _syzygy_complex(problem: Problem, options):
     )
     gens = build_E(ring, problem.mode, noe)
     cx = KoszulComplex(ring, gens, noe.value)
-    top = scan_ceiling(noe.value, rep.degree, problem.p_max) + cx.guard
-    ring.precompute(range(top + 1))
+    ring.precompute(range(cx.ceiling(problem.p_max) + cx.guard + 1))
     return cx, noe
 
 
@@ -336,8 +335,8 @@ def _run_syzygies(problem: Problem, options) -> dict:
     table = tor_table(cx, p_max=problem.p_max)
     s_values = {}
     for p in range(1, problem.p_max + 1):
-        res = syzygy_degree(cx, p)
-        s_values[str(p)] = res.degree if res.degree is not None else "none"
+        s = syzygy_degree(cx, p)
+        s_values[str(p)] = s if s is not None else "none"
     return {
         "mode": problem.mode,
         "generators": {
@@ -758,6 +757,8 @@ def _execute(args) -> int:
             raise InvalidInput(f"input file not found: {args.input}")
         except json.JSONDecodeError as exc:
             raise InvalidInput(f"input is not valid JSON: {exc}")
+        except (OSError, ValueError, RecursionError) as exc:
+            raise InvalidInput(f"cannot read input {args.input}: {type(exc).__name__}: {exc}")
         budget = Budget.preset(args.budget_level)
         # the overrides below index the document, so check its shape first
         _expect(isinstance(doc, dict), "document", "expected a JSON object")

@@ -271,35 +271,32 @@ class KoszulComplex:
             return None
         return sum(degs[:p])
 
+    def ceiling(self, p: int) -> int:
+        return scan_ceiling(self.beta, self.ring.rep.degree, p)
 
-@dataclass(frozen=True)
-class SyzygyResult:
-    p: int
-    degree: int | None  # None: Tor_p vanishes entirely in the scan window
-    mode: str
+    def scan(self, p: int) -> dict:
+        """d -> tor_data(p, d) for d = 0..ceiling(p), in increasing order.
 
-    def as_json(self):
-        return {"p": self.p, "degree": self.degree if self.degree is not None else "none", "mode": self.mode}
-
-
-def syzygy_degree(cx: KoszulComplex, p: int) -> SyzygyResult:
-    """Top internal degree of Tor_p, scanned to the ceiling plus a guard band.
-
-    Nonzero homology inside the guard band would mean the scan ceiling is
-    wrong, which is a bug, never a finding.
-    """
-    if p < 1:
-        raise InvalidInput("syzygy degrees are defined for p >= 1")
-    ceiling = scan_ceiling(cx.beta, cx.ring.rep.degree, p)
-    best = None
-    for d in range(0, ceiling + cx.guard + 1):
-        if cx.tor_dimension(p, d) > 0:
-            if d > ceiling:
+        The guard degrees above the ceiling are computed too and must have
+        no Tor_p: homology there would mean the ceiling is wrong, which is a
+        bug, never a finding.
+        """
+        ceiling = self.ceiling(p)
+        scanned = {d: self.tor_data(p, d) for d in range(ceiling + 1)}
+        for d in range(ceiling + 1, ceiling + self.guard + 1):
+            if self.tor_data(p, d)[0]:
                 raise InternalInconsistency(
                     "ceiling violated — implementation bug or misread bound"
                 )
-            best = d
-    return SyzygyResult(p=p, degree=best, mode=cx.gens.mode)
+        return scanned
+
+
+def syzygy_degree(cx: KoszulComplex, p: int) -> int | None:
+    """Top internal degree of Tor_p in the scan; None where Tor_p vanishes
+    throughout it."""
+    if p < 1:
+        raise InvalidInput("syzygy degrees are defined for p >= 1")
+    return max((d for d, (dim, _) in cx.scan(p).items() if dim), default=None)
 
 
 @dataclass(frozen=True)
@@ -332,20 +329,11 @@ def tor_table(cx: KoszulComplex, p_max: int) -> TorTable:
     """
     if p_max < 0:
         raise InvalidInput("p_max must be nonnegative")
-    dim_v = cx.ring.rep.degree
     entries = {}
     ceilings = {}
     for p in range(p_max + 1):
-        ceiling = scan_ceiling(cx.beta, dim_v, p)
-        ceilings[p] = ceiling
-        for d in range(ceiling + cx.guard + 1):
-            dim = cx.tor_dimension(p, d)
-            if d <= ceiling:
-                entries[(p, d)] = dim
-            elif dim:
-                raise InternalInconsistency(
-                    "ceiling violated — implementation bug or misread bound"
-                )
+        ceilings[p] = cx.ceiling(p)
+        entries.update(((p, d), dim) for d, (dim, _) in cx.scan(p).items())
     if entries.get((0, 0)) != 1:
         raise InternalInconsistency("Tor_0 in degree 0 must be the ground field")
     for (p, d), dim in entries.items():

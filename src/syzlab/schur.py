@@ -17,7 +17,7 @@ from math import comb
 from .errors import InternalInconsistency, InvalidInput
 from .groups import IrrepCatalog, Representation
 from .invariants import Grading, InvariantRing, NoetherResult, build_E
-from .koszul import KoszulComplex, scan_ceiling, syzygy_degree
+from .koszul import KoszulComplex
 from .limits import DEFAULT_BUDGET, Budget
 from .linalg import Matrix
 from .monomials import monomials
@@ -495,15 +495,9 @@ def tor_row_bounds(
     mults = tuple(b + 1 for b in bounds)
     spec = spec_from_multiplicities(catalog, mults)
     cx = _spec_complex(spec, noether, budget)
-    ceiling = scan_ceiling(beta, spec.dimension, p)
     per_degree = []
     passed = True
-    for d in range(ceiling + cx.guard + 1):
-        total, wd = cx.tor_data(p, d)
-        if total and d > ceiling:
-            raise InternalInconsistency(
-                "ceiling violated — implementation bug or misread bound"
-            )
+    for d, (total, wd) in cx.scan(p).items():
         if not total:
             continue
         decomp = schur_multiplicities(wd, mults)
@@ -602,12 +596,11 @@ def _checked_syzygy_degree(
     Schur decomposition of the dominant ones.
     """
     cx = _spec_complex(spec, noether, budget)
-    ceiling = scan_ceiling(cx.beta, spec.dimension, p)
-    cx.ring.precompute(range(ceiling + cx.guard + 1))
-    s = syzygy_degree(cx, p).degree
-    for d in range(ceiling + 1):
-        total, wd = cx.tor_data(p, d)
+    cx.ring.precompute(range(cx.ceiling(p) + cx.guard + 1))
+    s = None
+    for d, (total, wd) in cx.scan(p).items():
         if total:
+            s = d
             decomp = schur_multiplicities(wd, spec.multiplicities)
             _cross_check_nondominant(cx, spec, decomp, p, d, samples=2)
     return s

@@ -145,9 +145,25 @@ def test_schema_error_not_a_homomorphism(tmp_path, capsys):
     assert "not a homomorphism" in err
 
 
-def test_missing_input_file(capsys):
+def test_missing_input_file(tmp_path, capsys):
+    """A missing, unreadable or undecodable document is invalid input."""
     code, _, err = run_cli(capsys, "group", "--input", "/nonexistent.json")
     assert code == 1
+    unreadable = {
+        "directory": tmp_path / "directory",
+        "not-utf8": tmp_path / "latin1.json",
+        "too-deep": tmp_path / "deep.json",
+        "huge-integer": tmp_path / "huge.json",
+    }
+    unreadable["directory"].mkdir()
+    unreadable["not-utf8"].write_bytes(b'{"group": "caf\xe9"}')
+    unreadable["too-deep"].write_text("[" * 200_000 + "]" * 200_000)
+    unreadable["huge-integer"].write_text('{"group": ' + "7" * 5000 + "}")
+    for case, path in unreadable.items():
+        code, out, err = run_cli(capsys, "group", "--input", str(path))
+        assert (code, out) == (1, ""), case
+        assert len(err.splitlines()) == 1, case
+        assert err.startswith("syzlab: invalid input: "), case
 
 
 def test_limit_exceeded_exit_code(tmp_path, capsys):
@@ -216,9 +232,10 @@ def test_cache_corrupt_entry_deleted(tmp_path):
     key = {"a": 2}
     cache.put(key, 17)
     path = cache._path(key)
-    Path(path).write_text("{not json")
-    assert cache.get(key) is None
-    assert not os.path.exists(path)
+    for text in ("{not json", "[" * 200_000 + "]" * 200_000, "7" * 5000):
+        Path(path).write_text(text)
+        assert cache.get(key) is None
+        assert not os.path.exists(path)
 
 
 def test_cache_concurrent_put_single_winner(tmp_path):

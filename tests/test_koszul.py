@@ -1,15 +1,22 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from syzlab.cli import main
 from syzlab.cyclo import Cyclotomic, zeta
 from syzlab.errors import InternalInconsistency, InvalidInput
 from syzlab.groups import Representation, builtin_group
 from syzlab.invariants import InvariantRing, build_E, noether_number
-from syzlab.koszul import KoszulComplex, SyzygyResult, scan_ceiling, syzygy_degree, tor_table
+from syzlab.koszul import KoszulComplex, scan_ceiling, syzygy_degree, tor_table
 from syzlab.linalg import Matrix, rank
 from syzlab.monomials import poly_mul
-from syzlab.schur import dominant_weights, spec_from_multiplicities
+from syzlab.schur import (
+    domination_check,
+    dominant_weights,
+    spec_from_multiplicities,
+    tor_row_bounds,
+)
 
 from oracles import davenport_constant, row_reduce_rank, veronese_tor
 
@@ -87,13 +94,13 @@ def test_tor_dimension_examples(z2_min):
 
 
 def test_syzygy_degree_veronese_z2(z2_min):
-    assert syzygy_degree(z2_min, 1) == SyzygyResult(p=1, degree=4, mode="minimal")
-    assert syzygy_degree(z2_min, 2).degree is None
+    assert syzygy_degree(z2_min, 1) == 4
+    assert syzygy_degree(z2_min, 2) is None
 
 
 def test_syzygy_degree_veronese_z3(z3_min):
-    assert syzygy_degree(z3_min, 1).degree == 6
-    assert syzygy_degree(z3_min, 2).degree == 9
+    assert syzygy_degree(z3_min, 1) == 6
+    assert syzygy_degree(z3_min, 2) == 9
 
 
 def test_tor_table_trivial_group():
@@ -178,6 +185,38 @@ def test_d_squared_check_fires(make_rep, p, d):
         cx.tor_data(p, d)
 
 
+def test_nonzero_guard_band_is_an_inconsistency(monkeypatch, capsys):
+    """Tor_p reported one degree above the ceiling stops every scan with exit
+    3: the syzygy degree, the table, both Schur checks and the CLI."""
+    real_tor_data = KoszulComplex.tor_data
+
+    def tor_data_above_ceiling(self, p, d):
+        total, weight_dims = real_tor_data(self, p, d)
+        if p >= 1 and d == self.ceiling(p) + 1:
+            return total + 1, weight_dims
+        return total, weight_dims
+
+    monkeypatch.setattr(KoszulComplex, "tor_data", tor_data_above_ceiling)
+    with pytest.raises(InternalInconsistency, match="ceiling violated"):
+        syzygy_degree(make_cx(z2_rep(), "minimal"), 1)
+    with pytest.raises(InternalInconsistency, match="ceiling violated"):
+        tor_table(make_cx(z2_rep(), "minimal"), p_max=2)
+    group, catalog = builtin_group("builtin:cyclic:2")
+    noe = noether_number(group)
+    with pytest.raises(InternalInconsistency, match="ceiling violated"):
+        tor_row_bounds(catalog, noe, p=1)
+    with pytest.raises(InternalInconsistency, match="ceiling violated"):
+        domination_check(catalog, noe, p=1, samples=[])
+    problem = Path(__file__).resolve().parent.parent / "problems" / "z2_antipodal_syzygies.json"
+    code = main(["syzygies", "--input", str(problem), "--no-cache"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "syzlab: internal inconsistency: ceiling violated — implementation bug or misread bound"
+    ]
+
+
 @pytest.mark.parametrize("make_rep", [z2_rep, z3_cyclotomic_rep], ids=["z2", "z3-cyclotomic"])
 def test_tor_table_multiplies_each_pair_once(monkeypatch, make_rep):
     """Each (R basis element, generator) product is formed and written in
@@ -209,7 +248,7 @@ def test_tor_table_full_mode_triv_sign():
     cx = make_cx(diag_rep("builtin:cyclic:2", [Fraction(1), Fraction(-1)]), "full")
     table = tor_table(cx, p_max=1)
     assert table.nonzero_rows() == [(0, 0, 1), (1, 2, 1)]
-    assert syzygy_degree(cx, 1).degree == 2
+    assert syzygy_degree(cx, 1) == 2
 
 
 def test_oracle_agreement_veronese_z2(z2_min):
@@ -240,8 +279,8 @@ def test_monotonicity_minimal_vs_full():
         cx_min = make_cx(rep, "minimal")
         cx_full = make_cx(rep, "full")
         for p in (1, 2):
-            s_min = syzygy_degree(cx_min, p).degree
-            s_full = syzygy_degree(cx_full, p).degree
+            s_min = syzygy_degree(cx_min, p)
+            s_full = syzygy_degree(cx_full, p)
             lo = -1 if s_min is None else s_min
             hi = -1 if s_full is None else s_full
             assert lo <= hi, (rep, p, s_min, s_full)
@@ -264,7 +303,7 @@ def test_zero_dimensional_rep():
     group, _ = builtin_group("builtin:cyclic:2")
     rep = Representation(group, [Matrix(0, 0, [])] * group.order)
     cx = make_cx(rep, "minimal")
-    assert syzygy_degree(cx, 1).degree is None
+    assert syzygy_degree(cx, 1) is None
     assert tor_table(cx, p_max=1).nonzero_rows() == [(0, 0, 1)]
 
 

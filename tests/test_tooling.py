@@ -41,6 +41,32 @@ def test_only_monomials_imports_struct():
     assert importers == ["monomials.py"]
 
 
+def test_one_guard_band_check():
+    """The scan to the ceiling and its empty guard band have one owner,
+    KoszulComplex.scan: a second copy of the check is one the next scan can
+    forget."""
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        sites += [
+            (path.name, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and "ceiling violated" in node.value
+        ]
+    koszul = ast.parse((PACKAGE / "koszul.py").read_text(encoding="utf-8"))
+    (complex_class,) = [
+        n for n in koszul.body if isinstance(n, ast.ClassDef) and n.name == "KoszulComplex"
+    ]
+    (scan,) = [
+        n for n in complex_class.body if isinstance(n, ast.FunctionDef) and n.name == "scan"
+    ]
+    assert len(sites) == 1
+    assert scan.lineno <= sites[0][1] <= scan.end_lineno
+    assert sites[0][0] == "koszul.py"
+
+
 # Targets the tracer still names although the engine no longer has them; the
 # tracer reports their layers as missing.
 STALE_TRACER_TARGETS = {
