@@ -63,7 +63,7 @@ class Cache:
         try:
             fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(entry, fh, sort_keys=True)
+                fh.write(json.dumps(entry, sort_keys=True))
             os.replace(tmp, path)
         except OSError as exc:
             if tmp is not None:

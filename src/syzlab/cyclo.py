@@ -1,13 +1,17 @@
 """Exact scalars: arbitrary-precision rationals and cyclotomic numbers.
 
-Rationals are ``fractions.Fraction`` (already reduced, positive
-denominator). Irrational values live in Q(zeta_N) represented on the power
-basis 1, z, ..., z^(phi(N)-1) modulo the N-th cyclotomic polynomial. Each
-power-basis coefficient is an ``int`` when it is integral and a
-``Fraction`` otherwise, so elements of Z[zeta_N] compute with ints only.
-Arithmetic between different conductors lifts both operands to the lcm on
-demand; results that turn out rational are demoted to Fraction, so a
-Cyclotomic instance produced by arithmetic is always irrational.
+One scalar convention holds from the wire to every result: an integral
+value is an ``int``, any other rational a ``fractions.Fraction`` (reduced,
+positive denominator), and an irrational value a ``Cyclotomic``.
+Irrational values live in Q(zeta_N) represented on the power basis
+1, z, ..., z^(phi(N)-1) modulo the N-th cyclotomic polynomial, each
+power-basis coefficient again an ``int`` or a ``Fraction`` by the same
+rule, so elements of Z[zeta_N] compute with ints only. Arithmetic between
+different conductors lifts both operands to the lcm on demand; results
+that turn out rational are demoted to int or Fraction, so a Cyclotomic
+instance produced by arithmetic is always irrational. Integer division
+(`/` on two ints) and negative integer powers would give floats: exact
+quotients go through `quotient`.
 """
 
 from __future__ import annotations
@@ -35,6 +39,15 @@ def _int_if_integral(x):
     if type(x) is Fraction and x.denominator == 1:
         return x.numerator
     return x
+
+
+def quotient(x, k: int):
+    """x / k for a nonzero int k, under the scalar convention: an int when
+    the quotient is integral."""
+    if isinstance(x, int):
+        q, r = divmod(x, k)
+        return Fraction(x, k) if r else q
+    return _int_if_integral(x / k)
 
 
 def _poly_trim(coeffs):
@@ -99,7 +112,7 @@ def _poly_ext_gcd_mod(a, n):
     """u with u*a = 1 modulo Phi_n, both over Q; a is nonzero of degree < phi(n)."""
     phi = [Fraction(c) for c in _cyclotomic_poly_cached(n)]
     r0, r1 = phi, _poly_trim([Fraction(c) for c in a])
-    s0, s1 = [], [Fraction(1)]
+    s0, s1 = [], [1]
     while r1:
         q = []
         r = list(r0)
@@ -107,7 +120,7 @@ def _poly_ext_gcd_mod(a, n):
             c = r[-1] / r1[-1]
             d = len(r) - len(r1)
             while len(q) <= d:
-                q.append(Fraction(0))
+                q.append(0)
             q[d] += c
             for j, x in enumerate(r1):
                 r[d + j] -= c * x
@@ -118,7 +131,7 @@ def _poly_ext_gcd_mod(a, n):
                 continue
             for j, sc in enumerate(s1):
                 while len(new_s) <= i + j:
-                    new_s.append(Fraction(0))
+                    new_s.append(0)
                 new_s[i + j] -= qc * sc
         _poly_trim(new_s)
         r0, r1 = r1, r
@@ -152,11 +165,11 @@ class Cyclotomic:
 
     @staticmethod
     def _normalized(conductor, coeffs):
-        """The element with reduced int/Fraction coefficients `coeffs`: a
-        Fraction when it is rational, otherwise a Cyclotomic whose integral
-        coefficients are ints and the others Fractions."""
+        """The element with reduced int/Fraction coefficients `coeffs`: an
+        int or a Fraction when it is rational, otherwise a Cyclotomic whose
+        integral coefficients are ints and the others Fractions."""
         if not any(coeffs[1:]):
-            return Fraction(coeffs[0]) if coeffs else Fraction(0)
+            return _int_if_integral(coeffs[0]) if coeffs else 0
         el = Cyclotomic.__new__(Cyclotomic)
         el.conductor = conductor
         el.coeffs = tuple(c if type(c) is int else _int_if_integral(c) for c in coeffs)
@@ -217,7 +230,7 @@ class Cyclotomic:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
-                return Fraction(0)
+                return 0
             other = _int_if_integral(other)
             return Cyclotomic._normalized(
                 self.conductor, [c * other for c in self.coeffs]
@@ -247,7 +260,7 @@ class Cyclotomic:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 raise ZeroDivisionError("division by zero")
-            return self * (Fraction(1) / Fraction(other))
+            return self * (1 / Fraction(other))
         if isinstance(other, Cyclotomic):
             return self * other.inverse()
         return NotImplemented
@@ -260,7 +273,7 @@ class Cyclotomic:
     def __pow__(self, k: int):
         if k < 0:
             return self.inverse() ** (-k)
-        result: Scalar = Fraction(1)
+        result: Scalar = 1
         base: Scalar = self
         while k:
             if k & 1:
@@ -298,23 +311,24 @@ def zeta(n: int, limit: int = DEFAULT_CONDUCTOR_LIMIT) -> Scalar:
     """A primitive n-th root of unity."""
     cyclotomic_polynomial(n, limit)  # conductor limit check
     if n == 1:
-        return Fraction(1)
+        return 1
     if n == 2:
-        return Fraction(-1)
+        return -1
     coeffs = [0] * totient(n)
     coeffs[1] = 1
     return Cyclotomic(n, coeffs)
 
 
 def as_rational(x: Scalar):
-    """The Fraction value of x, or None when x is irrational."""
+    """The rational value of x, an int when integral and a Fraction
+    otherwise, or None when x is irrational."""
     if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
         return x
+    if isinstance(x, Fraction):
+        return _int_if_integral(x)
     if isinstance(x, Cyclotomic):
         if not any(x.coeffs[1:]):
-            return Fraction(x.coeffs[0])
+            return x.coeffs[0]
         return None
     raise TypeError(f"not a scalar: {x!r}")
 
@@ -322,9 +336,7 @@ def as_rational(x: Scalar):
 def as_integer(x: Scalar):
     """The int value of x, or None when x is not a rational integer."""
     q = as_rational(x)
-    if q is None or q.denominator != 1:
-        return None
-    return q.numerator
+    return q if type(q) is int else None
 
 
 def bit_size(x: Scalar) -> int:
@@ -340,6 +352,8 @@ def bit_size(x: Scalar) -> int:
 
 def scalar_key(x: Scalar):
     """Canonical hashable key; equal scalars share a key."""
+    if type(x) is int:
+        return (x, 1)
     q = as_rational(x)
     if q is not None:
         return (q.numerator, q.denominator)
@@ -351,6 +365,8 @@ def scalar_key(x: Scalar):
 
 
 def encode_scalar(x: Scalar):
+    if type(x) is int:
+        return [x, 1]
     q = as_rational(x)
     if q is not None:
         return [q.numerator, q.denominator]
@@ -368,13 +384,14 @@ def is_int(x) -> bool:
 
 def decode_scalar(obj, limit: int = DEFAULT_CONDUCTOR_LIMIT) -> Scalar:
     if is_int(obj):
-        return Fraction(obj)
+        return obj
     if isinstance(obj, list):
         if len(obj) != 2 or not all(is_int(v) for v in obj):
             raise InvalidInput(f"rational encoding must be [num, den], got {obj!r}")
         if obj[1] <= 0:
             raise InvalidInput(f"denominator must be positive in {obj!r}")
-        return Fraction(obj[0], obj[1])
+        q, r = divmod(obj[0], obj[1])
+        return Fraction(obj[0], obj[1]) if r else q
     if isinstance(obj, dict):
         try:
             n = obj["conductor"]

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .cyclo import Cyclotomic, scalar_key, zeta
+from .cyclo import Cyclotomic, quotient, scalar_key, zeta
 from .errors import InternalInconsistency, InvalidInput, LimitExceeded
 from .limits import DEFAULT_BUDGET, Budget
 from .linalg import Matrix, rank
@@ -176,7 +175,7 @@ def _unify_matrix_conductors(mats):
         for row in m.data:
             rows.append(
                 [
-                    Cyclotomic._normalized(n, x.lift(n)) if isinstance(x, Cyclotomic) else Fraction(x)
+                    Cyclotomic._normalized(n, x.lift(n)) if isinstance(x, Cyclotomic) else x
                     for x in row
                 ]
             )
@@ -289,7 +288,7 @@ def character_of(rep: Representation) -> Character:
     traces = []
     for a in range(group.order):
         m = rep.images[a]
-        traces.append(sum((m.at(i, i) for i in range(m.rows)), Fraction(0)))
+        traces.append(sum(m.at(i, i) for i in range(m.rows)))
     values = []
     for k, r in enumerate(group.class_reps):
         for a in range(group.order):
@@ -303,11 +302,11 @@ def character_of(rep: Representation) -> Character:
 
 def character_inner_product(group: FiniteGroup, chi: Character, psi: Character):
     """(1/g) sum over G of chi(a) psi(a^-1), evaluated class by class."""
-    total = Fraction(0)
+    total = 0
     for k in range(group.class_count):
         inv_class = group.class_of[group.inverses[group.class_reps[k]]]
         total = total + group.class_sizes[k] * (chi.values[k] * psi.values[inv_class])
-    return total * Fraction(1, group.order)
+    return quotient(total, group.order)
 
 
 class IrrepCatalog:
@@ -359,9 +358,9 @@ def regular_representation(group: FiniteGroup) -> Representation:
     g = group.order
     images = []
     for a in range(g):
-        data = [[Fraction(0)] * g for _ in range(g)]
+        data = [[0] * g for _ in range(g)]
         for b in range(g):
-            data[group.mul(a, b)][b] = Fraction(1)
+            data[group.mul(a, b)][b] = 1
         images.append(Matrix(g, g, data))
     return Representation(group, images, check=False)
 
@@ -371,10 +370,6 @@ def regular_representation(group: FiniteGroup) -> Representation:
 
 def _perm_cycle(n):
     return tuple((i + 1) % n for i in range(n))
-
-
-def _mat(rows):
-    return Matrix.from_rows([[Fraction(x) if not isinstance(x, Cyclotomic) else x for x in r] for r in rows])
 
 
 def _builtin_spec(name: str):
@@ -390,13 +385,13 @@ def _builtin_spec(name: str):
 
     if kind == "cyclic" and 1 <= n <= 12:
         gens = [_perm_cycle(n)] if n > 1 else [(0,)]
-        irreps = [[_mat([[zeta(n) ** k]])] for k in range(n)]
+        irreps = [[Matrix.from_rows([[zeta(n) ** k]])] for k in range(n)]
         return gens, irreps
 
     if kind == "klein" and n == 4:
         gens = [(1, 0, 3, 2), (2, 3, 0, 1)]
         irreps = [
-            [_mat([[a]]), _mat([[b]])]
+            [Matrix.from_rows([[a]]), Matrix.from_rows([[b]])]
             for a, b in [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         ]
         return gens, irreps
@@ -411,13 +406,13 @@ def _builtin_spec(name: str):
         else:
             linear = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         for a, b in linear:
-            irreps.append([_mat([[a]]), _mat([[b]])])
+            irreps.append([Matrix.from_rows([[a]]), Matrix.from_rows([[b]])])
         z = zeta(n)
         for j in range(1, (n - 1) // 2 + 1 if n % 2 == 1 else n // 2):
             irreps.append(
                 [
-                    _mat([[z**j, 0], [0, z**-j]]),
-                    _mat([[0, 1], [1, 0]]),
+                    Matrix.from_rows([[z**j, 0], [0, z**-j]]),
+                    Matrix.from_rows([[0, 1], [1, 0]]),
                 ]
             )
         return gens, irreps
@@ -425,23 +420,23 @@ def _builtin_spec(name: str):
     if kind == "sym" and n == 3:
         gens = [(1, 0, 2), (1, 2, 0)]  # (0 1), (0 1 2)
         irreps = [
-            [_mat([[1]]), _mat([[1]])],
-            [_mat([[-1]]), _mat([[1]])],
-            [_mat([[-1, 1], [0, 1]]), _mat([[0, -1], [1, -1]])],
+            [Matrix.from_rows([[1]]), Matrix.from_rows([[1]])],
+            [Matrix.from_rows([[-1]]), Matrix.from_rows([[1]])],
+            [Matrix.from_rows([[-1, 1], [0, 1]]), Matrix.from_rows([[0, -1], [1, -1]])],
         ]
         return gens, irreps
 
     if kind == "sym" and n == 4:
         gens = [(1, 0, 2, 3), (1, 2, 3, 0)]  # (0 1), (0 1 2 3)
-        std_t = _mat([[-1, 1, 0], [0, 1, 0], [0, 0, 1]])
-        std_c = _mat([[0, 0, -1], [1, 0, -1], [0, 1, -1]])
+        std_t = Matrix.from_rows([[-1, 1, 0], [0, 1, 0], [0, 0, 1]])
+        std_c = Matrix.from_rows([[0, 0, -1], [1, 0, -1], [0, 1, -1]])
         irreps = [
-            [_mat([[1]]), _mat([[1]])],
-            [_mat([[-1]]), _mat([[-1]])],
+            [Matrix.from_rows([[1]]), Matrix.from_rows([[1]])],
+            [Matrix.from_rows([[-1]]), Matrix.from_rows([[-1]])],
             # factors through the quotient on the three pairings
-            [_mat([[1, 0], [1, -1]]), _mat([[0, -1], [-1, 0]])],
+            [Matrix.from_rows([[1, 0], [1, -1]]), Matrix.from_rows([[0, -1], [-1, 0]])],
             [std_t, std_c],
-            [std_t.scale(Fraction(-1)), std_c.scale(Fraction(-1))],
+            [std_t.scale(-1), std_c.scale(-1)],
         ]
         return gens, irreps
 
@@ -449,23 +444,23 @@ def _builtin_spec(name: str):
         gens = [(1, 2, 0, 3), (1, 0, 3, 2)]  # (0 1 2), (0 1)(2 3)
         w = zeta(3)
         irreps = [
-            [_mat([[1]]), _mat([[1]])],
-            [_mat([[w]]), _mat([[1]])],
-            [_mat([[w**2]]), _mat([[1]])],
+            [Matrix.from_rows([[1]]), Matrix.from_rows([[1]])],
+            [Matrix.from_rows([[w]]), Matrix.from_rows([[1]])],
+            [Matrix.from_rows([[w**2]]), Matrix.from_rows([[1]])],
             [
-                _mat([[0, -1, 1], [1, -1, 1], [0, 0, 1]]),
-                _mat([[-1, 1, 0], [0, 1, 0], [0, 1, -1]]),
+                Matrix.from_rows([[0, -1, 1], [1, -1, 1], [0, 0, 1]]),
+                Matrix.from_rows([[-1, 1, 0], [0, 1, 0], [0, 1, -1]]),
             ],
         ]
         return gens, irreps
 
     if kind == "quaternion" and n == 8:
         z4 = zeta(4)
-        gi = _mat([[z4, 0], [0, -1 * z4]])
-        gj = _mat([[0, -1], [1, 0]])
+        gi = Matrix.from_rows([[z4, 0], [0, -1 * z4]])
+        gj = Matrix.from_rows([[0, -1], [1, 0]])
         gens = [gi, gj]
         irreps = [
-            [_mat([[a]]), _mat([[b]])]
+            [Matrix.from_rows([[a]]), Matrix.from_rows([[b]])]
             for a, b in [(1, 1), (1, -1), (-1, 1), (-1, -1)]
         ]
         irreps.append([gi, gj])

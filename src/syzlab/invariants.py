@@ -31,7 +31,7 @@ from fractions import Fraction
 from math import lcm
 from operator import add
 
-from .cyclo import as_integer, decode_scalar, encode_scalar
+from .cyclo import Cyclotomic, as_integer, decode_scalar, encode_scalar, quotient
 from .errors import InternalInconsistency, InvalidInput, LimitExceeded
 from .groups import FiniteGroup, Representation, regular_representation
 from .limits import DEFAULT_BUDGET, Budget
@@ -97,6 +97,22 @@ class Grading:
 
 
 TRIVIAL_GRADING = Grading()
+
+
+def _integral_multiple(poly: dict) -> dict:
+    """poly times the lcm of every denominator its coefficients hold, those
+    of a Cyclotomic's power-basis coefficients included, so its
+    coefficients are ints or Cyclotomics with int coefficients; poly itself
+    when it holds no denominator."""
+    den = 1
+    for c in poly.values():
+        if type(c) is Fraction:
+            den = lcm(den, c.denominator)
+        elif type(c) is Cyclotomic:
+            den = lcm(den, *(x.denominator for x in c.coeffs))
+    if den == 1:
+        return poly
+    return {m: _int_if_integral(c * den) for m, c in poly.items()}
 
 
 class InvElem:
@@ -290,8 +306,12 @@ class InvariantRing:
     def weight_dims(self, d: int) -> dict:
         return {w: len(b) for w, b in self.blocks(d).items()}
 
-    def precompute(self, degrees):
-        """Blocks of every degree, after one Molien fetch up to the top one."""
+    def precompute(self, degrees: range):
+        """Blocks of every degree of the range, after one Molien fetch up to
+        the top one. A top degree the packed keys cannot hold is refused
+        before any degree is listed."""
+        if degrees and degrees[-1] >= _DEGREE_LIMIT:
+            raise LimitExceeded("degree too large")
         degrees = [d for d in degrees if d not in self._degree_blocks]
         if degrees:
             self.molien(max(degrees))
@@ -388,12 +408,10 @@ class InvariantRing:
         return {w: found[w] for w in weights if w in found}
 
     def _fixed_by_generators(self, poly: dict) -> bool:
-        """g . poly == poly for every generator g, hence for all of G. A
-        rational poly is first scaled by the lcm of its denominators, which
-        leaves the test unchanged and keeps integer arithmetic integer."""
-        if all(type(c) is int or type(c) is Fraction for c in poly.values()):
-            den = lcm(*(c.denominator for c in poly.values()))
-            poly = {m: c.numerator * (den // c.denominator) for m, c in poly.items()}
+        """g . poly == poly for every generator g, hence for all of G. The
+        poly is first replaced by its integral multiple, which leaves the
+        test unchanged and keeps integer arithmetic integer."""
+        poly = _integral_multiple(poly)
         monos = [unpack(m, self.nvars) for m in poly]
         for k in self.rep.group.generator_elements():
             moved: dict = {}
@@ -418,7 +436,7 @@ class InvariantRing:
             ):
                 return None
             key = pack(m)
-            c = _int_if_integral(decode_scalar(c))
+            c = decode_scalar(c)
             if not c or key in poly:
                 return None
             poly[key] = c
@@ -432,29 +450,31 @@ class InvariantRing:
 
 
 def _char_poly_det(m: Matrix):
-    """Coefficients of det(I - t*M), ascending in t, via trace Newton identities."""
+    """Coefficients of det(I - t*M), ascending in t, via trace Newton
+    identities; each division by k is exact, so an integer matrix keeps
+    int coefficients throughout."""
     n = m.rows
     traces = []
     power = m
     for _ in range(n):
-        traces.append(sum((power.at(i, i) for i in range(n)), Fraction(0)))
+        traces.append(sum(power.at(i, i) for i in range(n)))
         power = power @ m
-    elem = [Fraction(1)]
+    elem = [1]
     for k in range(1, n + 1):
-        acc = Fraction(0)
+        acc = 0
         for j in range(1, k + 1):
             term = elem[k - j] * traces[j - 1]
             acc = acc + (term if j % 2 == 1 else -term)
-        elem.append(acc * Fraction(1, k))
+        elem.append(quotient(acc, k))
     return [elem[k] if k % 2 == 0 else -elem[k] for k in range(n + 1)]
 
 
 def _series_inverse(q, max_degree: int):
     if q[0] != 1:
         raise InternalInconsistency(f"det(I - t*M) has constant term {q[0]}, not 1")
-    out = [Fraction(1)]
+    out = [1]
     for d in range(1, max_degree + 1):
-        acc = Fraction(0)
+        acc = 0
         for i in range(1, min(d, len(q) - 1) + 1):
             acc = acc + q[i] * out[d - i]
         out.append(-acc)
@@ -469,7 +489,7 @@ def molien_series(rep: Representation, max_degree: int):
     integer, a nontrivial cancellation check over the cyclotomic field.
     """
     group = rep.group
-    totals = [Fraction(0)] * (max_degree + 1)
+    totals = [0] * (max_degree + 1)
     for k, r in enumerate(group.class_reps):
         inv = _series_inverse(_char_poly_det(rep.images[r]), max_degree)
         size = group.class_sizes[k]
@@ -477,7 +497,7 @@ def molien_series(rep: Representation, max_degree: int):
             totals[d] = totals[d] + size * inv[d]
     out = []
     for d, v in enumerate(totals):
-        n = as_integer(v * Fraction(1, group.order))
+        n = as_integer(quotient(v, group.order))
         if n is None or n < 0:
             raise InternalInconsistency(
                 f"internal arithmetic inconsistency: Molien coefficient at degree {d} "
@@ -528,10 +548,12 @@ def minimal_generators(
     exactly when no vector in the span of the products has its last
     nonzero coordinate, in scan order, at that element; with the columns
     in reverse scan order those positions are the pivot columns of the
-    products' coordinate rows. The syzygy degrees downstream must not
-    depend on `selection`, which the test suite verifies. The warning
-    fires when the scan stops below the order fallback ceiling and the
-    caller has no better ceiling of its own.
+    products' coordinate rows. The products are taken of the elements'
+    integral multiples (`_integral_multiple`): that scales each coordinate
+    row by a nonzero constant, which moves no pivot. The syzygy degrees
+    downstream must not depend on `selection`, which the test suite
+    verifies. The warning fires when the scan stops below the order
+    fallback ceiling and the caller has no better ceiling of its own.
     """
     if selection not in ("forward", "reverse"):
         raise InvalidInput(f"unknown selection order {selection!r}")
@@ -544,15 +566,19 @@ def minimal_generators(
             stacklevel=2,
         )
     ring.precompute(range(1, stop + 1))
+    # per degree below stop: (weight, integral multiple) of each element
+    multiples = [()] + [
+        [(x.weight, _integral_multiple(x.poly)) for x in ring.basis(a)] for a in range(1, stop)
+    ]
     chosen = []
     for d in range(1, stop + 1):
         blocks = list(ring.blocks(d).items())
         products: dict = {}  # weight -> the products' coordinates
         for a in range(1, d // 2 + 1):
-            for x in ring.basis(a):
-                for y in ring.basis(d - a):
-                    w = tuple(map(add, x.weight, y.weight))
-                    coords = ring.coords_in_basis(poly_mul(x.poly, y.poly), d, w)
+            for wx, x in multiples[a]:
+                for wy, y in multiples[d - a]:
+                    w = tuple(map(add, wx, wy))
+                    coords = ring.coords_in_basis(poly_mul(x, y), d, w)
                     products.setdefault(w, []).append(coords)
         if not forward:
             blocks.reverse()

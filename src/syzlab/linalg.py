@@ -1,8 +1,11 @@
 """Exact linear algebra over the scalar field.
 
-Entries are ints, Fractions or Cyclotomics; any mix works because the
-scalars coerce through their operators. `Matrix` is an immutable dense
-container; its product walks only the nonzero entries of both factors.
+Entries follow the scalar convention of `cyclo`: ints when integral,
+Fractions for other rationals, Cyclotomics for irrational values; any mix
+works because the scalars coerce through their operators. `Matrix` is an
+immutable dense container; its product walks only the nonzero entries of
+both factors and keeps the convention, so a product of integer matrices
+is computed and stored in ints.
 There is one sparse elimination kernel. Its rows are {column: nonzero}
 dicts with integral values carried as int. Each column's pivot is the
 candidate of smallest (bit-size of its entry, row length): the entry size
@@ -31,8 +34,6 @@ from typing import Iterable
 from .cyclo import _int_if_integral, bit_size
 from .errors import InvalidInput
 
-_ZERO = Fraction(0)
-
 
 class Matrix:
     """Immutable dense matrix, row-major."""
@@ -55,9 +56,7 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(
-            n, n, [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
+        return Matrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     def at(self, i: int, j: int):
         return self.data[i][j]
@@ -65,9 +64,8 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InvalidInput("matmul dimension mismatch")
-        # each entry starts at int 0 and takes its terms in increasing k; an
-        # entry still int at the end becomes a Fraction, so values and types
-        # are those of a Fraction(0) start
+        # each entry starts at int 0 and takes its terms in increasing k; a
+        # Fraction sum that ends integral is demoted to int
         right = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
         out = []
         for r in self.data:
@@ -76,7 +74,7 @@ class Matrix:
                 if a:
                     for j, b in right[k]:
                         acc[j] = acc[j] + a * b
-            out.append([(Fraction(x) if x else _ZERO) if type(x) is int else x for x in acc])
+            out.append([_int_if_integral(x) if type(x) is Fraction else x for x in acc])
         return Matrix(self.rows, other.cols, out)
 
     def scale(self, c) -> "Matrix":

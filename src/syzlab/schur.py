@@ -11,7 +11,6 @@ the comparison against the universal representation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .errors import InternalInconsistency, InvalidInput
@@ -152,14 +151,17 @@ def schur_dim(lam: tuple, k: int) -> int:
     for part in lam:
         for j in range(part):
             conj[j] += 1
-    dim = Fraction(1)
+    contents = hooks = 1
     for i, part in enumerate(lam):
         for j in range(part):
-            hook = part - j + conj[j] - i - 1
-            dim *= Fraction(k + j - i, hook)
-    if dim.denominator != 1:
-        raise InternalInconsistency(f"hook-content formula gave dim S_{lam}(C^{k}) = {dim}")
-    return dim.numerator
+            contents *= k + j - i
+            hooks *= part - j + conj[j] - i - 1
+    dim, rem = divmod(contents, hooks)
+    if rem:
+        raise InternalInconsistency(
+            f"hook-content formula gave dim S_{lam}(C^{k}) = {contents}/{hooks}"
+        )
+    return dim
 
 
 # -- universal specializations -----------------------------------------------------
@@ -195,7 +197,7 @@ def spec_from_multiplicities(catalog: IrrepCatalog, multiplicities) -> Universal
     dim = sum(group_sizes)
     images = []
     for a in range(group.order):
-        data = [[Fraction(0)] * dim for _ in range(dim)]
+        data = [[0] * dim for _ in range(dim)]
         pos = 0
         for irrep, k in zip(catalog.irreps, mults):
             m = irrep.images[a]

@@ -3,13 +3,15 @@
 Deliberately shares no code with the library: its own monomial enumeration
 (via combinations_with_replacement), its own textbook Gaussian elimination
 over Fractions, a dense Reynolds operator on symmetric powers built from
-plain lists, a greedy generator selection in polynomial space, and direct
+plain lists, a greedy generator selection in polynomial space, direct
 construction of the Koszul complex for Veronese invariant rings, where
-invariance is just a degree-divisibility condition.
+invariance is just a degree-divisibility condition, and a Molien series
+computed from power sums with Fractions only.
 """
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
+from math import gcd, lcm
 
 
 def monos(nvars, d):
@@ -233,3 +235,100 @@ def davenport_constant(moduli):
 
     extend(0, set(), 0)
     return best + 1
+
+
+def _moebius(n):
+    sign, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def _phi(n):
+    return sum(1 for k in range(1, n + 1) if gcd(k, n) == 1)
+
+
+def molien_oracle(images, max_degree):
+    """dim Sym^d(V)^G for d = 0..max_degree as the Fractions
+    (1/|G|) sum_g h_d(g), where h_d(g) = tr Sym^d(g) follows from the power
+    sums p_i = tr(g^i) by Newton's identity d h_d = sum_i p_i h_(d-i).
+
+    `images` holds one square matrix (list of rows) per group element. An
+    entry is a rational or has `conductor` and `coeffs`: the value
+    sum_i coeffs[i] zeta_N^i. Scalars are vectors of m Fractions in
+    Q[x]/(x^m - 1), m the lcm of the conductors, x standing for zeta_m and
+    zeta_N for x^(m/N). Mapping x to zeta_m is a ring map, and the total is
+    rational, so it is read back through the trace of Q(zeta_m): the trace
+    of zeta_m^k is the Ramanujan sum mu(m/g) phi(m)/phi(m/g), g = gcd(k, m),
+    and that of a rational r is phi(m) r.
+    """
+    m = 1
+    for a in images:
+        for row in a:
+            for x in row:
+                m = lcm(m, getattr(x, "conductor", 1))
+
+    def lift(x):
+        v = [Fraction(0)] * m
+        if hasattr(x, "conductor"):
+            step = m // x.conductor
+            for i, c in enumerate(x.coeffs):
+                v[i * step] = Fraction(c)
+        else:
+            v[0] = Fraction(x)
+        return v
+
+    def add(u, v):
+        return [a + b for a, b in zip(u, v)]
+
+    def mul(u, v):
+        w = [Fraction(0)] * m
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    if b:
+                        w[(i + j) % m] += a * b
+        return w
+
+    def matmul(a, b):
+        n = len(a)
+        out = [[[Fraction(0)] * m for _ in range(n)] for _ in range(n)]
+        for i in range(n):
+            for k in range(n):
+                if any(a[i][k]):
+                    for j in range(n):
+                        if any(b[k][j]):
+                            out[i][j] = add(out[i][j], mul(a[i][k], b[k][j]))
+        return out
+
+    one = [Fraction(1)] + [Fraction(0)] * (m - 1)
+    totals = [[Fraction(0)] * m for _ in range(max_degree + 1)]
+    for image in images:
+        a = [[lift(x) for x in row] for row in image]
+        sums, power = [], a
+        for i in range(max_degree):
+            trace = [Fraction(0)] * m
+            for j in range(len(a)):
+                trace = add(trace, power[j][j])
+            sums.append(trace)
+            if i + 1 < max_degree:
+                power = matmul(power, a)
+        h = [one]
+        for d in range(1, max_degree + 1):
+            acc = [Fraction(0)] * m
+            for i in range(1, d + 1):
+                acc = add(acc, mul(sums[i - 1], h[d - i]))
+            h.append([c / d for c in acc])
+        totals = [add(t, hd) for t, hd in zip(totals, h)]
+    ramanujan = [
+        _moebius(m // gcd(k, m)) * Fraction(_phi(m), _phi(m // gcd(k, m))) for k in range(m)
+    ]
+    return [
+        sum((c * r for c, r in zip(t, ramanujan)), Fraction(0)) / (_phi(m) * len(images))
+        for t in totals
+    ]

@@ -1,6 +1,9 @@
 import json
 import os
 import re
+import resource
+import subprocess
+import sys
 import tempfile
 import threading
 from fractions import Fraction
@@ -708,3 +711,46 @@ def test_non_invariant_rational_coefficient_is_rejected(tmp_path, capsys, monkey
     assert (code, out, err) == (0, expected, "")
     assert False in verdicts
     assert json.loads(path.read_text())["payload"] == entry["payload"]
+
+
+# -- degrees beyond the packed keys ------------------------------------------------
+
+HUGE = 100000000000000000000
+
+
+def _limit_address_space():
+    """About 1.5 GB: enough for any run here, far too little for a list of
+    HUGE degrees."""
+    resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+
+
+@pytest.mark.parametrize("case", ["syzygies-p", "invariants-stop"])
+def test_huge_degree_refused_before_listing(tmp_path, case):
+    """A top degree of 2^16 or more is refused with exit 2 before any degree
+    is listed or any Molien coefficient computed: the child would otherwise
+    run out of memory or time."""
+    if case == "syzygies-p":
+        args = ["syzygies", "--input", str(PROBLEMS / "z2_antipodal_syzygies.json"), "--p", str(HUGE)]
+    else:
+        doc = json.loads((PROBLEMS / "z3_invariants.json").read_text(encoding="utf-8"))
+        doc["stop"] = HUGE
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        args = ["invariants", "--input", str(path)]
+    paths = [str(ROOT / "src")]
+    paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(
+        os.environ, PYTHONPATH=os.pathsep.join(paths), SYZLAB_CACHE_DIR=str(tmp_path / "cache")
+    )
+    run = subprocess.run(
+        [sys.executable, "-m", "syzlab.cli", *args],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=30,
+        preexec_fn=_limit_address_space,
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stdout == ""
+    assert run.stderr.count("\n") == 1 and run.stderr.endswith("degree too large\n")

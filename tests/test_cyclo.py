@@ -91,8 +91,11 @@ def test_mixed_conductor_arithmetic():
 def test_rational_demotion():
     z5 = zeta(5)
     s = z5 + z5**2 + z5**3 + z5**4
-    assert isinstance(s, Fraction)
+    assert type(s) is int
     assert s == -1
+    half = (z5 + 1) / 2 - z5 / 2
+    assert type(half) is Fraction
+    assert half == Fraction(1, 2)
     assert not (z5 - z5)
 
 
@@ -207,7 +210,7 @@ def _embed(x):
 def _int_coefficients(x):
     if isinstance(x, Cyclotomic):
         return all(type(c) is int for c in x.coeffs)
-    return type(x) is Fraction and x.denominator == 1
+    return type(x) is int
 
 
 @settings(max_examples=80, deadline=None)
@@ -251,15 +254,21 @@ def test_int_and_fraction_coefficients_encode_alike(p):
 
 @settings(max_examples=40, deadline=None)
 @given(integral_elements(), st.integers(-9, 9))
-def test_rational_values_are_fractions(p, k):
+def test_rational_values_are_demoted(p, k):
+    """A rational result is an int when integral and a Fraction otherwise,
+    as is the rational value of a hand-built rational instance."""
     n, a = p
     hand_built = Cyclotomic(n, [k] + [0] * (totient(n) - 1))
-    assert type(as_rational(hand_built)) is Fraction
+    assert type(as_rational(hand_built)) is int
     assert as_rational(hand_built) == k
+    halves = Cyclotomic(n, [Fraction(k, 2)] + [0] * (totient(n) - 1))
+    assert type(as_rational(halves)) is (int if k % 2 == 0 else Fraction)
     x = Cyclotomic(n, a)
     for r in (x - x, x * 0, (x + 1) - x):
-        assert type(r) is Fraction
-        assert type(as_rational(r)) is Fraction
+        assert type(r) is int
+        assert type(as_rational(r)) is int
+    r = (x + Fraction(1, 3)) - x
+    assert type(r) is Fraction and type(as_rational(r)) is Fraction
 
 
 def test_mixed_int_and_fraction_coefficients():
@@ -269,3 +278,50 @@ def test_mixed_int_and_fraction_coefficients():
     assert all(type(c) is int for c in y.coeffs)
     assert y == Cyclotomic(5, [1, 4, 4, 0])
     assert encode_scalar(x)["coeffs"] == [[1, 2], [2, 1], [2, 1], [0, 1]]
+
+
+# -- the scalar convention on the wire ---------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-60, 60), st.integers(1, 12))
+def test_decoded_rationals_are_ints_exactly_when_integral(num, den):
+    q = Fraction(num, den)
+    for enc in ([num, den], num):
+        x = decode_scalar(enc)
+        want = q if isinstance(enc, list) else Fraction(num)
+        assert x == want
+        assert type(x) is (int if want.denominator == 1 else Fraction)
+        # the keys and bytes of the Fraction the wire used to decode to
+        assert scalar_key(x) == (want.numerator, want.denominator)
+        assert encode_scalar(x) == [want.numerator, want.denominator]
+
+
+@settings(max_examples=80, deadline=None)
+@given(integral_elements(), st.integers(1, 4))
+def test_decoded_cyclotomic_coefficients_follow_the_convention(p, den):
+    n, a = p
+    want = [Fraction(c, den) for c in a]
+    x = decode_scalar({"conductor": n, "coeffs": [[c, den] for c in a]})
+    if any(want[1:]):
+        assert type(x) is Cyclotomic and x.conductor == n
+        assert [type(c) for c in x.coeffs] == [
+            int if w.denominator == 1 else Fraction for w in want
+        ]
+        assert list(x.coeffs) == want
+        assert encode_scalar(x) == {
+            "conductor": n,
+            "coeffs": [[w.numerator, w.denominator] for w in want],
+        }
+    else:
+        assert type(x) is (int if want[0].denominator == 1 else Fraction)
+        assert x == want[0]
+        assert encode_scalar(x) == [want[0].numerator, want[0].denominator]
+
+
+def test_roots_of_unity_of_order_one_and_two_are_ints():
+    assert type(zeta(1)) is int and zeta(1) == 1
+    assert type(zeta(2)) is int and zeta(2) == -1
+    z4 = zeta(4)
+    assert type(z4**4) is int and type(z4**2) is int and z4**2 == -1
+    assert type(z4 * 0) is int

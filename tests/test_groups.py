@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from syzlab.cyclo import Cyclotomic
 from syzlab.errors import InvalidInput, LimitExceeded
 from syzlab.groups import (
     BUILTIN_NAMES,
@@ -14,6 +15,7 @@ from syzlab.groups import (
     regular_representation,
     validate_irrep_catalog,
 )
+from syzlab.invariants import molien_series
 from syzlab.limits import Budget
 from syzlab.linalg import Matrix, rank
 
@@ -86,6 +88,33 @@ def test_all_builtin_catalogs_validate():
         assert report.passed, (name, report.failures)
         assert sum(d * d for d in catalog.degrees) == group.order
         assert len(catalog.irreps) == group.class_count
+
+
+def _follows_convention(x) -> bool:
+    """An int when integral, a Fraction for another rational, a Cyclotomic
+    (whose coefficients follow the same rule) when irrational: never a
+    float, which integer `/` or a negative integer power would give."""
+    if type(x) is int:
+        return True
+    if type(x) is Fraction:
+        return x.denominator != 1
+    if type(x) is Cyclotomic:
+        return any(x.coeffs[1:]) and all(_follows_convention(c) for c in x.coeffs)
+    return False
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_builtin_catalogs_hold_no_float(name):
+    group, catalog = builtin_group(name)
+    reps = list(catalog.irreps) + [regular_representation(group)]
+    for rep in reps:
+        assert all(_follows_convention(x) for m in rep.images for row in m.data for x in row)
+        assert all(type(v) is int for v in molien_series(rep, 6))
+    for chi in catalog.characters:
+        assert all(_follows_convention(v) for v in chi)
+    for chi in catalog.characters:
+        for psi in catalog.characters:
+            assert type(character_inner_product(group, chi, psi)) is int
 
 
 def test_validate_catalog_flags_missing_irrep():

@@ -1,10 +1,13 @@
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from syzlab.cache import Cache
 from syzlab.errors import InternalInconsistency, LimitExceeded
-from syzlab.groups import Representation, builtin_group, regular_representation
+from syzlab.cli import parse_problem
+from syzlab.groups import BUILTIN_NAMES, Representation, builtin_group, regular_representation
 from syzlab.invariants import (
     _DEGREE_LIMIT,
     Grading,
@@ -21,6 +24,7 @@ from syzlab.schur import spec_from_multiplicities
 from oracles import (
     column_echelon_basis,
     greedy_generators,
+    molien_oracle,
     reynolds_matrix,
     sym_power_action,
     sym_power_basis,
@@ -452,3 +456,54 @@ def test_element_zero_must_act_as_the_identity():
     )
     with pytest.raises(InternalInconsistency, match="element 0"):
         InvariantRing(swapped)
+
+
+def _images(rep):
+    return [[list(row) for row in m.data] for m in rep.images]
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_molien_matches_fraction_oracle_on_builtins(name):
+    """The library's integral Newton route against power sums in Fractions,
+    on every irreducible and on the regular representation."""
+    group, catalog = builtin_group(name)
+    for rep in catalog.irreps:
+        assert molien_series(rep, 8) == molien_oracle(_images(rep), 8)
+    regular = regular_representation(group)
+    assert molien_series(regular, 5) == molien_oracle(_images(regular), 5)
+
+
+def _benchmark_workloads():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("workload", ["generic", "cyclotomic"])
+def test_molien_matches_fraction_oracle_on_benchmark_documents(workload, seed):
+    doc = getattr(_benchmark_workloads(), f"{workload}_doc")(seed)
+    rep = parse_problem(doc).rep
+    assert molien_series(rep, 10) == molien_oracle(_images(rep), 10)
+
+
+@pytest.mark.parametrize("selection", ["forward", "reverse"])
+def test_minimal_generators_scan_integral_multiples(selection):
+    """S3 on sign + standard to degree 12: basis elements with Fraction
+    coefficients enter the product scan as integral multiples, and the
+    selection is still the greedy one in polynomial space."""
+    stop = 12
+    ring = InvariantRing(s3_sign_standard())
+    _, gens, _ = minimal_generators(
+        ring, stop=stop, selection=selection, warn_below_order=False
+    )
+    bases = [ring.basis(d) for d in range(stop + 1)]
+    assert any(type(c) is Fraction for b in bases for el in b for c in el.poly.values())
+    expected = greedy_generators(
+        [[exponents(el.poly, ring.nvars) for el in b] for b in bases],
+        stop,
+        reverse=selection == "reverse",
+    )
+    assert [id(el) for el in gens.elements] == [id(bases[d][i]) for d, i in expected]

@@ -185,8 +185,12 @@ def test_product_matches_oracle(pair):
     for row, want_row in zip(prod.data, want):
         for x, y in zip(row, want_row, strict=True):
             assert x == y
-            # as the dense product: a Fraction unless the value is irrational
-            assert type(x) is (Cyclotomic if isinstance(y, Cyclotomic) else Fraction)
+            # the scalar convention: an int when integral, a Fraction for
+            # another rational, a Cyclotomic when irrational
+            if isinstance(y, Cyclotomic):
+                assert type(x) is Cyclotomic
+            else:
+                assert type(x) is (int if y == int(y) else Fraction)
 
 
 def oracle_rank(m: Matrix) -> int:
@@ -319,10 +323,10 @@ def test_irrational_pivot_candidates_only():
     ],
     ids=["cancelling", "nonzero"],
 )
-def test_integer_product_entries_are_fractions(a, b):
+def test_integer_product_entries_are_ints(a, b):
     """Int factors accumulate in int; every entry of the product, zero or
-    not, is still a Fraction with the oracle's value."""
+    not, is an int with the oracle's value."""
     prod = Matrix.from_rows(a) @ Matrix.from_rows(b)
     want = mat_mul(a, b, len(b[0]))
     assert [list(r) for r in prod.data] == want
-    assert all(type(x) is Fraction for r in prod.data for x in r)
+    assert all(type(x) is int for r in prod.data for x in r)

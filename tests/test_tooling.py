@@ -133,3 +133,46 @@ def test_traced_child_sees_the_koszul_layers(tmp_path):
         "linalg.span_add",
         "invariants.block_basis_monomial",
     }
+
+
+def _integral_fraction_literals(source: str, filename: str = "<source>") -> list:
+    """Line numbers of Fraction(...) calls whose arguments are all int
+    literals with an integral quotient, such as Fraction(0), Fraction(-1)
+    or Fraction(4, 2)."""
+
+    def literal(node):
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) is int
+
+    found = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if not isinstance(node, ast.Call) or node.keywords or not node.args:
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name != "Fraction" or not all(literal(a) for a in node.args):
+            continue
+        values = [ast.literal_eval(a) for a in node.args]
+        if len(values) == 1 or (values[1] and values[0] % values[1] == 0):
+            found.append(node.lineno)
+    return found
+
+
+def test_no_integral_fraction_literals():
+    """Integral values are ints, from the wire to every result (the scalar
+    convention stated in cyclo.py): a Fraction built from integral int
+    literals is a value the convention makes an int, and arithmetic that
+    starts from it leaves ints behind."""
+    assert _integral_fraction_literals(
+        "x = Fraction(0)\ny = fractions.Fraction(-1)\nz = Fraction(4, 2)\n"
+        "h = Fraction(1, 2)\nk = Fraction(n)\nq = Fraction(1, n)\n"
+    ) == [1, 2, 3]
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += [
+            f"{path.name}:{line}"
+            for line in _integral_fraction_literals(path.read_text(encoding="utf-8"), str(path))
+        ]
+    assert list(PACKAGE.glob("*.py"))
+    assert found == []
