@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistency
 from .groups import IrrepCatalog, Representation
-from .invariants import (
-    InvariantRing,
-    NoetherResult,
-    build_E,
-    minimal_generators,
-)
+from .invariants import InvariantRing, NoetherResult, build_E, minimal_generators
 from .koszul import KoszulComplex, scan_ceiling, syzygy_degree
 from .limits import DEFAULT_BUDGET, Budget
 
@@ -100,9 +95,7 @@ def audit(
     gens = build_E(ring, mode, noether)
     beta_v = gens.beta_V
     if mode == "full":
-        _, _, beta_v = minimal_generators(
-            ring, stop=noether.value, warn_below_order=False
-        )
+        beta_v = minimal_generators(ring, stop=noether.value).beta_V
     cx = KoszulComplex(ring, gens, noether.value)
     reports = []
     findings = []

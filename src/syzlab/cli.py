@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-import warnings
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -293,14 +292,18 @@ def _run_invariants(problem: Problem, options) -> dict:
         cache_prefix=_cache_prefix(problem),
     )
     ring.precompute(range(stop + 1))
-    degrees, gens, beta_v = minimal_generators(
-        ring, stop=stop, warn_below_order=problem.stop is not None
-    )
+    g = problem.group.order
+    if stop < g and problem.stop is not None:
+        sys.stderr.write(
+            f"syzlab: warning: scan ceiling {stop} is below the group order {g}; "
+            "generators above it would be missed\n"
+        )
+    gens = minimal_generators(ring, stop=stop)
     return {
         "molien": molien_series(rep, stop),
         "dimensions": [ring.dim(d) for d in range(stop + 1)],
-        "generator_degrees": degrees,
-        "beta_V": beta_v,
+        "generator_degrees": gens.degrees(),
+        "beta_V": gens.beta_V,
         "scanned_up_to": stop,
         "beta_used": {"value": noe.value, "exact": noe.exact},
     }
@@ -736,19 +739,8 @@ def _resolve_cache(args) -> Cache | None:
         return None
 
 
-def _warning_line(message, category, filename, lineno, file=None, line=None):
-    sys.stderr.write(f"syzlab: warning: {message}\n")
-
-
 def main(argv=None) -> int:
     args = parse_args(argv)
-    # an engine warning is one line on stderr, as every other message is
-    with warnings.catch_warnings():
-        warnings.showwarning = _warning_line
-        return _execute(args)
-
-
-def _execute(args) -> int:
     try:
         try:
             with open(args.input, "r", encoding="utf-8") as fh:

@@ -307,9 +307,9 @@ class Cyclotomic:
         return " + ".join(terms) if terms else "0"
 
 
-def zeta(n: int, limit: int = DEFAULT_CONDUCTOR_LIMIT) -> Scalar:
+def zeta(n: int) -> Scalar:
     """A primitive n-th root of unity."""
-    cyclotomic_polynomial(n, limit)  # conductor limit check
+    cyclotomic_polynomial(n)  # conductor limit check
     if n == 1:
         return 1
     if n == 2:

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from operator import matmul
 
 from .cyclo import Cyclotomic, quotient, scalar_key, zeta
 from .errors import InternalInconsistency, InvalidInput, LimitExceeded
@@ -123,36 +124,42 @@ def _is_permutation(p) -> bool:
 
 def generate_group(generators, budget: Budget = DEFAULT_BUDGET) -> FiniteGroup:
     """Breadth-first closure of permutation or matrix generators."""
-    limit = budget.group_order_limit
     if not generators:
         raise InvalidInput("at least one generator required")
     if isinstance(generators[0], Matrix):
-        return _generate_matrix_group(generators, limit)
-    perms = [tuple(p) for p in generators]
-    n = len(perms[0])
-    for p in perms:
-        if len(p) != n or not _is_permutation(p):
-            raise InvalidInput("generator not invertible")
-    identity = tuple(range(n))
+        deg = generators[0].rows
+        for m in generators:
+            if m.rows != deg or m.cols != deg:
+                raise InvalidInput("matrix generators must share one square shape")
+            if rank(m) != deg:
+                raise InvalidInput("generator not invertible")
+        gens = _unify_matrix_conductors(list(generators))
+        identity, mul, key = Matrix.identity(deg), matmul, _matrix_key
+    else:
+        gens = [tuple(p) for p in generators]
+        n = len(gens[0])
+        for p in gens:
+            if len(p) != n or not _is_permutation(p):
+                raise InvalidInput("generator not invertible")
+        identity, mul, key = tuple(range(n)), _perm_compose, tuple
     elements = [identity]
-    index = {identity: 0}
+    index = {key(identity): 0}
     parents = [(-1, -1)]
     head = 0
     while head < len(elements):
         x = elements[head]
-        for j, s in enumerate(perms):
-            y = _perm_compose(x, s)
-            if y not in index:
-                if len(elements) >= limit:
+        for j, s in enumerate(gens):
+            y = mul(x, s)
+            k = key(y)
+            if k not in index:
+                if len(elements) >= budget.group_order_limit:
                     raise LimitExceeded("order limit exceeded")
-                index[y] = len(elements)
+                index[k] = len(elements)
                 elements.append(y)
                 parents.append((head, j))
         head += 1
-    table = [
-        [index[_perm_compose(a, b)] for b in elements] for a in elements
-    ]
-    return FiniteGroup(table, parents, len(perms))
+    table = [[index[key(mul(a, b))] for b in elements] for a in elements]
+    return FiniteGroup(table, parents, len(gens))
 
 
 def _matrix_key(m: Matrix):
@@ -183,37 +190,6 @@ def _unify_matrix_conductors(mats):
     return out
 
 
-def _generate_matrix_group(generators, limit: int) -> FiniteGroup:
-    deg = generators[0].rows
-    for m in generators:
-        if m.rows != deg or m.cols != deg:
-            raise InvalidInput("matrix generators must share one square shape")
-        if rank(m) != deg:
-            raise InvalidInput("generator not invertible")
-    gens = _unify_matrix_conductors(list(generators))
-    identity = Matrix.identity(deg)
-    elements = [identity]
-    index = {_matrix_key(identity): 0}
-    parents = [(-1, -1)]
-    head = 0
-    while head < len(elements):
-        x = elements[head]
-        for j, s in enumerate(gens):
-            y = x @ s
-            k = _matrix_key(y)
-            if k not in index:
-                if len(elements) >= limit:
-                    raise LimitExceeded("order limit exceeded")
-                index[k] = len(elements)
-                elements.append(y)
-                parents.append((head, j))
-        head += 1
-    table = [
-        [index[_matrix_key(a @ b)] for b in elements] for a in elements
-    ]
-    return FiniteGroup(table, parents, len(gens))
-
-
 class Representation:
     """Matrix images, one per group element, in the group's element order."""
 
@@ -227,7 +203,7 @@ class Representation:
             self.validate()
 
     @staticmethod
-    def from_generator_images(group: FiniteGroup, gen_images, check: bool = True) -> "Representation":
+    def from_generator_images(group: FiniteGroup, gen_images) -> "Representation":
         if len(gen_images) != group.num_generators:
             raise InvalidInput(
                 f"need {group.num_generators} generator images, got {len(gen_images)}"
@@ -239,7 +215,7 @@ class Representation:
         for idx in range(1, group.order):
             p, j = group.parents[idx]
             images[idx] = images[p] @ gen_images[j]
-        return Representation(group, images, check=check)
+        return Representation(group, images)
 
     def validate(self):
         g = self.group.order

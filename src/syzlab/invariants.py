@@ -25,7 +25,6 @@ greedy scan becomes a pivot computation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -436,7 +435,7 @@ class InvariantRing:
             ):
                 return None
             key = pack(m)
-            c = decode_scalar(c)
+            c = decode_scalar(c, self.budget.conductor_limit)
             if not c or key in poly:
                 return None
             poly[key] = c
@@ -523,48 +522,32 @@ class NoetherResult:
 class GeneratorSet:
     mode: str  # "minimal" | "full"
     elements: tuple
-    beta_V: int | None
-    beta_group: int | None
+    beta_V: int | None  # the largest minimal generator degree; None for "full"
 
     def degrees(self):
         return [el.degree for el in self.elements]
 
 
-def minimal_generators(
-    ring: InvariantRing,
-    stop: int,
-    selection: str = "forward",
-    warn_below_order: bool = True,
-):
+def minimal_generators(ring: InvariantRing, stop: int) -> GeneratorSet:
     """Greedy complement of (R+ . R+)_d inside R_d for each d <= stop.
 
-    Returns (degrees, GeneratorSet, beta_V). The scan visits the basis of
-    R_d in order (`selection="forward"`) or in reverse order, blocks and
-    elements within a block alike, and keeps an element when it is not in
-    the span of the products and the elements visited before it. Blocks
-    are independent, so each block is done in its own coordinates: every
-    product x*y lies in the block (d, wx + wy), where `coords_in_basis`
-    writes it (and checks that it is invariant). An element is kept
-    exactly when no vector in the span of the products has its last
-    nonzero coordinate, in scan order, at that element; with the columns
-    in reverse scan order those positions are the pivot columns of the
-    products' coordinate rows. The products are taken of the elements'
-    integral multiples (`_integral_multiple`): that scales each coordinate
-    row by a nonzero constant, which moves no pivot. The syzygy degrees
-    downstream must not depend on `selection`, which the test suite
-    verifies. The warning fires when the scan stops below the order
-    fallback ceiling and the caller has no better ceiling of its own.
+    The scan visits the basis of R_d in order, blocks and elements within a
+    block alike, and keeps an element when it is not in the span of the
+    products and the elements visited before it. Any minimal complement
+    spans the same space modulo R+^2 (graded Nakayama), so the syzygy
+    degrees downstream do not depend on this choice; the test suite checks
+    that against an oracle's reversed complement. Blocks are independent,
+    so each block is done in its own coordinates: every product x*y lies in
+    the block (d, wx + wy), where `coords_in_basis` writes it (and checks
+    that it is invariant). An element is kept exactly when no vector in the
+    span of the products has its last nonzero coordinate at that element;
+    with the columns in reverse order those positions are the pivot columns
+    of the products' coordinate rows. The products are taken of the
+    elements' integral multiples (`_integral_multiple`): that scales each
+    coordinate row by a nonzero constant, which moves no pivot. A `stop`
+    below the group's ceiling may miss generators; warning about that is
+    the caller's business.
     """
-    if selection not in ("forward", "reverse"):
-        raise InvalidInput(f"unknown selection order {selection!r}")
-    forward = selection == "forward"
-    g = ring.rep.group.order
-    if warn_below_order and stop < g:
-        warnings.warn(
-            f"scan ceiling {stop} is below the group order {g}; "
-            "generators above it would be missed",
-            stacklevel=2,
-        )
     ring.precompute(range(1, stop + 1))
     # per degree below stop: (weight, integral multiple) of each element
     multiples = [()] + [
@@ -572,7 +555,6 @@ def minimal_generators(
     ]
     chosen = []
     for d in range(1, stop + 1):
-        blocks = list(ring.blocks(d).items())
         products: dict = {}  # weight -> the products' coordinates
         for a in range(1, d // 2 + 1):
             for wx, x in multiples[a]:
@@ -580,19 +562,16 @@ def minimal_generators(
                     w = tuple(map(add, wx, wy))
                     coords = ring.coords_in_basis(poly_mul(x, y), d, w)
                     products.setdefault(w, []).append(coords)
-        if not forward:
-            blocks.reverse()
-        for w, block in blocks:
-            scan = block if forward else block[::-1]
-            last = len(scan) - 1
-            rows = [{last - i: c for i, c in cs} if forward else dict(cs) for cs in products.get(w, ())]
-            pivots = set(pivot_columns(rows, len(scan)))
-            chosen.extend(el for s, el in enumerate(scan) if last - s not in pivots)
-    beta_v = max((el.degree for el in chosen), default=0)
-    gens = GeneratorSet(
-        mode="minimal", elements=tuple(chosen), beta_V=beta_v, beta_group=None
+        for w, block in ring.blocks(d).items():
+            last = len(block) - 1
+            rows = [{last - i: c for i, c in cs} for cs in products.get(w, ())]
+            pivots = set(pivot_columns(rows, len(block)))
+            chosen.extend(el for s, el in enumerate(block) if last - s not in pivots)
+    return GeneratorSet(
+        mode="minimal",
+        elements=tuple(chosen),
+        beta_V=max((el.degree for el in chosen), default=0),
     )
-    return [el.degree for el in chosen], gens, beta_v
 
 
 def noether_number(
@@ -607,40 +586,26 @@ def noether_number(
         exact_limit = budget.noether_exact_limit
     if group.order <= exact_limit:
         ring = InvariantRing(regular_representation(group), budget=budget)
-        _, _, beta_v = minimal_generators(ring, stop=group.order)
-        return NoetherResult(value=beta_v, exact=True)
+        return NoetherResult(value=minimal_generators(ring, stop=group.order).beta_V, exact=True)
     return NoetherResult(value=group.order, exact=False)
 
 
-def build_E(
-    ring: InvariantRing,
-    mode: str,
-    noether: NoetherResult,
-    selection: str = "forward",
-) -> GeneratorSet:
-    """The generator space: all of R_1..R_beta (full) or a minimal complement."""
+def build_E(ring: InvariantRing, mode: str, noether: NoetherResult) -> GeneratorSet:
+    """The generator space: all of R_1..R_beta (full), or the minimal
+    complement that `minimal_generators` scans up to beta, the ceiling
+    `noether` certifies."""
     beta = noether.value
     if mode == "full":
         ring.precompute(range(1, beta + 1))
         elements = []
         for d in range(1, beta + 1):
             elements.extend(ring.basis(d))
-        return GeneratorSet(
-            mode="full", elements=tuple(elements), beta_V=None, beta_group=beta
-        )
+        return GeneratorSet(mode="full", elements=tuple(elements), beta_V=None)
     if mode == "minimal":
-        # beta itself certifies the scan ceiling; no warning below the order
-        _, gens, beta_v = minimal_generators(
-            ring, stop=beta, selection=selection, warn_below_order=False
-        )
-        if beta_v > beta:
+        gens = minimal_generators(ring, stop=beta)
+        if gens.beta_V > beta:
             raise InternalInconsistency(
-                f"minimal generator of degree {beta_v} exceeds the ceiling {beta}"
+                f"minimal generator of degree {gens.beta_V} exceeds the ceiling {beta}"
             )
-        return GeneratorSet(
-            mode="minimal",
-            elements=gens.elements,
-            beta_V=beta_v,
-            beta_group=beta,
-        )
+        return gens
     raise InvalidInput(f"unknown generator mode {mode!r}")

@@ -457,9 +457,9 @@ def ring_row_bounds(
     return {"passed": passed, "bounds": list(bounds), "per_degree": per_degree}
 
 
-def _assert_weight_symmetry(weight_dims: dict, mults, samples: int = 3):
+def _assert_weight_symmetry(weight_dims: dict, mults):
     """Weight multiplicities must not change under coordinate permutations
-    within a factor; spot-checked on the first few non-dominant weights."""
+    within a factor; spot-checked on the first three non-dominant weights."""
     checked = 0
     for w, dim in sorted(weight_dims.items(), reverse=True):
         per = split_weight(w, mults)
@@ -472,7 +472,7 @@ def _assert_weight_symmetry(weight_dims: dict, mults, samples: int = 3):
                 "weight multiplicities are not symmetric under coordinate permutations"
             )
         checked += 1
-        if checked >= samples:
+        if checked == 3:
             break
 
 
@@ -503,7 +503,7 @@ def tor_row_bounds(
         if not total:
             continue
         decomp = schur_multiplicities(wd, mults)
-        _cross_check_nondominant(cx, spec, decomp, p, d, samples=2)
+        _cross_check_nondominant(cx, spec, decomp, p, d)
         report = row_bound_check(decomp, bounds)
         passed = passed and report.passed
         per_degree.append(
@@ -523,8 +523,8 @@ def tor_row_bounds(
     }
 
 
-def _cross_check_nondominant(cx, spec, decomp, p, d, samples=2):
-    """Recompute a few non-dominant Tor blocks and compare with the Kostka
+def _cross_check_nondominant(cx, spec, decomp, p, d):
+    """Recompute two non-dominant Tor blocks and compare with the Kostka
     prediction from the dominant-only decomposition."""
     mults = spec.multiplicities
     targets = []
@@ -538,7 +538,7 @@ def _cross_check_nondominant(cx, spec, decomp, p, d, samples=2):
         if all(tuple(t) == tuple(sorted(t, reverse=True)) for t in per):
             continue  # permutation happened to stay dominant
         targets.append(flat)
-        if len(targets) >= samples:
+        if len(targets) == 2:
             break
     if not targets:
         return
@@ -604,7 +604,7 @@ def _checked_syzygy_degree(
         if total:
             s = d
             decomp = schur_multiplicities(wd, spec.multiplicities)
-            _cross_check_nondominant(cx, spec, decomp, p, d, samples=2)
+            _cross_check_nondominant(cx, spec, decomp, p, d)
     return s
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from syzlab import FORMAT_VERSION
 from syzlab.cache import Cache
+from syzlab.cyclo import Cyclotomic, encode_scalar
 from syzlab.cli import OPTION_TABLE, main, option_synopsis, parse_problem, usage
 from syzlab.invariants import InvariantRing
 
@@ -283,6 +284,34 @@ def test_cache_hot_run_computes_no_block(tmp_path, capsys, monkeypatch, task, pr
     assert code == 0
     assert hot == cold
     assert computed == []
+
+
+def test_cache_hot_run_decodes_under_the_budget_conductor_limit(tmp_path, capsys, monkeypatch):
+    """Under --budget-level large a cached basis may hold conductor 72,
+    above the default limit of 64: the hot run still reads every degree.
+    The Z12 action is P diag(z12, z12^11) P^-1 with P = [[1, z72], [0, 1]]."""
+    z72 = Cyclotomic(72, [0, 1] + [0] * 22)
+    a, b = z72**6, z72**66
+    image = [[a, z72 * (b - a)], [0, b]]
+    path = tmp_path / "z12.json"
+    path.write_text(
+        json.dumps(
+            {
+                "group": "builtin:cyclic:12",
+                "task": "invariants",
+                "stop": 2,
+                "rep": {"generator_images": [[[encode_scalar(x) for x in row] for row in image]]},
+            }
+        )
+    )
+    argv = ["invariants", "--input", str(path), "--cache-dir", str(tmp_path / "cache")]
+    argv += ["--budget-level", "large"]
+    _, cold, _ = run_cli(capsys, *argv)
+    assert json.loads(cold)["results"]["dimensions"] == [1, 0, 1]
+    computed = []
+    monkeypatch.setattr(InvariantRing, "_compute_degree_blocks", lambda self, d: computed.append(d))
+    code, hot, _ = run_cli(capsys, *argv)
+    assert (code, hot, computed) == (0, cold, [])
 
 
 def _invariant_entry(cache_dir, degree):
@@ -754,3 +783,60 @@ def test_huge_degree_refused_before_listing(tmp_path, case):
     assert run.returncode == 2, run.stderr
     assert run.stdout == ""
     assert run.stderr.count("\n") == 1 and run.stderr.endswith("degree too large\n")
+
+
+_Z2_MATRIX = {
+    "group": {"matrix_generators": [[[-1]]]},
+    "catalog": {"irreps": [[[[1]]], [[[-1]]]]},
+}
+
+
+@pytest.mark.parametrize("problem", ["z2_antipodal_syzygies", "z2_universal"])
+def test_matrix_group_with_catalog_matches_builtin(tmp_path, capsys, problem):
+    """Z2 given by the matrix generator -1 and a top-level catalog of its
+    two characters runs as builtin:cyclic:2 does."""
+    doc = json.loads((PROBLEMS / f"{problem}.json").read_text())
+    path = tmp_path / "custom.json"
+    path.write_text(json.dumps({**doc, **_Z2_MATRIX}))
+    task = doc["task"]
+    _, builtin, _ = run_cli(capsys, task, "--input", str(PROBLEMS / f"{problem}.json"), "--no-cache")
+    code, custom, err = run_cli(capsys, task, "--input", str(path), "--no-cache")
+    assert (code, err) == (0, "")
+    results = json.loads(custom)["results"]
+    assert results == json.loads(builtin)["results"]
+    if task == "universal":
+        assert results["multiplicities"] == [3, 3]
+    else:
+        assert results["tor_table"]["rows"] == [[0, 0, 1], [1, 4, 1]]
+
+
+def test_catalog_of_two_trivial_irreps_exits_one(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(
+        json.dumps({**_Z2_MATRIX, "catalog": {"irreps": [[[[1]]], [[[1]]]]}, "task": "group"})
+    )
+    code, out, err = run_cli(capsys, "group", "--input", str(path), "--no-cache")
+    assert (code, out) == (1, "")
+    assert err == "syzlab: invalid input: catalog: <chi_0, chi_1> = 1, expected 0\n"
+
+
+def test_syzygies_csv_prints_the_tor_table(capsys):
+    path = str(PROBLEMS / "z2_antipodal_syzygies.json")
+    code, out, _ = run_cli(capsys, "syzygies", "--input", path, "--no-cache", "--format", "csv")
+    assert (code, out) == (0, "p,d,dim\n0,0,1\n1,4,1\n")
+
+
+def test_p_max_and_mode_overrides_act_as_document_edits(tmp_path, capsys):
+    doc = json.loads((PROBLEMS / "z2_antipodal_syzygies.json").read_text())
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps({**doc, "p_max": 1, "mode": "full"}))
+    original = str(PROBLEMS / "z2_antipodal_syzygies.json")
+    _, plain, _ = run_cli(capsys, "syzygies", "--input", original, "--no-cache")
+    code, overridden, _ = run_cli(
+        capsys, "syzygies", "--input", original, "--no-cache", "--p-max", "1", "--mode", "full"
+    )
+    _, edited, _ = run_cli(capsys, "syzygies", "--input", str(path), "--no-cache")
+    assert code == 0
+    assert overridden == edited != plain
+    report = json.loads(overridden)
+    assert (report["parameters"]["p_max"], report["parameters"]["mode"]) == (1, "full")

@@ -7,10 +7,10 @@ from syzlab.cli import main
 from syzlab.cyclo import Cyclotomic, zeta
 from syzlab.errors import InternalInconsistency, InvalidInput
 from syzlab.groups import Representation, builtin_group
-from syzlab.invariants import InvariantRing, build_E, noether_number
+from syzlab.invariants import GeneratorSet, InvariantRing, build_E, noether_number
 from syzlab.koszul import KoszulComplex, scan_ceiling, syzygy_degree, tor_table
 from syzlab.linalg import Matrix, rank
-from syzlab.monomials import poly_mul
+from syzlab.monomials import poly_mul, unpack
 from syzlab.schur import (
     domination_check,
     dominant_weights,
@@ -18,7 +18,7 @@ from syzlab.schur import (
     tor_row_bounds,
 )
 
-from oracles import davenport_constant, row_reduce_rank, veronese_tor
+from oracles import davenport_constant, greedy_generators, row_reduce_rank, veronese_tor
 
 
 def diag_rep(name, diag):
@@ -29,10 +29,25 @@ def diag_rep(name, diag):
     return Representation.from_generator_images(group, [m])
 
 
-def make_cx(rep, mode, selection="forward"):
+def make_cx(rep, mode):
     noe = noether_number(rep.group)
     ring = InvariantRing(rep)
-    gens = build_E(ring, mode, noe, selection=selection)
+    return KoszulComplex(ring, build_E(ring, mode, noe), noe.value)
+
+
+def oracle_reversed_cx(rep):
+    """The complex on the minimal complement that the independent greedy
+    oracle picks when it scans each degree's basis backwards."""
+    noe = noether_number(rep.group)
+    ring = InvariantRing(rep)
+    bases = [ring.basis(d) for d in range(noe.value + 1)]
+    picked = greedy_generators(
+        [[{unpack(m, ring.nvars): c for m, c in el.poly.items()} for el in b] for b in bases],
+        noe.value,
+        reverse=True,
+    )
+    elements = tuple(bases[d][i] for d, i in picked)
+    gens = GeneratorSet("minimal", elements, max((el.degree for el in elements), default=0))
     return KoszulComplex(ring, gens, noe.value)
 
 
@@ -293,8 +308,8 @@ def test_minimal_choice_independence():
         diag_rep("builtin:cyclic:3", [zeta(3), zeta(3)]),
     ]
     for rep in reps:
-        fwd = make_cx(rep, "minimal", selection="forward")
-        rev = make_cx(rep, "minimal", selection="reverse")
+        fwd = make_cx(rep, "minimal")
+        rev = oracle_reversed_cx(rep)
         for p in (1, 2):
             assert syzygy_degree(fwd, p) == syzygy_degree(rev, p)
 

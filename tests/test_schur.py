@@ -275,9 +275,9 @@ def test_domination_check_z2_p1(monkeypatch):
     cross_checked = []
     real_cross_check = schur._cross_check_nondominant
 
-    def counting_cross_check(cx, spec, decomp, p, d, samples=2):
+    def counting_cross_check(cx, spec, decomp, p, d):
         cross_checked.append((spec.multiplicities, d))
-        return real_cross_check(cx, spec, decomp, p, d, samples)
+        return real_cross_check(cx, spec, decomp, p, d)
 
     monkeypatch.setattr(schur, "_cross_check_nondominant", counting_cross_check)
     res = domination_check(
