@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency
-from .groups import IrrepCatalog, Representation
-from .invariants import InvariantRing, NoetherResult, build_E, minimal_generators
+from .groups import IrrepCatalog
+from .invariants import NoetherResult, minimal_generators
 from .koszul import KoszulComplex, scan_ceiling, syzygy_degree
-from .limits import DEFAULT_BUDGET, Budget
 
 
 def compute_bounds(g: int, n: int, m: int, beta: int, dim_v: int, p: int) -> dict:
@@ -72,35 +71,24 @@ def _verdict(s_value: int | None, bound: int) -> str:
     return "satisfied" if s_value <= bound else "VIOLATED"
 
 
-def audit(
-    catalog: IrrepCatalog,
-    rep: Representation,
-    p_values,
-    mode: str,
-    noether: NoetherResult,
-    budget: Budget = DEFAULT_BUDGET,
-    cache=None,
-    cache_prefix=None,
-):
-    """Engine run plus bound comparison for each requested p.
+def audit(catalog: IrrepCatalog, cx: KoszulComplex, p_values, noether: NoetherResult):
+    """Bound comparison of s_p(V) on the complex `cx`, built over V with
+    the ceiling `noether` certifies, for each requested p.
 
     Returns (reports, findings). Findings are conjecture violations with
     full reproduction data; proven-bound violations raise instead.
     """
     group = catalog.group
     g = group.order
-    ring = InvariantRing(
-        rep, budget=budget, cache=cache, cache_prefix=cache_prefix
-    )
-    gens = build_E(ring, mode, noether)
-    beta_v = gens.beta_V
+    mode = cx.gens.mode
+    dim_v = cx.ring.rep.degree
+    beta_v = cx.gens.beta_V
     if mode == "full":
-        beta_v = minimal_generators(ring, stop=noether.value).beta_V
-    cx = KoszulComplex(ring, gens, noether.value)
+        beta_v = minimal_generators(cx.ring, stop=noether.value).beta_V
     reports = []
     findings = []
     for p in p_values:
-        bounds = compute_bounds(g, group.class_count, catalog.m, noether.value, rep.degree, p)
+        bounds = compute_bounds(g, group.class_count, catalog.m, noether.value, dim_v, p)
         s = syzygy_degree(cx, p)
         verdicts = {
             "derksen_bound": _verdict(s, bounds["derksen_bound"]),
@@ -129,7 +117,7 @@ def audit(
             n=group.class_count,
             m=catalog.m,
             degrees=catalog.degrees,
-            dim_v=rep.degree,
+            dim_v=dim_v,
             beta_v=beta_v,
             beta=noether.value,
             beta_exact=noether.exact,

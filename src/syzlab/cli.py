@@ -29,18 +29,11 @@ from .groups import (
     generate_group,
     validate_irrep_catalog,
 )
-from .invariants import (
-    InvariantRing,
-    build_E,
-    minimal_generators,
-    molien_series,
-    noether_number,
-)
+from .invariants import InvariantRing, build_E, minimal_generators, noether_number
 from .koszul import KoszulComplex, syzygy_degree, tor_table
 from .limits import Budget
 from .linalg import Matrix
 from .schur import (
-    build_universal_rep,
     cauchy_check,
     domination_check,
     kostka_number,
@@ -49,9 +42,8 @@ from .schur import (
     spec_from_multiplicities,
     stabilization_check,
     tor_row_bounds,
+    universal_multiplicities,
 )
-
-TASKS = ("group", "invariants", "noether", "syzygies", "bounds", "universal", "schur", "chain")
 
 
 @dataclass
@@ -191,7 +183,8 @@ def parse_problem(doc, task: str | None = None, budget: Budget | None = None) ->
     _expect(isinstance(doc, dict), "document", "expected a JSON object")
     doc_task = doc.get("task")
     if task is None:
-        _expect(doc_task in TASKS, "task", f"expected one of {TASKS}")
+        names = tuple(TASKS)
+        _expect(doc_task in names, "task", f"expected one of {names}")
         task = doc_task
     group, catalog = _parse_group(doc, budget)
     rep, mults = _parse_rep(doc, group, catalog, budget)
@@ -250,14 +243,16 @@ def _need_rep(problem: Problem):
     return problem.rep
 
 
-def _cache_prefix(problem: Problem):
-    rep_part = (
-        problem.rep.canonical_form() if problem.rep is not None else None
-    )
-    return {
+def _ring(problem: Problem, options) -> InvariantRing:
+    """The invariant ring of the problem's representation on the run's
+    budget, its cache entries keyed by the group and the representation."""
+    prefix = {
         "group": content_hash(problem.group.canonical_form()),
-        "rep": content_hash(rep_part) if rep_part is not None else "none",
+        "rep": content_hash(_need_rep(problem).canonical_form()),
     }
+    return InvariantRing(
+        problem.rep, budget=options.budget, cache=options.cache, cache_prefix=prefix
+    )
 
 
 def _run_group(problem: Problem, options) -> dict:
@@ -282,15 +277,9 @@ def _run_group(problem: Problem, options) -> dict:
 
 
 def _run_invariants(problem: Problem, options) -> dict:
-    rep = _need_rep(problem)
+    ring = _ring(problem, options)
     noe = noether_number(problem.group, problem.exact_limit, options.budget)
     stop = problem.stop if problem.stop is not None else noe.value
-    ring = InvariantRing(
-        rep,
-        budget=options.budget,
-        cache=options.cache,
-        cache_prefix=_cache_prefix(problem),
-    )
     ring.precompute(range(stop + 1))
     g = problem.group.order
     if stop < g and problem.stop is not None:
@@ -300,7 +289,7 @@ def _run_invariants(problem: Problem, options) -> dict:
         )
     gens = minimal_generators(ring, stop=stop)
     return {
-        "molien": molien_series(rep, stop),
+        "molien": ring.molien(stop)[: stop + 1],
         "dimensions": [ring.dim(d) for d in range(stop + 1)],
         "generator_degrees": gens.degrees(),
         "beta_V": gens.beta_V,
@@ -319,17 +308,11 @@ def _run_noether(problem: Problem, options) -> dict:
 
 
 def _syzygy_complex(problem: Problem, options):
-    rep = _need_rep(problem)
+    ring = _ring(problem, options)
     noe = noether_number(problem.group, problem.exact_limit, options.budget)
-    ring = InvariantRing(
-        rep,
-        budget=options.budget,
-        cache=options.cache,
-        cache_prefix=_cache_prefix(problem),
-    )
     gens = build_E(ring, problem.mode, noe)
     cx = KoszulComplex(ring, gens, noe.value)
-    ring.precompute(range(cx.ceiling(problem.p_max) + cx.guard + 1))
+    cx.precompute(problem.p_max)
     return cx, noe
 
 
@@ -354,42 +337,32 @@ def _run_syzygies(problem: Problem, options) -> dict:
 
 def _run_bounds(problem: Problem, options):
     catalog = _need_catalog(problem)
-    rep = _need_rep(problem)
-    noe = noether_number(problem.group, problem.exact_limit, options.budget)
-    reports, findings = audit(
-        catalog,
-        rep,
-        range(1, problem.p_max + 1),
-        problem.mode,
-        noe,
-        budget=options.budget,
-        cache=options.cache,
-        cache_prefix=_cache_prefix(problem),
-    )
+    cx, noe = _syzygy_complex(problem, options)
+    reports, findings = audit(catalog, cx, range(1, problem.p_max + 1), noe)
     return {"reports": [r.as_json() for r in reports]}, findings
 
 
 def _run_universal(problem: Problem, options) -> dict:
     catalog = _need_catalog(problem)
     noe = noether_number(problem.group, problem.exact_limit, options.budget)
-    spec = build_universal_rep(catalog, noe, problem.p)
-    beta, m, g = noe.value, catalog.m, problem.group.order
+    beta, m, g, p = noe.value, catalog.m, problem.group.order, problem.p
+    # the specialization is assembled only inside the budget: its images
+    # grow with p, and the report needs no more than its multiplicities
+    mults = universal_multiplicities(catalog, noe, p)
+    dimension = sum(k * d for k, d in zip(mults, catalog.degrees))
     out = {
-        "p": problem.p,
-        "multiplicities": list(spec.multiplicities),
-        "dimension": spec.dimension,
+        "p": p,
+        "multiplicities": list(mults),
+        "dimension": dimension,
         "dimension_formula": {
-            "beta_m_p_plus_g": beta * m * problem.p + g,
-            "matches": spec.dimension == beta * m * problem.p + g,
+            "beta_m_p_plus_g": beta * m * p + g,
+            "matches": dimension == beta * m * p + g,
         },
         "beta_used": {"value": noe.value, "exact": noe.exact},
     }
     budget = options.budget
-    if (
-        problem.group.order <= budget.tor_row_bound_max_order
-        and problem.p <= budget.tor_row_bound_max_p
-    ):
-        res = domination_check(catalog, noe, problem.p, samples=[], budget=budget)
+    if budget.allows_tor_row_bounds(g, p):
+        res = domination_check(catalog, noe, p, samples=[], budget=budget)
         out["s_prime_universal"] = res["s_prime_universal"]
     else:
         out["s_prime_universal"] = "skipped (outside budget)"
@@ -489,20 +462,23 @@ def _run_chain(problem: Problem, options) -> dict:
     return inequality_chain_check(g_max=problem.g_max, p_max=problem.p_max)
 
 
+# task word -> handler: the parser, the usage text and `run` read this table
+TASKS = {
+    "group": _run_group,
+    "invariants": _run_invariants,
+    "noether": _run_noether,
+    "syzygies": _run_syzygies,
+    "bounds": _run_bounds,
+    "universal": _run_universal,
+    "schur": _run_schur,
+    "chain": _run_chain,
+}
+
+
 def run(problem: Problem, options):
     """Dispatch to the task pipeline; returns (report dict, findings list)."""
-    handlers = {
-        "group": _run_group,
-        "invariants": _run_invariants,
-        "noether": _run_noether,
-        "syzygies": _run_syzygies,
-        "bounds": _run_bounds,
-        "universal": _run_universal,
-        "schur": _run_schur,
-        "chain": _run_chain,
-    }
     findings = []
-    result = handlers[problem.task](problem, options)
+    result = TASKS[problem.task](problem, options)
     if isinstance(result, tuple):
         result, findings = result
     budget = options.budget
@@ -524,15 +500,7 @@ def run(problem: Problem, options):
             ),
             # cache location is an execution detail: it must not
             # influence results, so it stays out of the report bytes
-            "budget": {
-                "level": budget.name,
-                "conductor_limit": budget.conductor_limit,
-                "group_order_limit": budget.group_order_limit,
-                "monomial_limit": budget.monomial_limit,
-                "noether_exact_limit": budget.noether_exact_limit,
-                "tor_row_bound_max_order": budget.tor_row_bound_max_order,
-                "tor_row_bound_max_p": budget.tor_row_bound_max_p,
-            },
+            "budget": budget.as_json(),
         },
         "results": result,
     }
@@ -552,31 +520,42 @@ def emit_report(report: dict, fmt: str) -> str:
     raise InvalidInput(f"unknown format {fmt!r}")
 
 
+def _syzygies_csv(writer, results: dict):
+    writer.writerow(["p", "d", "dim"])
+    for row in results["tor_table"]["rows"]:
+        writer.writerow(row)
+
+
+def _bounds_csv(writer, results: dict):
+    writer.writerow(["p", "s_value", "bound", "value", "verdict"])
+    for rep in results["reports"]:
+        for name in ("derksen_bound", "universal_bound", "cubic_bound", "scan_ceiling"):
+            writer.writerow(
+                [
+                    rep["p"],
+                    rep["s_value"],
+                    name,
+                    rep["bounds"][name],
+                    rep["verdicts"][name],
+                ]
+            )
+
+
+# task word -> CSV table writer; tasks without one are refused before they run
+CSV_WRITERS = {"syzygies": _syzygies_csv, "bounds": _bounds_csv}
+
+
+def _csv_writer(task: str):
+    write = CSV_WRITERS.get(task)
+    if write is None:
+        raise InvalidInput("csv output covers the syzygies and bounds tables only")
+    return write
+
+
 def _emit_csv(report: dict) -> str:
-    task = report["task"]
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    results = report["results"]
-    if task == "syzygies":
-        writer.writerow(["p", "d", "dim"])
-        for row in results["tor_table"]["rows"]:
-            writer.writerow(row)
-        return buf.getvalue()
-    if task == "bounds":
-        writer.writerow(["p", "s_value", "bound", "value", "verdict"])
-        for rep in results["reports"]:
-            for name in ("derksen_bound", "universal_bound", "cubic_bound", "scan_ceiling"):
-                writer.writerow(
-                    [
-                        rep["p"],
-                        rep["s_value"],
-                        name,
-                        rep["bounds"][name],
-                        rep["verdicts"][name],
-                    ]
-                )
-        return buf.getvalue()
-    raise InvalidInput("csv output covers the syzygies and bounds tables only")
+    _csv_writer(report["task"])(csv.writer(buf, lineterminator="\n"), report["results"])
+    return buf.getvalue()
 
 
 def _render_value(value, indent: int = 0) -> list:
@@ -763,6 +742,8 @@ def main(argv=None) -> int:
         if args.p is not None and args.p_max is None and is_int(doc.get("p_max")):
             doc["p_max"] = max(doc["p_max"], args.p)
         problem = parse_problem(doc, task=args.task, budget=budget)
+        if args.format == "csv":
+            _csv_writer(problem.task)
         options = Options(budget=budget, cache=_resolve_cache(args))
         report, findings = run(problem, options)
         sys.stdout.write(emit_report(report, args.format))

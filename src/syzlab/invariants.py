@@ -263,8 +263,6 @@ class InvariantRing:
 
     def _compute_degree_blocks(self, d: int):
         """Nonempty blocks of degree d, in weight order, from one elimination."""
-        if monomial_count(self.nvars, d) > self.budget.monomial_limit:
-            raise LimitExceeded("degree too large")
         basis = self._block_basis_generic(d, None, monomials(self.nvars, d))
         if len(basis) != self.molien(d)[d]:
             raise InternalInconsistency(
@@ -276,12 +274,17 @@ class InvariantRing:
             grouped.setdefault(el.weight, []).append(el)
         return {w: grouped[w] for w in self.grading.all_weights(d) if w in grouped}
 
+    def _refuse_over_budget(self, d: int):
+        """A degree the packed keys cannot hold, or whose monomials exceed
+        the budget, is refused whether or not the cache holds it."""
+        if d >= _DEGREE_LIMIT or monomial_count(self.nvars, d) > self.budget.monomial_limit:
+            raise LimitExceeded("degree too large")
+
     def blocks(self, d: int) -> dict:
         hit = self._degree_blocks.get(d)
         if hit is not None:
             return hit
-        if d >= _DEGREE_LIMIT:
-            raise LimitExceeded("degree too large")
+        self._refuse_over_budget(d)
         payload = self._cache_get(d)
         blocks = None if payload is None else self._load_blocks(d, payload)
         if blocks is None:
@@ -307,10 +310,11 @@ class InvariantRing:
 
     def precompute(self, degrees: range):
         """Blocks of every degree of the range, after one Molien fetch up to
-        the top one. A top degree the packed keys cannot hold is refused
-        before any degree is listed."""
-        if degrees and degrees[-1] >= _DEGREE_LIMIT:
-            raise LimitExceeded("degree too large")
+        the top one. A top degree that `blocks` would refuse is refused
+        before any degree is listed; the monomial count grows with the
+        degree, so no lower one is refused later."""
+        if degrees:
+            self._refuse_over_budget(degrees[-1])
         degrees = [d for d in degrees if d not in self._degree_blocks]
         if degrees:
             self.molien(max(degrees))

@@ -274,6 +274,12 @@ class KoszulComplex:
     def ceiling(self, p: int) -> int:
         return scan_ceiling(self.beta, self.ring.rep.degree, p)
 
+    def precompute(self, p: int):
+        """Blocks of R in every degree up to ceiling(p) plus the guard band,
+        which covers each degree the scans of Tor_0..Tor_p read, after one
+        Molien fetch; a top degree over the budget is refused first."""
+        self.ring.precompute(range(self.ceiling(p) + self.guard + 1))
+
     def scan(self, p: int) -> dict:
         """d -> tor_data(p, d) for d = 0..ceiling(p), in increasing order.
 

@@ -6,7 +6,7 @@ together. The defaults are the measured desk-scale ceilings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 @dataclass(frozen=True)
@@ -46,6 +46,17 @@ class Budget:
                 tor_row_bound_max_p=2,
             )
         raise ValueError(f"unknown budget level {level!r}")
+
+    def allows_tor_row_bounds(self, order: int, p: int) -> bool:
+        """Whether the Tor computations on universal and certifying
+        specializations (their size grows with both) fit this budget."""
+        return order <= self.tor_row_bound_max_order and p <= self.tor_row_bound_max_p
+
+    def as_json(self) -> dict:
+        """The budget as reports print it, its name under "level"."""
+        out = asdict(self)
+        out["level"] = out.pop("name")
+        return out
 
 
 DEFAULT_BUDGET = Budget.preset("default")

@@ -216,13 +216,17 @@ def spec_from_multiplicities(catalog: IrrepCatalog, multiplicities) -> Universal
     )
 
 
-def build_universal_rep(catalog: IrrepCatalog, noether: NoetherResult, p: int) -> UniversalSpec:
-    """The dominating specialization: multiplicity beta*p + d_i on factor i."""
+def universal_multiplicities(catalog: IrrepCatalog, noether: NoetherResult, p: int) -> tuple:
+    """The dominating specialization's multiplicity beta*p + d_i on factor i."""
     if p < 1:
         raise InvalidInput("homological degree must be at least 1")
+    return tuple(noether.value * p + d for d in catalog.degrees)
+
+
+def build_universal_rep(catalog: IrrepCatalog, noether: NoetherResult, p: int) -> UniversalSpec:
+    """The dominating specialization, assembled."""
     beta = noether.value
-    mults = [beta * p + d for d in catalog.degrees]
-    spec = spec_from_multiplicities(catalog, mults)
+    spec = spec_from_multiplicities(catalog, universal_multiplicities(catalog, noether, p))
     g = catalog.group.order
     m = catalog.m
     if spec.dimension != beta * m * p + g:
@@ -486,14 +490,13 @@ def tor_row_bounds(
     truncation, computing dominant weight blocks only (the inversion needs
     nothing else; a few non-dominant blocks are cross-checked)."""
     group = catalog.group
-    if group.order > budget.tor_row_bound_max_order or p > budget.tor_row_bound_max_p:
+    if not budget.allows_tor_row_bounds(group.order, p):
         return {
             "skipped": True,
             "reason": f"outside budget (order {group.order}, p {p}); "
             "raise --budget-level to run",
         }
-    beta = noether.value
-    bounds = tuple(beta * p + d for d in catalog.degrees)
+    bounds = universal_multiplicities(catalog, noether, p)
     mults = tuple(b + 1 for b in bounds)
     spec = spec_from_multiplicities(catalog, mults)
     cx = _spec_complex(spec, noether, budget)
@@ -565,9 +568,8 @@ def stabilization_check(
 ) -> dict:
     """Vanishing of Tor_(p,d) must agree between the reference truncation
     (beta*p + d_i by default) and the one-larger truncation."""
-    beta = noether.value
     if base_multiplicities is None:
-        base = tuple(beta * p + di for di in catalog.degrees)
+        base = universal_multiplicities(catalog, noether, p)
     else:
         base = tuple(base_multiplicities)
     bigger = tuple(k + 1 for k in base)
@@ -598,7 +600,7 @@ def _checked_syzygy_degree(
     Schur decomposition of the dominant ones.
     """
     cx = _spec_complex(spec, noether, budget)
-    cx.ring.precompute(range(cx.ceiling(p) + cx.guard + 1))
+    cx.precompute(p)
     s = None
     for d, (total, wd) in cx.scan(p).items():
         if total:

@@ -46,7 +46,8 @@ def mat_mul(a, b, cols):
 
 def row_reduce(rows):
     """(reduced row echelon form, rank) by textbook Gauss-Jordan. Int
-    entries become Fractions, so every division is exact."""
+    entries and pivots become Fractions, so every division is exact: a
+    cyclotomic difference with a rational integer value is an int."""
     rows = [[Fraction(x) if type(x) is int else x for x in r] for r in rows]
     rank = 0
     ncols = len(rows[0]) if rows else 0
@@ -60,6 +61,8 @@ def row_reduce(rows):
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
         pv = rows[rank][c]
+        if type(pv) is int:
+            pv = Fraction(pv)
         rows[rank] = [x / pv for x in rows[rank]]
         for i in range(len(rows)):
             if i != rank and rows[i][c] != 0:

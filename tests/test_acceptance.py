@@ -119,14 +119,14 @@ def test_criterion_2_cubic_veronese_z3():
     rep = diag_rep("builtin:cyclic:3", [zeta(3), zeta(3)])
     group, catalog = builtin_group("builtin:cyclic:3")
     noe = noether_number(group)
-    reports, findings = audit(catalog, rep, [1], "minimal", noe)
+    cx = make_cx(rep, "minimal")
+    reports, findings = audit(catalog, cx, [1], noe)
     (r1,) = reports
     ok = not findings
     ok = ok and r1.s_value == 6 == r1.bounds["derksen_bound"]
     ok = ok and r1.bounds["universal_bound"] == 27
     ok = ok and r1.bounds["cubic_bound"] == 27
     ok = ok and all(v == "satisfied" for v in r1.verdicts.values())
-    cx = make_cx(rep, "minimal")
     for p in range(0, 3):
         for d in range(scan_ceiling(3, 2, p) + 4):
             ok = ok and cx.tor_dimension(p, d) == veronese_tor(3, p, d)

@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from syzlab.bounds import audit, compute_bounds, inequality_chain_check, m_bound_check
 from syzlab.cyclo import zeta
 from syzlab.groups import Representation, builtin_group
-from syzlab.invariants import NoetherResult, noether_number
+from syzlab.invariants import InvariantRing, NoetherResult, build_E, noether_number
+from syzlab.koszul import KoszulComplex
 from syzlab.linalg import Matrix
 
 
@@ -16,6 +17,11 @@ def diag_rep(name, diag):
         [[d if i == j else Fraction(0) for j in range(len(diag))] for i, d in enumerate(diag)]
     )
     return Representation.from_generator_images(group, [m])
+
+
+def make_cx(rep, mode, noe):
+    ring = InvariantRing(rep)
+    return KoszulComplex(ring, build_E(ring, mode, noe), noe.value)
 
 
 def test_compute_bounds_z2():
@@ -92,7 +98,7 @@ def test_audit_veronese_z2():
     group, catalog = builtin_group("builtin:cyclic:2")
     rep = diag_rep("builtin:cyclic:2", [Fraction(-1), Fraction(-1)])
     noe = noether_number(group)
-    reports, findings = audit(catalog, rep, [1, 2], "minimal", noe)
+    reports, findings = audit(catalog, make_cx(rep, "minimal", noe), [1, 2], noe)
     assert not findings
     r1, r2 = reports
     assert r1.s_value == 4
@@ -109,7 +115,7 @@ def test_audit_veronese_z3():
     group, catalog = builtin_group("builtin:cyclic:3")
     rep = diag_rep("builtin:cyclic:3", [zeta(3), zeta(3)])
     noe = noether_number(group)
-    reports, findings = audit(catalog, rep, [1], "minimal", noe)
+    reports, findings = audit(catalog, make_cx(rep, "minimal", noe), [1], noe)
     assert not findings
     (r1,) = reports
     assert r1.s_value == 6
@@ -123,7 +129,7 @@ def test_audit_fallback_beta_labels_verdicts():
     group, catalog = builtin_group("builtin:cyclic:2")
     rep = diag_rep("builtin:cyclic:2", [Fraction(-1), Fraction(-1)])
     fallback = NoetherResult(value=group.order, exact=False)
-    reports, findings = audit(catalog, rep, [1], "minimal", fallback)
+    reports, findings = audit(catalog, make_cx(rep, "minimal", fallback), [1], fallback)
     (r1,) = reports
     assert "not a certified check" in r1.verdicts["universal_bound"]
 
@@ -132,7 +138,7 @@ def test_audit_full_mode_triv_sign():
     group, catalog = builtin_group("builtin:cyclic:2")
     rep = diag_rep("builtin:cyclic:2", [Fraction(1), Fraction(-1)])
     noe = noether_number(group)
-    reports, findings = audit(catalog, rep, [1], "full", noe)
+    reports, findings = audit(catalog, make_cx(rep, "full", noe), [1], noe)
     (r1,) = reports
     assert r1.s_value == 2
     assert r1.mode == "full"
@@ -155,6 +161,6 @@ def test_audit_minimal_mode_selects_generators_once(monkeypatch):
 
     monkeypatch.setattr(syzlab.invariants, "minimal_generators", counting)
     monkeypatch.setattr(syzlab.bounds, "minimal_generators", counting)
-    (r1,), _ = audit(catalog, rep, [1], "minimal", noe)
+    (r1,), _ = audit(catalog, make_cx(rep, "minimal", noe), [1], noe)
     assert len(calls) == 1
     assert r1.beta_v == 2

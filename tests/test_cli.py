@@ -15,7 +15,10 @@ from syzlab import FORMAT_VERSION
 from syzlab.cache import Cache
 from syzlab.cyclo import Cyclotomic, encode_scalar
 from syzlab.cli import OPTION_TABLE, main, option_synopsis, parse_problem, usage
-from syzlab.invariants import InvariantRing
+from syzlab.errors import InvalidInput
+from syzlab.groups import builtin_group
+from syzlab.invariants import InvariantRing, noether_number
+from syzlab.schur import build_universal_rep
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -622,6 +625,17 @@ def test_usage_errors_print_usage_and_one_line(capsys, argv, message):
     assert line.startswith(f"syzlab: error: {message}")
 
 
+@pytest.mark.parametrize("task", ["cohomology", ["syzygies"]], ids=["unknown", "unhashable"])
+def test_task_table_renders_the_task_words(task):
+    """The document's task check and the usage text read one table and
+    list the same words in the same order."""
+    words = ("group", "invariants", "noether", "syzygies", "bounds", "universal", "schur", "chain")
+    with pytest.raises(InvalidInput) as exc:
+        parse_problem({"group": "builtin:cyclic:2", "task": task})
+    assert str(exc.value) == f"task: expected one of {words}"
+    assert usage().endswith(f"tasks: {', '.join(words)}\n")
+
+
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["bounds", "-h"], ["group", "--input", "x", "--help"]])
 def test_help_prints_usage_and_exits_zero(capsys, argv):
     assert _usage_exit(capsys, argv) == (0, usage(), "")
@@ -753,25 +767,15 @@ def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
 
 
-@pytest.mark.parametrize("case", ["syzygies-p", "invariants-stop"])
-def test_huge_degree_refused_before_listing(tmp_path, case):
-    """A top degree of 2^16 or more is refused with exit 2 before any degree
-    is listed or any Molien coefficient computed: the child would otherwise
-    run out of memory or time."""
-    if case == "syzygies-p":
-        args = ["syzygies", "--input", str(PROBLEMS / "z2_antipodal_syzygies.json"), "--p", str(HUGE)]
-    else:
-        doc = json.loads((PROBLEMS / "z3_invariants.json").read_text(encoding="utf-8"))
-        doc["stop"] = HUGE
-        path = tmp_path / "huge.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        args = ["invariants", "--input", str(path)]
+def _run_capped(tmp_path, args):
+    """The CLI in a child under the 1.5 GB address-space cap and a 30 s
+    timeout, with its cache in tmp_path."""
     paths = [str(ROOT / "src")]
     paths += [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(
         os.environ, PYTHONPATH=os.pathsep.join(paths), SYZLAB_CACHE_DIR=str(tmp_path / "cache")
     )
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "syzlab.cli", *args],
         cwd=tmp_path,
         env=env,
@@ -780,9 +784,79 @@ def test_huge_degree_refused_before_listing(tmp_path, case):
         timeout=30,
         preexec_fn=_limit_address_space,
     )
+
+
+@pytest.mark.parametrize(
+    "case", ["syzygies-p", "bounds-p", "invariants-stop", "syzygies-p-over-monomial-limit"]
+)
+def test_huge_degree_refused_before_listing(tmp_path, case):
+    """A top degree of 2^16 or more, or one with more monomials than the
+    budget allows, is refused with exit 2 before any degree is listed or
+    computed: the child would otherwise run out of memory or time."""
+    if case == "invariants-stop":
+        doc = json.loads((PROBLEMS / "z3_invariants.json").read_text(encoding="utf-8"))
+        doc["stop"] = HUGE
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        args = ["invariants", "--input", str(path)]
+    else:
+        task = case.split("-")[0]
+        p = 20000 if case.endswith("monomial-limit") else HUGE
+        args = [task, "--input", str(PROBLEMS / f"z2_antipodal_{task}.json"), "--p", str(p)]
+    run = _run_capped(tmp_path, args)
     assert run.returncode == 2, run.stderr
     assert run.stdout == ""
     assert run.stderr.count("\n") == 1 and run.stderr.endswith("degree too large\n")
+
+
+def test_universal_outside_the_budget_builds_no_specialization(tmp_path, capsys):
+    """Outside the Tor budget the report reads the specialization's size
+    off the catalog: at p = 10^5 its images would not fit under the cap.
+    Inside the budget the sizes are those of the assembled one."""
+    path = str(PROBLEMS / "z2_universal.json")
+    run = _run_capped(tmp_path, ["universal", "--input", path, "--p", "100000"])
+    assert run.returncode == 0, run.stderr
+    results = json.loads(run.stdout)["results"]
+    assert results["s_prime_universal"] == "skipped (outside budget)"
+    assert results["multiplicities"] == [200001, 200001]
+    assert results["dimension_formula"] == {"beta_m_p_plus_g": 400002, "matches": True}
+    assert results["dimension"] == 400002
+    group, catalog = builtin_group("builtin:cyclic:2")
+    spec = build_universal_rep(catalog, noether_number(group), 2)
+    code, out, _ = run_cli(capsys, "universal", "--input", path, "--p", "2", "--no-cache")
+    results = json.loads(out)["results"]
+    assert code == 0 and results["s_prime_universal"] == "skipped (outside budget)"
+    assert (results["multiplicities"], results["dimension"]) == ([5, 5], spec.dimension)
+    assert tuple(results["multiplicities"]) == spec.multiplicities
+
+
+def test_cache_hot_run_obeys_the_monomial_limit(tmp_path, capsys):
+    """The scan to p = 36 reaches degree 77, which has 3,081 monomials in
+    3 variables: under the default limit, over the small one. A
+    small-budget run refuses it whether or not a default-budget run cached
+    it."""
+    path = tmp_path / "z2.json"
+    doc = {"group": "builtin:cyclic:2", "rep": {"multiplicities": [1, 2]}}
+    path.write_text(json.dumps({**doc, "task": "syzygies", "p": 36, "p_max": 36}))
+    argv = ["syzygies", "--input", str(path)]
+    small = ["--budget-level", "small"]
+    cache = ["--cache-dir", str(tmp_path / "cache")]
+    cold = run_cli(capsys, *argv, *small, "--no-cache")
+    assert cold == (2, "", "syzlab: computation limit exceeded: degree too large\n")
+    assert run_cli(capsys, *argv, *cache)[0] == 0
+    assert len(os.listdir(tmp_path / "cache")) == 78
+    assert run_cli(capsys, *argv, *small, *cache) == cold
+
+
+def test_csv_is_refused_before_the_run(tmp_path, capsys):
+    """A task without a CSV table exits 1 before it computes or caches
+    anything."""
+    cache = tmp_path / "cache"
+    argv = ["invariants", "--input", str(PROBLEMS / "z3_invariants.json"), "--format", "csv"]
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(cache))
+    assert (code, out) == (1, "")
+    assert err == "syzlab: invalid input: csv output covers the syzygies and bounds tables only\n"
+    assert list(cache.glob("*")) == []
 
 
 _Z2_MATRIX = {

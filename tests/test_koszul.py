@@ -7,10 +7,10 @@ from syzlab.cli import main
 from syzlab.cyclo import Cyclotomic, zeta
 from syzlab.errors import InternalInconsistency, InvalidInput
 from syzlab.groups import Representation, builtin_group
-from syzlab.invariants import GeneratorSet, InvariantRing, build_E, noether_number
+from syzlab.invariants import GeneratorSet, InvariantRing, InvElem, build_E, noether_number
 from syzlab.koszul import KoszulComplex, scan_ceiling, syzygy_degree, tor_table
 from syzlab.linalg import Matrix, rank
-from syzlab.monomials import poly_mul, unpack
+from syzlab.monomials import poly_add_into, poly_mul, unpack
 from syzlab.schur import (
     domination_check,
     dominant_weights,
@@ -312,6 +312,26 @@ def test_minimal_choice_independence():
         rev = oracle_reversed_cx(rep)
         for p in (1, 2):
             assert syzygy_degree(fwd, p) == syzygy_degree(rev, p)
+
+
+def test_choice_independence_on_a_different_complement():
+    """S3 on sign + standard with its degree-4 generator g replaced by
+    g + x*y, x and y its degree-2 generators: the same class modulo R+^2,
+    so the set is still minimal, but its degree-4 complement is another
+    line. The Tor table and s_1 = 8 stay."""
+    group, catalog = builtin_group("builtin:sym:3")
+    ring = InvariantRing(spec_from_multiplicities(catalog, [0, 1, 1]).rep)
+    noe = noether_number(group)
+    gens = build_E(ring, "minimal", noe)
+    assert gens.degrees() == [2, 2, 3, 4]
+    x, y, z, g = gens.elements
+    poly = dict(g.poly)
+    poly_add_into(poly, poly_mul(x.poly, y.poly), 1)
+    other = GeneratorSet("minimal", (x, y, z, InvElem(4, g.weight, poly)), gens.beta_V)
+    cx = KoszulComplex(ring, gens, noe.value)
+    cx_other = KoszulComplex(ring, other, noe.value)
+    assert tor_table(cx_other, p_max=2).as_json() == tor_table(cx, p_max=2).as_json()
+    assert syzygy_degree(cx_other, 1) == syzygy_degree(cx, 1) == 8
 
 
 def test_zero_dimensional_rep():

@@ -67,6 +67,32 @@ def test_one_guard_band_check():
     assert sites[0][0] == "koszul.py"
 
 
+def test_tor_row_budget_is_read_by_budget_only():
+    """Whether a Tor row-bound run fits the budget is Budget's decision
+    (`allows_tor_row_bounds`): a caller reading the two limits itself is a
+    second copy of the gate."""
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr.startswith("tor_row_bound_max_"):
+                readers.add(path.name)
+    assert readers == {"limits.py"}
+
+
+def test_bounds_builds_no_ring_or_complex():
+    """The bound audit reads the complex the syzygies pipeline built, so
+    both tasks get the same Molien fetch, degree refusal and cache."""
+    tree = ast.parse((PACKAGE / "bounds.py").read_text(encoding="utf-8"))
+    called = {
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert "compute_bounds" in called
+    assert not called & {"InvariantRing", "KoszulComplex"}
+
+
 # Targets the tracer still names although the engine no longer has them; the
 # tracer reports their layers as missing.
 STALE_TRACER_TARGETS = {
