@@ -7,9 +7,11 @@ Irrational values live in Q(zeta_N) represented on the power basis
 1, z, ..., z^(phi(N)-1) modulo the N-th cyclotomic polynomial, each
 power-basis coefficient again an ``int`` or a ``Fraction`` by the same
 rule, so elements of Z[zeta_N] compute with ints only. Arithmetic between
-different conductors lifts both operands to the lcm on demand; results
-that turn out rational are demoted to int or Fraction, so a Cyclotomic
-instance produced by arithmetic is always irrational. Integer division
+different conductors lifts both operands to the lcm first. Every product
+adds each x_i * y_j along z^(i+j) mod Phi_N, read off one table per
+conductor. Results that turn out rational are demoted to int or Fraction,
+so a Cyclotomic instance produced by arithmetic is always irrational
+(adding 0 or multiplying by 1 returns the operand). Integer division
 (`/` on two ints) and negative integer powers would give floats: exact
 quotients go through `quotient`.
 """
@@ -108,6 +110,22 @@ def _reduce_mod_phi(coeffs, n):
     return coeffs
 
 
+@lru_cache(maxsize=None)
+def _power_table(n: int):
+    """z^k modulo Phi_n for k < 2 phi(n) - 1, every power a product of two
+    reduced elements reaches: per k, the nonzero (j, coefficient of z^j)."""
+    phi = _cyclotomic_poly_cached(n)
+    deg = len(phi) - 1
+    table, power = [], [1] + [0] * (deg - 1)
+    for _ in range(2 * deg - 1):
+        table.append(tuple((j, c) for j, c in enumerate(power) if c))
+        top = power[-1]  # times z: z^deg = -(phi_0 + ... + phi_(deg-1) z^(deg-1))
+        power = [0] + power[:-1]
+        for j in range(deg):
+            power[j] -= top * phi[j]
+    return tuple(table)
+
+
 def _poly_ext_gcd_mod(a, n):
     """u with u*a = 1 modulo Phi_n, both over Q; a is nonzero of degree < phi(n)."""
     phi = [Fraction(c) for c in _cyclotomic_poly_cached(n)]
@@ -172,7 +190,8 @@ class Cyclotomic:
             return _int_if_integral(coeffs[0]) if coeffs else 0
         el = Cyclotomic.__new__(Cyclotomic)
         el.conductor = conductor
-        el.coeffs = tuple(c if type(c) is int else _int_if_integral(c) for c in coeffs)
+        fractions = Fraction in map(type, coeffs)
+        el.coeffs = tuple(map(_int_if_integral, coeffs) if fractions else coeffs)
         return el
 
     def lift(self, m: int):
@@ -188,25 +207,30 @@ class Cyclotomic:
         return _reduce_mod_phi(raw, m)
 
     def _pair(self, other):
-        if isinstance(other, Cyclotomic):
-            if other.conductor == self.conductor:
-                return self.conductor, list(self.coeffs), list(other.coeffs)
-            m = lcm(self.conductor, other.conductor)
-            return m, self.lift(m), other.lift(m)
-        if isinstance(other, (int, Fraction)):
-            rc = [0] * len(self.coeffs)
-            rc[0] = _int_if_integral(other)
-            return self.conductor, list(self.coeffs), rc
-        return None
+        """(conductor, coefficients of self and of the Cyclotomic other),
+        lifted to the lcm only when the conductors differ."""
+        if other.conductor == self.conductor:
+            return self.conductor, self.coeffs, other.coeffs
+        m = lcm(self.conductor, other.conductor)
+        return m, self.lift(m), other.lift(m)
+
+    def _shifted(self, q):
+        """self + q for a rational q."""
+        if not q:
+            return self
+        coeffs = list(self.coeffs)
+        coeffs[0] += q
+        return Cyclotomic._normalized(self.conductor, coeffs)
 
     # -- ring operations -------------------------------------------------------
 
     def __add__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        n, a, b = p
-        return Cyclotomic._normalized(n, [x + y for x, y in zip(a, b)])
+        if type(other) is Cyclotomic:
+            n, a, b = self._pair(other)
+            return Cyclotomic._normalized(n, [x + y for x, y in zip(a, b)])
+        if isinstance(other, (int, Fraction)):
+            return self._shifted(other)
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -214,39 +238,39 @@ class Cyclotomic:
         return Cyclotomic._normalized(self.conductor, [-c for c in self.coeffs])
 
     def __sub__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        n, a, b = p
-        return Cyclotomic._normalized(n, [x - y for x, y in zip(a, b)])
+        if type(other) is Cyclotomic:
+            n, a, b = self._pair(other)
+            return Cyclotomic._normalized(n, [x - y for x, y in zip(a, b)])
+        if isinstance(other, (int, Fraction)):
+            return self._shifted(-other)
+        return NotImplemented
 
     def __rsub__(self, other):
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        n, a, b = p
-        return Cyclotomic._normalized(n, [y - x for x, y in zip(a, b)])
+        if isinstance(other, (int, Fraction)):
+            return -self + other
+        return NotImplemented
 
     def __mul__(self, other):
+        if type(other) is Cyclotomic:
+            n, a, b = self._pair(other)
+            table = _power_table(n)
+            out = [0] * len(a)
+            for i, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(b, i):
+                        if y:
+                            xy = x * y
+                            for j, t in table[k]:
+                                out[j] += xy if t == 1 else -xy if t == -1 else t * xy
+            return Cyclotomic._normalized(n, out)
         if isinstance(other, (int, Fraction)):
+            if other == 1:
+                return self
             if other == 0:
                 return 0
             other = _int_if_integral(other)
-            return Cyclotomic._normalized(
-                self.conductor, [c * other for c in self.coeffs]
-            )
-        p = self._pair(other)
-        if p is None:
-            return NotImplemented
-        n, a, b = p
-        prod = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                if y:
-                    prod[i + j] += x * y
-        return Cyclotomic._normalized(n, _reduce_mod_phi(prod, n))
+            return Cyclotomic._normalized(self.conductor, [c * other for c in self.coeffs])
+        return NotImplemented
 
     __rmul__ = __mul__
 

@@ -8,16 +8,21 @@ representation takes one route: the image is the column space of sum_g g,
 which equals the Reynolds operator's, so it needs no division by |G|.
 Each column sum_g g . m is built as a sparse vector and the columns go
 straight to the elimination kernel as rows, whose reduced form is the
-basis. A full degree is one elimination over all of its monomials: blocks
-have disjoint supports, so the reduced rows fall apart into the blocks'
-bases. Polynomials, the images g . m and the published bases alike are
-keyed by packed monomials (see `monomials`), where multiplying monomials
+basis; a column that is a multiple of an earlier one is left out. A full
+degree is one elimination over all of its monomials: blocks have disjoint
+supports, so the reduced rows fall apart into the blocks' bases.
+Polynomials, the images g . m and the published bases alike are keyed by
+packed monomials (see `monomials`), where multiplying monomials
 is adding ints; exponent tuples appear only where monomials are
 enumerated and in the cache payloads. Dimensions are cross-checked against
 the Molien series on every full-degree computation and on every degree
 read back from the cache: two independent routes that must agree exactly.
 A cached basis must also be fixed by each generator.
 
+Each basis element carries its integral multiple, the element times the
+int lcm of its denominators. Products of elements are taken of these, and
+`coords_in_basis` checks against them, so products compute in Z or
+Z[zeta_N].
 Coordinates in a block basis are sparse: the nonzero (index, coefficient)
 pairs. Minimal generators are selected in block coordinates, where the
 greedy scan becomes a pivot computation.
@@ -27,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 from operator import add
 
@@ -98,32 +104,31 @@ class Grading:
 TRIVIAL_GRADING = Grading()
 
 
-def _integral_multiple(poly: dict) -> dict:
-    """poly times the lcm of every denominator its coefficients hold, those
-    of a Cyclotomic's power-basis coefficients included, so its
-    coefficients are ints or Cyclotomics with int coefficients; poly itself
-    when it holds no denominator."""
+def _scale(poly: dict) -> int:
+    """The lcm of every denominator poly's coefficients hold, those of a
+    Cyclotomic's power-basis coefficients included."""
     den = 1
     for c in poly.values():
         if type(c) is Fraction:
             den = lcm(den, c.denominator)
         elif type(c) is Cyclotomic:
             den = lcm(den, *(x.denominator for x in c.coeffs))
-    if den == 1:
-        return poly
-    return {m: _int_if_integral(c * den) for m, c in poly.items()}
+    return den
 
 
 class InvElem:
-    """A homogeneous invariant: sparse polynomial with its echelon pivot."""
+    """A homogeneous invariant: sparse polynomial with its echelon pivot,
+    and its integral multiple `scale` * poly (poly itself at scale 1)."""
 
-    __slots__ = ("degree", "weight", "poly", "pivot")
+    __slots__ = ("degree", "weight", "poly", "pivot", "scale", "multiple")
 
     def __init__(self, degree: int, weight: tuple, poly: dict):
         self.degree = degree
         self.weight = weight
         self.poly = poly
         self.pivot = max(poly)
+        self.scale = s = _scale(poly)
+        self.multiple = poly if s == 1 else {m: _int_if_integral(c * s) for m, c in poly.items()}
 
     def __repr__(self):
         return f"InvElem(deg={self.degree}, weight={self.weight}, terms={len(self.poly)})"
@@ -234,8 +239,12 @@ class InvariantRing:
         degree d when w is None: blocks have disjoint supports and the
         elimination only updates rows with an entry in the pivot column, so
         one elimination gives every block's basis, each element with its
-        block's weight. Every term of a non-identity image must have the
-        weight of its source monomial."""
+        block's weight. Every term of every image computed must have the
+        weight of its source monomial. When g . m = c . m' with m' != m, the
+        column of m' is c^-1 times that of m, so the later of the two takes
+        no further pass and gives no row; the reduced form is unchanged, and
+        its images are multiples of checked ones. A permutation
+        representation gives one row per orbit, dim R_d in all."""
         if w is None:
             ids: dict = {}
             wid = [ids.setdefault(self.grading.weight(m), len(ids)) for m in monos]
@@ -246,14 +255,21 @@ class InvariantRing:
         index = {m: i for i, m in enumerate(keys)}
         # element 0 is the identity (checked in __init__): g . m = m
         sums: list = [{i: 1} for i in range(len(monos))]
+        # both filtered iterators read keep[i] before the body clears any
+        # flag at i or later, so they stay in step
+        keep = bytearray(b"\1") * len(monos)
         for k in range(1, len(self._cols_sparse)):
-            for col, w0, img in zip(sums, wid, self._images(k, monos)):
+            kept = compress(range(len(monos)), keep)
+            for i, img in zip(kept, self._images(k, compress(monos, keep))):
+                col, w0 = sums[i], wid[i]
                 for m, c in img.items():
                     pos = index.get(m)
                     if pos is None or wid[pos] != w0:
                         raise InternalInconsistency("group action does not preserve weights")
                     col[pos] = col.get(pos, 0) + c
-        cols = [{i: _int_if_integral(c) for i, c in col.items() if c} for col in sums]
+                if len(img) == 1 and pos != i:
+                    keep[max(i, pos)] = 0
+        cols = [{j: _int_if_integral(c) for j, c in col.items() if c} for col in compress(sums, keep)]
         return [
             InvElem(d, weights[wid[c]], {keys[i]: row[i] for i in sorted(row)})
             for c, row in reduced_rows(cols, len(monos))
@@ -274,7 +290,7 @@ class InvariantRing:
             grouped.setdefault(el.weight, []).append(el)
         return {w: grouped[w] for w in self.grading.all_weights(d) if w in grouped}
 
-    def _refuse_over_budget(self, d: int):
+    def refuse_over_budget(self, d: int):
         """A degree the packed keys cannot hold, or whose monomials exceed
         the budget, is refused whether or not the cache holds it."""
         if d >= _DEGREE_LIMIT or monomial_count(self.nvars, d) > self.budget.monomial_limit:
@@ -284,7 +300,7 @@ class InvariantRing:
         hit = self._degree_blocks.get(d)
         if hit is not None:
             return hit
-        self._refuse_over_budget(d)
+        self.refuse_over_budget(d)
         payload = self._cache_get(d)
         blocks = None if payload is None else self._load_blocks(d, payload)
         if blocks is None:
@@ -314,7 +330,7 @@ class InvariantRing:
         before any degree is listed; the monomial count grows with the
         degree, so no lower one is refused later."""
         if degrees:
-            self._refuse_over_budget(degrees[-1])
+            self.refuse_over_budget(degrees[-1])
         degrees = [d for d in degrees if d not in self._degree_blocks]
         if degrees:
             self.molien(max(degrees))
@@ -324,14 +340,20 @@ class InvariantRing:
     def coords_in_basis(self, poly: dict, d: int, w: tuple) -> tuple:
         """Nonzero coordinates of an invariant in the block basis, read off
         the unit pivots: ((index, coefficient), ...), indices increasing,
-        integral values as int."""
+        integral values as int. The check runs on integral multiples: L .
+        poly - sum c_i . (L / s_i) . (s_i . B_i) must vanish, L the lcm of
+        the scales s_i used."""
         basis = self.block_basis(d, w)  # refuses a degree the keys cannot hold
         coords = tuple(
             (i, _int_if_integral(c)) for i, el in enumerate(basis) if (c := poly.get(el.pivot))
         )
-        check = dict(poly)
+        scale = 1
+        for i, _ in coords:
+            scale = lcm(scale, basis[i].scale)
+        check = dict(poly) if scale == 1 else {m: c * scale for m, c in poly.items()}
         for i, c in coords:
-            poly_add_into(check, basis[i].poly, -c)
+            el = basis[i]
+            poly_add_into(check, el.multiple, -c if el.scale == scale else -c * (scale // el.scale))
         if check:
             raise InternalInconsistency(
                 "polynomial does not lie in the computed invariant block"
@@ -406,15 +428,14 @@ class InvariantRing:
             return None
         if sum(len(els) for els in found.values()) != self.molien(d)[d]:
             return None
-        if not all(self._fixed_by_generators(el.poly) for els in found.values() for el in els):
+        if not all(self._fixed_by_generators(el.multiple) for els in found.values() for el in els):
             return None
         return {w: found[w] for w in weights if w in found}
 
     def _fixed_by_generators(self, poly: dict) -> bool:
-        """g . poly == poly for every generator g, hence for all of G. The
-        poly is first replaced by its integral multiple, which leaves the
-        test unchanged and keeps integer arithmetic integer."""
-        poly = _integral_multiple(poly)
+        """g . poly == poly for every generator g, hence for all of G.
+        Callers pass an element's integral multiple, which leaves the test
+        unchanged and keeps integer arithmetic integer."""
         monos = [unpack(m, self.nvars) for m in poly]
         for k in self.rep.group.generator_elements():
             moved: dict = {}
@@ -547,16 +568,14 @@ def minimal_generators(ring: InvariantRing, stop: int) -> GeneratorSet:
     span of the products has its last nonzero coordinate at that element;
     with the columns in reverse order those positions are the pivot columns
     of the products' coordinate rows. The products are taken of the
-    elements' integral multiples (`_integral_multiple`): that scales each
+    elements' integral multiples (`InvElem.multiple`): that scales each
     coordinate row by a nonzero constant, which moves no pivot. A `stop`
     below the group's ceiling may miss generators; warning about that is
     the caller's business.
     """
     ring.precompute(range(1, stop + 1))
     # per degree below stop: (weight, integral multiple) of each element
-    multiples = [()] + [
-        [(x.weight, _integral_multiple(x.poly)) for x in ring.basis(a)] for a in range(1, stop)
-    ]
+    multiples = [()] + [[(x.weight, x.multiple) for x in ring.basis(a)] for a in range(1, stop)]
     chosen = []
     for d in range(1, stop + 1):
         products: dict = {}  # weight -> the products' coordinates

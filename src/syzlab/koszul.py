@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations, repeat
 from operator import add, sub
 
+from .cyclo import quotient
 from .errors import InternalInconsistency, InvalidInput
 from .invariants import GeneratorSet, InvariantRing
 from .linalg import Matrix, rank
@@ -29,6 +30,11 @@ def scan_ceiling(beta: int, dim_v: int, p: int) -> int:
 
 def _wadd(a: tuple, b: tuple) -> tuple:
     return tuple(map(add, a, b))
+
+
+def _divided(coords: tuple, s: int) -> tuple:
+    """Coordinates divided by the int s, each under the scalar convention."""
+    return coords if s == 1 else tuple((i, quotient(c, s)) for i, c in coords)
 
 
 class _WeightIndex:
@@ -205,14 +211,18 @@ class KoszulComplex:
     def _times_generator(self, rdeg: int, rw: tuple, t: int) -> list:
         """For each basis element r of the R block (rdeg, rw), in order, the
         nonzero coordinates of r . e_t; computed once per complex, for every
-        p."""
+        p. The product is taken of the integral multiples s_r . r and
+        s_e . e_t, and its coordinates are divided by s_r . s_e."""
         key = (rdeg, rw, t)
         hit = self._products.get(key)
         if hit is None:
             e = self.E[t]
             tdeg, tw = rdeg + e.degree, _wadd(rw, e.weight)
             hit = self._products[key] = [
-                self.ring.coords_in_basis(poly_mul(r_el.poly, e.poly), tdeg, tw)
+                _divided(
+                    self.ring.coords_in_basis(poly_mul(r_el.multiple, e.multiple), tdeg, tw),
+                    r_el.scale * e.scale,
+                )
                 for r_el in self.ring.block_basis(rdeg, rw)
             ]
         return hit
@@ -275,10 +285,15 @@ class KoszulComplex:
         return scan_ceiling(self.beta, self.ring.rep.degree, p)
 
     def precompute(self, p: int):
-        """Blocks of R in every degree up to ceiling(p) plus the guard band,
-        which covers each degree the scans of Tor_0..Tor_p read, after one
-        Molien fetch; a top degree over the budget is refused first."""
-        self.ring.precompute(range(self.ceiling(p) + self.guard + 1))
+        """Blocks of R in every degree the scans of Tor_0..Tor_p read, after
+        one Molien fetch: Tor_q reads up to ceiling(q) + guard minus the
+        least degree of a (q-1)-subset of E. The scan of Tor_p walks up to
+        ceiling(p) + guard, so that degree is refused first if over budget."""
+        self.ring.refuse_over_budget(self.ceiling(p) + self.guard)
+        top = self.ceiling(0)
+        for q in range(1, min(p, len(self.E) + 1) + 1):
+            top = max(top, self.ceiling(q) - self.min_subset_degree(q - 1))
+        self.ring.precompute(range(top + self.guard + 1))
 
     def scan(self, p: int) -> dict:
         """d -> tor_data(p, d) for d = 0..ceiling(p), in increasing order.

@@ -15,9 +15,10 @@ from syzlab import FORMAT_VERSION
 from syzlab.cache import Cache
 from syzlab.cyclo import Cyclotomic, encode_scalar
 from syzlab.cli import OPTION_TABLE, main, option_synopsis, parse_problem, usage
-from syzlab.errors import InvalidInput
+from syzlab.errors import InvalidInput, LimitExceeded
 from syzlab.groups import builtin_group
 from syzlab.invariants import InvariantRing, noether_number
+from syzlab.limits import Budget
 from syzlab.schur import build_universal_rep
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -831,10 +832,12 @@ def test_universal_outside_the_budget_builds_no_specialization(tmp_path, capsys)
 
 
 def test_cache_hot_run_obeys_the_monomial_limit(tmp_path, capsys):
-    """The scan to p = 36 reaches degree 77, which has 3,081 monomials in
-    3 variables: under the default limit, over the small one. A
-    small-budget run refuses it whether or not a default-budget run cached
-    it."""
+    """The scan to p = 36 walks up to degree 77, which has 3,081 monomials
+    in 3 variables: under the default limit, over the small one. R is read
+    up to degree 8 only (E has four generators), so a default-budget run
+    caches degrees 0-8, and a small-budget run refuses the scan whether or
+    not the cache holds them. A small-budget ring refuses degree 77 itself
+    even when the cache holds it."""
     path = tmp_path / "z2.json"
     doc = {"group": "builtin:cyclic:2", "rep": {"multiplicities": [1, 2]}}
     path.write_text(json.dumps({**doc, "task": "syzygies", "p": 36, "p_max": 36}))
@@ -844,8 +847,14 @@ def test_cache_hot_run_obeys_the_monomial_limit(tmp_path, capsys):
     cold = run_cli(capsys, *argv, *small, "--no-cache")
     assert cold == (2, "", "syzlab: computation limit exceeded: degree too large\n")
     assert run_cli(capsys, *argv, *cache)[0] == 0
-    assert len(os.listdir(tmp_path / "cache")) == 78
+    assert len(os.listdir(tmp_path / "cache")) == 9
     assert run_cli(capsys, *argv, *small, *cache) == cold
+    rep = parse_problem({**doc, "task": "invariants"}).rep
+    ring_cache = {"cache": Cache(str(tmp_path / "ring")), "cache_prefix": {"ring": "z2"}}
+    InvariantRing(rep, **ring_cache).blocks(77)
+    small_ring = InvariantRing(rep, budget=Budget.preset("small"), **ring_cache)
+    with pytest.raises(LimitExceeded):
+        small_ring.blocks(77)
 
 
 def test_csv_is_refused_before_the_run(tmp_path, capsys):

@@ -233,6 +233,40 @@ def test_integral_operands_keep_int_coefficients(p, q):
         assert abs(_embed(r) - op(_embed(x), _embed(y))) < 1e-6
 
 
+@st.composite
+def same_conductor_pairs(draw):
+    """Two elements of one Q(zeta_N), their coefficients all ints or all
+    Fractions."""
+    n = draw(st.sampled_from([3, 4, 5, 8, 12]))
+    den = draw(st.sampled_from([None, 2, 3, 6]))
+    coeffs = st.lists(st.integers(-9, 9), min_size=totient(n), max_size=totient(n))
+
+    def element(cs):
+        return Cyclotomic(n, cs if den is None else [Fraction(c, den) for c in cs])
+
+    return element(draw(coeffs)), element(draw(coeffs))
+
+
+@settings(max_examples=120, deadline=None)
+@given(same_conductor_pairs())
+def test_same_conductor_kernel_matches_the_lifted_one(pair):
+    """Same-conductor products, sums and differences run on the stored
+    coefficients through the conductor's power table; lifted to 2N they
+    take the table of 2N. Both must agree, and agree with C."""
+    x, y = pair
+    n = x.conductor
+    lx, ly = (Cyclotomic._normalized(2 * n, v.lift(2 * n)) for v in (x, y))
+    for op in (lambda u, v: u * v, lambda u, v: u + v, lambda u, v: u - v):
+        r = op(x, y)
+        lifted = op(lx, ly)
+        assert r == lifted
+        if isinstance(r, Cyclotomic):
+            assert r.conductor == n
+            assert all(type(c) is int or c.denominator != 1 for c in r.coeffs)
+        assert abs(_embed(r) - op(_embed(x), _embed(y))) < 1e-6
+        assert abs(_embed(lifted) - _embed(r)) < 1e-6
+
+
 @settings(max_examples=80, deadline=None)
 @given(integral_elements())
 def test_int_and_fraction_coefficients_encode_alike(p):

@@ -4,6 +4,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from syzlab.cache import Cache
 from syzlab.errors import InternalInconsistency, LimitExceeded
@@ -19,7 +21,7 @@ from syzlab.invariants import (
     noether_number,
 )
 from syzlab.linalg import Matrix
-from syzlab.monomials import monomial_count, pack, poly_mul, unpack
+from syzlab.monomials import monomial_count, monomials, pack, poly_mul, unpack
 from syzlab.schur import spec_from_multiplicities
 
 from oracles import (
@@ -27,6 +29,7 @@ from oracles import (
     greedy_generators,
     molien_oracle,
     reynolds_matrix,
+    row_reduce,
     sym_power_action,
     sym_power_basis,
 )
@@ -395,6 +398,40 @@ def test_generic_blocks_match_reynolds_oracle(make, top):
         assert [exponents(el.poly, rep.degree) for el in ring.basis(d)] == expected, d
 
 
+@pytest.mark.parametrize(
+    "name", [n for n in BUILTIN_NAMES if builtin_group(n)[0].order <= 6]
+)
+def test_regular_ring_eliminates_one_row_per_orbit(monkeypatch, name):
+    """On a permutation representation every image g . m is one monomial,
+    so the Reynolds columns of an orbit are equal and one row per orbit,
+    dim R_d rows in all, reaches the elimination. The bases are the
+    oracle's canonical ones."""
+    import syzlab.invariants as invariants
+
+    received = []
+    reduce = invariants.reduced_rows
+
+    def counting(rows, ncols):
+        received.append(len(rows))
+        return reduce(rows, ncols)
+
+    monkeypatch.setattr(invariants, "reduced_rows", counting)
+    rep = regular_representation(builtin_group(name)[0])
+    ring = InvariantRing(rep)
+    images = [m.data for m in rep.images]
+    for d in range(1, 5):
+        received.clear()
+        basis = ring.basis(d)
+        assert received == [len(basis)] == [ring.molien(d)[d]]
+        if d <= 3:
+            monos = sym_power_basis(rep.degree, d)
+            expected = [
+                {monos[i]: c for i, c in enumerate(vec) if c}
+                for vec in column_echelon_basis(reynolds_matrix(sym_power_action(images, d)))
+            ]
+            assert [exponents(el.poly, rep.degree) for el in basis] == expected, d
+
+
 def test_power_memo_is_bounded():
     rep = s3_sign_standard()
     ring = InvariantRing(rep)
@@ -507,3 +544,70 @@ def test_minimal_generators_scan_integral_multiples(selection):
     assert_matches_greedy_oracle(ring, stop, selection)
     bases = [ring.basis(d) for d in range(stop + 1)]
     assert any(type(c) is Fraction for b in bases for el in b for c in el.poly.values())
+
+
+# -- block coordinates against a rational reference --------------------------------
+
+_PRODUCT_RINGS = {
+    "z3-cyclotomic": z3_cyclotomic,
+    "s3-sign-standard": s3_sign_standard,
+    "z3-omega-omega": z3_omega_omega,
+}
+
+
+@pytest.fixture(scope="module")
+def product_rings():
+    """name -> (ring, its basis elements of degrees 1-3)."""
+    out = {}
+    for name, make in _PRODUCT_RINGS.items():
+        ring = InvariantRing(make())
+        out[name] = ring, [el for d in range(1, 4) for el in ring.basis(d)]
+    return out
+
+
+def _reference_coords(basis, poly):
+    """{index: coefficient} of poly in the basis, by Gauss-Jordan on the
+    system [B | poly] of the basis polynomials themselves; None when poly
+    is not in their span."""
+    support = sorted({m for el in basis for m in el.poly} | set(poly))
+    rows = [[el.poly.get(m, 0) for el in basis] + [poly.get(m, 0)] for m in support]
+    reduced, rank = row_reduce(rows)
+    coords = {}
+    for row in reduced[:rank]:
+        lead = next(j for j, x in enumerate(row) if x != 0)
+        if lead == len(basis):
+            return None
+        if row[-1] != 0:
+            coords[lead] = row[-1]
+    return coords
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_PRODUCT_RINGS)), st.data())
+def test_coords_in_basis_match_a_rational_reference(product_rings, name, data):
+    """A product of two basis elements, or of their integral multiples,
+    times a rational, has the coordinates exact Gauss-Jordan finds on the
+    basis polynomials, which knows no integral multiple. Moving one
+    coefficient off the pivots by 1 puts it outside the block, where there
+    is an outside, and the check must refuse it."""
+    ring, elements = product_rings[name]
+    x, y = data.draw(st.sampled_from(elements)), data.draw(st.sampled_from(elements))
+    k = data.draw(st.sampled_from([1, -2, Fraction(1, 3), Fraction(-5, 6)]))
+    factors = (x.multiple, y.multiple) if data.draw(st.booleans()) else (x.poly, y.poly)
+    d = x.degree + y.degree
+    prod = {m: c * k for m, c in poly_mul(*factors).items()}
+    basis = ring.block_basis(d, ())
+    coords = ring.coords_in_basis(prod, d, ())
+    assert dict(coords) == _reference_coords(basis, prod)
+    assert not any(type(c) is Fraction and c.denominator == 1 for _, c in coords)
+    pivots = {el.pivot for el in basis}
+    outside = [pack(e) for e in monomials(ring.nvars, d) if pack(e) not in pivots]
+    if not outside:  # the block is all of Sym^d, as for Z3 on omega + omega
+        return
+    m = data.draw(st.sampled_from(outside))
+    moved = dict(prod)
+    moved[m] = moved.get(m, 0) + 1
+    if not moved[m]:
+        del moved[m]
+    with pytest.raises(InternalInconsistency, match="does not lie"):
+        ring.coords_in_basis(moved, d, ())

@@ -259,6 +259,40 @@ def test_tor_table_multiplies_each_pair_once(monkeypatch, make_rep):
     assert len(coords) <= len(pairs)
 
 
+@pytest.mark.parametrize(
+    "name, task",
+    [
+        ("z2_antipodal_syzygies", "syzygies"),
+        ("z2_antipodal_bounds", "bounds"),
+        ("z3_veronese_bounds", "bounds"),
+        ("triv_sign_full_syzygies", "syzygies"),
+    ],
+)
+def test_precompute_covers_the_degrees_the_scans_read(monkeypatch, capsys, name, task):
+    """`KoszulComplex.precompute(p)` computes R in exactly the degrees that
+    the same run reads with the precompute left out, and the report is the
+    same either way."""
+    problem = Path(__file__).resolve().parent.parent / "problems" / f"{name}.json"
+    argv = [task, "--input", str(problem), "--no-cache"]
+    rings = []
+    precompute = KoszulComplex.precompute
+
+    def recorded(self, p):
+        rings.append(self.ring)
+        precompute(self, p)
+
+    monkeypatch.setattr(KoszulComplex, "precompute", recorded)
+    assert main(argv) == 0
+    report = capsys.readouterr()
+    monkeypatch.setattr(KoszulComplex, "precompute", lambda self, p: rings.append(self.ring))
+    assert main(argv) == 0
+    assert capsys.readouterr() == report
+    eager, lazy = rings
+    read = set(lazy._degree_blocks) | {d for d, _ in lazy._block_cache}
+    assert set(eager._degree_blocks) == read
+    assert {d for d, _ in eager._block_cache} <= read
+
+
 def test_tor_table_full_mode_triv_sign():
     cx = make_cx(diag_rep("builtin:cyclic:2", [Fraction(1), Fraction(-1)]), "full")
     table = tor_table(cx, p_max=1)
