@@ -9,8 +9,6 @@ finding and never crashes the run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import InternalInconsistency
 from .groups import IrrepCatalog
 from .invariants import NoetherResult, minimal_generators
@@ -32,39 +30,6 @@ def compute_bounds(g: int, n: int, m: int, beta: int, dim_v: int, p: int) -> dic
     }
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    p: int
-    mode: str
-    g: int
-    n: int
-    m: int
-    degrees: tuple
-    dim_v: int
-    beta_v: int
-    beta: int
-    beta_exact: bool
-    bounds: dict
-    s_value: int | None
-    verdicts: dict
-
-    def as_json(self):
-        return {
-            "p": self.p,
-            "mode": self.mode,
-            "g": self.g,
-            "n": self.n,
-            "m": self.m,
-            "irreducible_degrees": list(self.degrees),
-            "dim_V": self.dim_v,
-            "beta_V": self.beta_v,
-            "beta": {"value": self.beta, "exact": self.beta_exact},
-            "bounds": dict(self.bounds),
-            "s_value": self.s_value if self.s_value is not None else "none",
-            "verdicts": dict(self.verdicts),
-        }
-
-
 def _verdict(s_value: int | None, bound: int) -> str:
     if s_value is None:
         return "vacuous"
@@ -75,8 +40,10 @@ def audit(catalog: IrrepCatalog, cx: KoszulComplex, p_values, noether: NoetherRe
     """Bound comparison of s_p(V) on the complex `cx`, built over V with
     the ceiling `noether` certifies, for each requested p.
 
-    Returns (reports, findings). Findings are conjecture violations with
-    full reproduction data; proven-bound violations raise instead.
+    Returns (reports, findings): one report dict per p, as the report
+    prints it, with "none" for an s_p that the scan did not see. Findings
+    are conjecture violations with full reproduction data, the report
+    included; proven-bound violations raise instead.
     """
     group = catalog.group
     g = group.order
@@ -110,21 +77,20 @@ def audit(catalog: IrrepCatalog, cx: KoszulComplex, p_values, noether: NoetherRe
             verdicts["universal_bound"] = "violated under fallback beta (not a certified check)"
         elif not noether.exact:
             verdicts["universal_bound"] += " (not a certified check: beta is the order fallback)"
-        report = BoundReport(
-            p=p,
-            mode=mode,
-            g=g,
-            n=group.class_count,
-            m=catalog.m,
-            degrees=catalog.degrees,
-            dim_v=dim_v,
-            beta_v=beta_v,
-            beta=noether.value,
-            beta_exact=noether.exact,
-            bounds=bounds,
-            s_value=s,
-            verdicts=verdicts,
-        )
+        report = {
+            "p": p,
+            "mode": mode,
+            "g": g,
+            "n": group.class_count,
+            "m": catalog.m,
+            "irreducible_degrees": list(catalog.degrees),
+            "dim_V": dim_v,
+            "beta_V": beta_v,
+            "beta": {"value": noether.value, "exact": noether.exact},
+            "bounds": bounds,
+            "s_value": s if s is not None else "none",
+            "verdicts": verdicts,
+        }
         reports.append(report)
         if verdicts["derksen_bound"] == "VIOLATED":
             findings.append(
@@ -136,7 +102,7 @@ def audit(catalog: IrrepCatalog, cx: KoszulComplex, p_values, noether: NoetherRe
                     "s_value": s,
                     "derksen_bound": bounds["derksen_bound"],
                     "group_order": g,
-                    "report": report.as_json(),
+                    "report": report,
                 }
             )
     return reports, findings

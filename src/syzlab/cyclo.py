@@ -9,11 +9,12 @@ power-basis coefficient again an ``int`` or a ``Fraction`` by the same
 rule, so elements of Z[zeta_N] compute with ints only. Arithmetic between
 different conductors lifts both operands to the lcm first. Every product
 adds each x_i * y_j along z^(i+j) mod Phi_N, read off one table per
-conductor. Results that turn out rational are demoted to int or Fraction,
-so a Cyclotomic instance produced by arithmetic is always irrational
-(adding 0 or multiplying by 1 returns the operand). Integer division
-(`/` on two ints) and negative integer powers would give floats: exact
-quotients go through `quotient`.
+conductor; lifts and inverses reduce through the same table. Results
+that turn out rational are demoted to int or Fraction, so a Cyclotomic
+instance produced by arithmetic is always irrational (adding 0 or
+multiplying by 1 returns the operand). Integer division (`/` on two
+ints) and negative integer powers would give floats: exact quotients go
+through `quotient`.
 """
 
 from __future__ import annotations
@@ -94,36 +95,33 @@ def cyclotomic_polynomial(n: int, limit: int = DEFAULT_CONDUCTOR_LIMIT):
     return list(_cyclotomic_poly_cached(n))
 
 
-def _reduce_mod_phi(coeffs, n):
-    """Remainder modulo Phi_n of a polynomial with int and Fraction
-    coefficients, padded to phi(n); integer input gives integer output."""
-    phi = _cyclotomic_poly_cached(n)
-    deg = len(phi) - 1
-    coeffs = list(coeffs)
-    for k in range(len(coeffs) - 1, deg - 1, -1):
-        c = coeffs[k]
-        if c:
-            for j in range(deg):
-                coeffs[k - deg + j] -= c * phi[j]
-        coeffs.pop()
-    coeffs += [0] * (deg - len(coeffs))
-    return coeffs
-
-
 @lru_cache(maxsize=None)
 def _power_table(n: int):
-    """z^k modulo Phi_n for k < 2 phi(n) - 1, every power a product of two
-    reduced elements reaches: per k, the nonzero (j, coefficient of z^j)."""
+    """z^k modulo Phi_n for k < max(2 phi(n) - 1, n): every power a product
+    of two reduced elements reaches, and every power a lift to Q(zeta_n)
+    places. Per k, the nonzero (j, coefficient of z^j)."""
     phi = _cyclotomic_poly_cached(n)
     deg = len(phi) - 1
     table, power = [], [1] + [0] * (deg - 1)
-    for _ in range(2 * deg - 1):
+    for _ in range(max(2 * deg - 1, n)):
         table.append(tuple((j, c) for j, c in enumerate(power) if c))
         top = power[-1]  # times z: z^deg = -(phi_0 + ... + phi_(deg-1) z^(deg-1))
         power = [0] + power[:-1]
         for j in range(deg):
             power[j] -= top * phi[j]
     return tuple(table)
+
+
+def _reduced(coeffs, n):
+    """sum_k coeffs[k] z^k modulo Phi_n, through the power table: phi(n)
+    coefficients, integral for integral input."""
+    out = [0] * (len(_cyclotomic_poly_cached(n)) - 1)
+    table = _power_table(n)
+    for k, c in enumerate(coeffs):
+        if c:
+            for j, t in table[k]:
+                out[j] += t * c
+    return out
 
 
 def _poly_ext_gcd_mod(a, n):
@@ -204,7 +202,7 @@ class Cyclotomic:
         raw = [0] * ((len(self.coeffs) - 1) * step + 1)
         for i, c in enumerate(self.coeffs):
             raw[i * step] = c
-        return _reduce_mod_phi(raw, m)
+        return _reduced(raw, m)
 
     def _pair(self, other):
         """(conductor, coefficients of self and of the Cyclotomic other),
@@ -278,7 +276,7 @@ class Cyclotomic:
         if not self:
             raise ZeroDivisionError("zero has no inverse")
         u = _poly_ext_gcd_mod(self.coeffs, self.conductor)
-        return Cyclotomic._normalized(self.conductor, _reduce_mod_phi(u, self.conductor))
+        return Cyclotomic._normalized(self.conductor, _reduced(u, self.conductor))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

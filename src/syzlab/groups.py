@@ -4,12 +4,14 @@ Groups are built by breadth-first closure from permutation or matrix
 generators; the canonical element order is discovery order with the
 identity first, and every derived object (multiplication table, conjugacy
 classes, representations built from generator images) follows that order.
+An irreducible catalog validates itself when it is built (one irreducible
+per class, squared degrees summing to the order, orthonormal characters),
+so a catalog that exists has passed and no caller checks it again.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
 from operator import matmul
@@ -249,17 +251,8 @@ class Representation:
         }
 
 
-@dataclass(frozen=True)
-class Character:
-    """One trace value per conjugacy class."""
-
-    values: tuple
-
-    def __iter__(self):
-        return iter(self.values)
-
-
-def character_of(rep: Representation) -> Character:
+def character_of(rep: Representation) -> tuple:
+    """The trace of rep on each conjugacy class, in class order."""
     group = rep.group
     traces = []
     for a in range(group.order):
@@ -273,20 +266,22 @@ def character_of(rep: Representation) -> Character:
         values.append(traces[r])
     if rep.degree != 0 and values[group.class_of[group.identity]] != rep.degree:
         raise InternalInconsistency("character at identity differs from degree")
-    return Character(tuple(values))
+    return tuple(values)
 
 
-def character_inner_product(group: FiniteGroup, chi: Character, psi: Character):
+def character_inner_product(group: FiniteGroup, chi: tuple, psi: tuple):
     """(1/g) sum over G of chi(a) psi(a^-1), evaluated class by class."""
     total = 0
     for k in range(group.class_count):
         inv_class = group.class_of[group.inverses[group.class_reps[k]]]
-        total = total + group.class_sizes[k] * (chi.values[k] * psi.values[inv_class])
+        total = total + group.class_sizes[k] * (chi[k] * psi[inv_class])
     return quotient(total, group.order)
 
 
 class IrrepCatalog:
-    """A full list of irreducible representations with their degrees."""
+    """A full list of irreducible representations with their degrees. A
+    catalog that fails `validate_irrep_catalog` is refused with
+    InvalidInput, so every catalog that exists has passed."""
 
     def __init__(self, group: FiniteGroup, irreps):
         self.group = group
@@ -294,18 +289,16 @@ class IrrepCatalog:
         self.degrees = tuple(r.degree for r in self.irreps)
         self.m = sum(self.degrees)
         self.characters = tuple(character_of(r) for r in self.irreps)
+        failures = validate_irrep_catalog(self)
+        if failures:
+            raise InvalidInput("; ".join(failures))
 
 
-@dataclass(frozen=True)
-class CatalogReport:
-    passed: bool
-    failures: tuple
-
-    def as_json(self):
-        return {"passed": self.passed, "failures": list(self.failures)}
-
-
-def validate_irrep_catalog(group: FiniteGroup, catalog: IrrepCatalog) -> CatalogReport:
+def validate_irrep_catalog(catalog: IrrepCatalog) -> list:
+    """What keeps `catalog` from being the full set of irreducibles of its
+    group: a count or a squared-degree sum off, or characters that are not
+    orthonormal. Empty when it is the full set."""
+    group = catalog.group
     failures = []
     if len(catalog.irreps) != group.class_count:
         failures.append(
@@ -326,7 +319,7 @@ def validate_irrep_catalog(group: FiniteGroup, catalog: IrrepCatalog) -> Catalog
                 failures.append(
                     f"<chi_{i}, chi_{j}> = {ip}, expected {expected}"
                 )
-    return CatalogReport(passed=not failures, failures=tuple(failures))
+    return failures
 
 
 def regular_representation(group: FiniteGroup) -> Representation:
@@ -458,10 +451,7 @@ def builtin_group(name: str):
     gens, irrep_images = _builtin_spec(name)
     group = generate_group(gens)
     irreps = [Representation.from_generator_images(group, imgs) for imgs in irrep_images]
-    catalog = IrrepCatalog(group, irreps)
-    report = validate_irrep_catalog(group, catalog)
-    if not report.passed:
-        raise InternalInconsistency(
-            f"shipped catalog for {name} failed validation: {report.failures}"
-        )
-    return group, catalog
+    try:
+        return group, IrrepCatalog(group, irreps)
+    except InvalidInput as exc:
+        raise InternalInconsistency(f"shipped catalog for {name} failed validation: {exc}") from exc

@@ -17,7 +17,9 @@ is adding ints; exponent tuples appear only where monomials are
 enumerated and in the cache payloads. Dimensions are cross-checked against
 the Molien series on every full-degree computation and on every degree
 read back from the cache: two independent routes that must agree exactly.
-A cached basis must also be fixed by each generator.
+A cached basis must also be fixed by each generator. A ring given a cache
+keys its entries itself, by the content hashes of its group and its
+representation, the degree and the grading.
 
 Each basis element carries its integral multiple, the element times the
 int lcm of its denominators. Products of elements are taken of these, and
@@ -36,6 +38,7 @@ from itertools import compress
 from math import lcm
 from operator import add
 
+from .cache import content_hash
 from .cyclo import Cyclotomic, as_integer, decode_scalar, encode_scalar, quotient
 from .errors import InternalInconsistency, InvalidInput, LimitExceeded
 from .groups import FiniteGroup, Representation, regular_representation
@@ -143,7 +146,6 @@ class InvariantRing:
         grading: Grading | None = None,
         budget: Budget = DEFAULT_BUDGET,
         cache=None,
-        cache_prefix: dict | None = None,
     ):
         self.rep = rep
         self.nvars = rep.degree
@@ -152,7 +154,12 @@ class InvariantRing:
             raise InvalidInput("grading does not cover the representation's variables")
         self.budget = budget
         self.cache = cache
-        self.cache_prefix = cache_prefix
+        # what every cache key of this ring starts with: its group and
+        # representation, each by content
+        self._key = None if cache is None else {
+            "group": content_hash(rep.group.canonical_form()),
+            "rep": content_hash(rep.canonical_form()),
+        }
         self._block_cache: dict = {}
         self._degree_blocks: dict = {}
         self._molien: list[int] = []
@@ -363,10 +370,10 @@ class InvariantRing:
     # -- cache -----------------------------------------------------------------------
 
     def _cache_key(self, d: int):
-        if self.cache is None or self.cache_prefix is None:
+        if self.cache is None:
             return None
         return {
-            **self.cache_prefix,
+            **self._key,
             "computation": "invariant-basis",
             "degree": d,
             "grading": list(self.grading.group_sizes),

@@ -7,12 +7,12 @@ standard differential. Every computation is split by the weight grading
 (one block in the ungraded case). Each product of an R basis element with
 a generator is written in its block basis once per complex and reused by
 every subset and every p; writing it there asserts that the differentials
-preserve weights.
+preserve weights. `tor_table` returns its table as the JSON-ready dict the
+report prints, so the table has one spelling.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, repeat
 from operator import add, sub
 
@@ -320,29 +320,10 @@ def syzygy_degree(cx: KoszulComplex, p: int) -> int | None:
     return max((d for d, (dim, _) in cx.scan(p).items() if dim), default=None)
 
 
-@dataclass(frozen=True)
-class TorTable:
-    entries: dict  # (p, d) -> dimension, all scanned cells
-    ceilings: dict  # p -> scan ceiling used
-    mode: str
-
-    def nonzero_rows(self):
-        return [
-            (p, d, dim)
-            for (p, d), dim in sorted(self.entries.items())
-            if dim
-        ]
-
-    def as_json(self):
-        return {
-            "mode": self.mode,
-            "ceilings": {str(p): c for p, c in sorted(self.ceilings.items())},
-            "rows": [list(r) for r in self.nonzero_rows()],
-        }
-
-
-def tor_table(cx: KoszulComplex, p_max: int) -> TorTable:
-    """Full table for 0 <= p <= p_max up to the per-p ceiling.
+def tor_table(cx: KoszulComplex, p_max: int) -> dict:
+    """Full table for 0 <= p <= p_max up to the per-p ceiling, as the
+    report prints it: the generator mode, the ceiling of each p and the
+    nonzero cells as [p, d, dim] rows in increasing (p, d).
 
     Includes the generation check in homological degree zero and, where the
     scanned range covers every nonvanishing chain space of an internal
@@ -378,4 +359,8 @@ def tor_table(cx: KoszulComplex, p_max: int) -> TorTable:
                     f"Euler characteristic mismatch in degree {d}: "
                     f"chains {chain_sum} vs homology {tor_sum}"
                 )
-    return TorTable(entries=entries, ceilings=ceilings, mode=cx.gens.mode)
+    return {
+        "mode": cx.gens.mode,
+        "ceilings": {str(p): c for p, c in ceilings.items()},
+        "rows": [[p, d, dim] for (p, d), dim in sorted(entries.items()) if dim],
+    }

@@ -368,24 +368,11 @@ def schur_multiplicities(
     return decomp
 
 
-@dataclass(frozen=True)
-class RowBoundReport:
-    passed: bool
-    bounds: tuple
-    witnesses: tuple
-
-    def as_json(self):
-        return {
-            "passed": self.passed,
-            "bounds": list(self.bounds),
-            "witnesses": [[list(lam) for lam in w] for w in self.witnesses],
-        }
-
-
-def row_bound_check(decomp: SchurDecomposition, bounds) -> RowBoundReport:
+def row_bound_check(decomp: SchurDecomposition, bounds) -> dict:
     """Pass iff every supported partition tuple respects the per-factor row
     bounds; requires each factor dimension > bound, else a violation could
-    sit invisibly above the truncation."""
+    sit invisibly above the truncation. Returns the report's
+    {passed, bounds, witnesses}, each witness a list of partitions."""
     bounds = tuple(bounds)
     for k, b in zip(decomp.factor_dims, bounds):
         if k < b + 1:
@@ -395,7 +382,11 @@ def row_bound_check(decomp: SchurDecomposition, bounds) -> RowBoundReport:
         for lams in decomp.support()
         if any(len(lam) > b for lam, b in zip(lams, bounds))
     ]
-    return RowBoundReport(passed=not witnesses, bounds=bounds, witnesses=tuple(witnesses))
+    return {
+        "passed": not witnesses,
+        "bounds": list(bounds),
+        "witnesses": [[list(lam) for lam in w] for w in witnesses],
+    }
 
 
 def cauchy_check(catalog: IrrepCatalog, i: int, k: int, d: int) -> dict:
@@ -450,11 +441,11 @@ def ring_row_bounds(
         _assert_weight_symmetry(wd, mults)
         decomp = schur_multiplicities(wd, mults, ambient_dim=ring.dim(d))
         report = row_bound_check(decomp, bounds)
-        passed = passed and report.passed
+        passed = passed and report["passed"]
         per_degree.append(
             {
                 "degree": d,
-                "report": report.as_json(),
+                "report": report,
                 "support": [[list(l) for l in lams] for lams in decomp.support()],
             }
         )
@@ -508,12 +499,12 @@ def tor_row_bounds(
         decomp = schur_multiplicities(wd, mults)
         _cross_check_nondominant(cx, spec, decomp, p, d)
         report = row_bound_check(decomp, bounds)
-        passed = passed and report.passed
+        passed = passed and report["passed"]
         per_degree.append(
             {
                 "degree": d,
                 "tor_dim_dominant": total,
-                "report": report.as_json(),
+                "report": report,
                 "support": [[list(l) for l in lams] for lams in decomp.support()],
             }
         )

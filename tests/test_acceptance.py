@@ -102,7 +102,7 @@ def test_criterion_1_veronese_z2():
     ok = ok and minimal_generators(ring, stop=4).beta_V == 2
     cx = make_cx(rep, "minimal")
     table = tor_table(cx, p_max=2)
-    ok = ok and table.nonzero_rows() == [(0, 0, 1), (1, 4, 1)]
+    ok = ok and table["rows"] == [[0, 0, 1], [1, 4, 1]]
     s1 = syzygy_degree(cx, 1)
     s2 = syzygy_degree(cx, 2)
     ok = ok and s1 == 4 and s2 is None
@@ -123,10 +123,10 @@ def test_criterion_2_cubic_veronese_z3():
     reports, findings = audit(catalog, cx, [1], noe)
     (r1,) = reports
     ok = not findings
-    ok = ok and r1.s_value == 6 == r1.bounds["derksen_bound"]
-    ok = ok and r1.bounds["universal_bound"] == 27
-    ok = ok and r1.bounds["cubic_bound"] == 27
-    ok = ok and all(v == "satisfied" for v in r1.verdicts.values())
+    ok = ok and r1["s_value"] == 6 == r1["bounds"]["derksen_bound"]
+    ok = ok and r1["bounds"]["universal_bound"] == 27
+    ok = ok and r1["bounds"]["cubic_bound"] == 27
+    ok = ok and all(v == "satisfied" for v in r1["verdicts"].values())
     for p in range(0, 3):
         for d in range(scan_ceiling(3, 2, p) + 4):
             ok = ok and cx.tor_dimension(p, d) == veronese_tor(3, p, d)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -15,7 +16,7 @@ from syzlab import FORMAT_VERSION
 from syzlab.cache import Cache
 from syzlab.cyclo import Cyclotomic, encode_scalar
 from syzlab.cli import OPTION_TABLE, main, option_synopsis, parse_problem, usage
-from syzlab.errors import InvalidInput, LimitExceeded
+from syzlab.errors import LimitExceeded
 from syzlab.groups import builtin_group
 from syzlab.invariants import InvariantRing, noether_number
 from syzlab.limits import Budget
@@ -626,15 +627,15 @@ def test_usage_errors_print_usage_and_one_line(capsys, argv, message):
     assert line.startswith(f"syzlab: error: {message}")
 
 
-@pytest.mark.parametrize("task", ["cohomology", ["syzygies"]], ids=["unknown", "unhashable"])
-def test_task_table_renders_the_task_words(task):
-    """The document's task check and the usage text read one table and
-    list the same words in the same order."""
-    words = ("group", "invariants", "noether", "syzygies", "bounds", "universal", "schur", "chain")
-    with pytest.raises(InvalidInput) as exc:
-        parse_problem({"group": "builtin:cyclic:2", "task": task})
-    assert str(exc.value) == f"task: expected one of {words}"
-    assert usage().endswith(f"tasks: {', '.join(words)}\n")
+@pytest.mark.parametrize("task", ["cohomology", "Syzygies"], ids=["unknown", "miscased"])
+def test_task_table_renders_the_task_words(capsys, task):
+    """The parser's task check and the usage text read one table and list
+    the same words in the same order."""
+    words = "group, invariants, noether, syzygies, bounds, universal, schur, chain"
+    code, out, err = _usage_exit(capsys, [task, "--input", "x.json"])
+    assert (code, out) == (1, "")
+    assert err == usage() + f"syzlab: error: invalid task {task!r} (choose from {words})\n"
+    assert usage().endswith(f"tasks: {words}\n")
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["--help"], ["bounds", "-h"], ["group", "--input", "x", "--help"]])
@@ -711,11 +712,12 @@ def test_engine_warning_is_one_line(tmp_path, capsys):
 
 
 def test_hot_blocks_equal_cold_blocks_in_value_and_type(tmp_path):
-    problem = parse_problem(dict(S3_SIGN_STANDARD_INVARIANTS))
+    doc = dict(S3_SIGN_STANDARD_INVARIANTS)
+    problem = parse_problem(doc, "invariants", Budget.preset("default"))
     degrees = range(S3_SIGN_STANDARD_INVARIANTS["stop"] + 1)
 
     def ring():
-        return InvariantRing(problem.rep, cache=Cache(str(tmp_path)), cache_prefix={"k": "s3"})
+        return InvariantRing(problem.rep, cache=Cache(str(tmp_path)))
 
     def terms(r):
         return {
@@ -849,8 +851,8 @@ def test_cache_hot_run_obeys_the_monomial_limit(tmp_path, capsys):
     assert run_cli(capsys, *argv, *cache)[0] == 0
     assert len(os.listdir(tmp_path / "cache")) == 9
     assert run_cli(capsys, *argv, *small, *cache) == cold
-    rep = parse_problem({**doc, "task": "invariants"}).rep
-    ring_cache = {"cache": Cache(str(tmp_path / "ring")), "cache_prefix": {"ring": "z2"}}
+    rep = parse_problem(doc, "invariants", Budget.preset("default")).rep
+    ring_cache = {"cache": Cache(str(tmp_path / "ring"))}
     InvariantRing(rep, **ring_cache).blocks(77)
     small_ring = InvariantRing(rep, budget=Budget.preset("small"), **ring_cache)
     with pytest.raises(LimitExceeded):
@@ -923,3 +925,154 @@ def test_p_max_and_mode_overrides_act_as_document_edits(tmp_path, capsys):
     assert overridden == edited != plain
     report = json.loads(overridden)
     assert (report["parameters"]["p_max"], report["parameters"]["mode"]) == (1, "full")
+
+
+# -- pinned report and cache bytes -------------------------------------------------
+
+CSV_REFUSED = "syzlab: invalid input: csv output covers the syzygies and bounds tables only\n"
+
+# sha256 of stdout per corpus document in json, markdown and csv; None where
+# the task has no CSV table. Each run exits 0 with an empty stderr, or 1
+# with CSV_REFUSED when refused.
+OUTPUT_SHA256 = {
+    "chain": (
+        "e647337b08549d811fc0373858a3df266394fcd85590b87fdf357bc7ad10a646",
+        "fc60dbbfd266ecb773177da6928517ca83fc097aa41e03fdc0a58e2695758a8a",
+        None,
+    ),
+    "klein_custom_noether": (
+        "c711990b7ff3472c5350d1451c248e17b6e3ce0fe8069ed6fd0cd71f7134ed87",
+        "406cd2aabd8d0329d7d2eb9ac48e8a0d026df808f8670cf804642e4cec06f9c6",
+        None,
+    ),
+    "q8_group": (
+        "9e3599b0b80535d4fc642c5af2095d39c31ecbc94cc1e0ddd768aa4d401bc636",
+        "1737d12764d85fe85e08ff6e0a9119e28c0be1dbebeb6fd7c135aa726a92e36c",
+        None,
+    ),
+    "s3_group": (
+        "b0c6850616b7f55ac0386ebd3eb6b18652079da628f20d84bf663e0297e1fd75",
+        "615ee78e18f36f482c35a5c7bc0aadaa0f512f9c127010d026b8318fe31630f8",
+        None,
+    ),
+    "triv_sign_full_syzygies": (
+        "b67af194df43fbef0c78295e64bf90ccd41998611d36b0b35e4cbd5ae72e7840",
+        "d1d6215dea1549b15a4ba8573db7563c6e4adbd0298e5b619f03a4daa6ae4032",
+        "aeaa31590f82f630ec43778ca97858df33f90f186af0a072c2baff3b3b9365d9",
+    ),
+    "z2_antipodal_bounds": (
+        "3faca986ab1da20284783841585fd2ef4e464152074457178051741c4e1e6201",
+        "1b5ad22290f3e7dd2ce98cb8264c61ddfb0c4f4f29eecad2f645b69020e41022",
+        "df6f035779a1f71e8aa66a70c9fcea10ad8e91e814232eca9db9b6368e05ca96",
+    ),
+    "z2_antipodal_syzygies": (
+        "2a5990086e568f83a62c7f8c10b75aae2e7692f808af8ac08dd84489ba64c207",
+        "b4620ae56496e53c229ed1e9c3459f48cfbd6d9f1078bb2c549c904912dd6cb1",
+        "c9c20373bd7061cc2290ad6275d28b6c0f5e9036d706c98b6e9f7ffb2d6a2daa",
+    ),
+    "z2_schur_rowbounds": (
+        "27dcf2c5d659447c41b4f00cb4e8b25a7b6366ce98f79a6512d183ef2ce4cc21",
+        "ca757b2ecd5527562808d8f58f14f38ad03472ac81930365f3a8b26be3ca7ad7",
+        None,
+    ),
+    "z2_stabilization": (
+        "615d70b19df087c85efaa741ccc88ea16e5c2d77274dab6b2807ad772f355830",
+        "5f3b396c81fdf53a60b107e683945a716559a510cd6fcc1bad90a0ff00a2263a",
+        None,
+    ),
+    "z2_universal": (
+        "cffe1a0a7cb55a5a53ae6bfde717064ad9f944e29e98f63b869616e3d2ba05a9",
+        "b95825fe06604ecff623241049a962d1c47be604aa8e4d078d29dc731580445c",
+        None,
+    ),
+    "z3_invariants": (
+        "205ec5696ebebe27d0947b0a50397e402cfe4ddaba773c25461fc3bb841b2afa",
+        "c07b333baa7f592dd5022d5ec10536ac7b5235ce2451121ddac38c4417ab8a1a",
+        None,
+    ),
+    "z3_veronese_bounds": (
+        "023596b7f12c25bc16398939713944f024c0a1d430ead45d962142f19a19de1c",
+        "26c4f3000f315af6692df22d5e007dbe52d68e938cd26b5d177939a56d692ed9",
+        "ff6bc444d05dafd0a7e63ae9cd922561e906246531a504135ae347a369b720a1",
+    ),
+}
+
+# cache file name -> sha256 of its bytes after a cold run of each problem
+CACHE_SHA256 = {
+    ("invariants", "z3_invariants"): {
+        "37a7b772a2c96b15d5cb80d6db1a56ebb6ec49994b6c8f43fe8a67bdd00d8659.json": (
+            "701e2811e67b0a55c774f3048a30e6ae3c8b8fa24e0d2ad843d6f9a1f8b220f7"
+        ),
+        "5520203a128d7fa669ce7e05394e88226027b019c96f530a7cfff95375b2a13a.json": (
+            "7292ce256997984c604aaa33acb70bef20f3f7d56805f8fa5f21dbcedcdefe49"
+        ),
+        "afba204fc54ecd0b1473b3296711dd800c274d53440cbfd8a29513f09e10723b.json": (
+            "2beef199d811ce74fc9f1e371b9833ab752aeed04dfc8b8463868dbc4888c568"
+        ),
+        "b447a109c0ea5a196acd9cb0da3645daec72a450c7f87c795a580ca3ab03ba28.json": (
+            "16c4116211d2c7e28173315d8bf0151dfced348ea014a47cffeb17a51c6f0548"
+        ),
+        "bb0e5546aa8f702e3ff85f03a729eb4506ad5e125fcc9c2d2a57e1d3a20abcfb.json": (
+            "ace3c6bf8a42ae1a785ca92b364df86683f698b3d713ed7a255d60e439897945"
+        ),
+        "e68f16eae45284292675b05c34d510ab2edf7f4b007dbae290ffcf6738d3d2cb.json": (
+            "ddb831bae0af1a499dbacb0a32a145f9f5e88c74f60a336223470832fcf6d517"
+        ),
+        "f74a5c854bd22c93f5e20d425666337519ed7303a5c23b4efb6bc9c7d263bbbc.json": (
+            "dd1b5686abdcb27a68ca703f42e33f34f80923bdb6ba233ed68af93d86ac68a9"
+        ),
+    },
+    ("syzygies", "z2_antipodal_syzygies"): {
+        "10020adef35216f1c6e309c1b143c456e7a7f6bcc586c81e9ca6cbd50a579565.json": (
+            "10053fad7eccbfd021207cbf7aafb65339c301b0567bb7341ca516d8683e6e7d"
+        ),
+        "1a6e825a3d39b376292db175aae1bfcd652e6a00fb9f73ade7136218046e957b.json": (
+            "0d24fa861c5e920f7eb3f193a4f60d5600b3d708c42a1668ff849738c674aff2"
+        ),
+        "45a27424b901ae2ec2bc26f30b5c06b75b32e32f969cc3276c27ce4f75ef1a76.json": (
+            "e7b10ce97e51ccea023c21a6c4d7eae496d8fec26b0d83990b69ba8086de14f9"
+        ),
+        "5965acf4e9c563ead702fd7da3d0682e6968810ef9423615ea6b31a3b19abee0.json": (
+            "aa5e298c46d3e91cd5c79520cc73da79b02efc2679368307b94dd89ce3f27b1a"
+        ),
+        "6e2d37d2bc5cacc7f2a1b974ca6c1684cfcc90c125682bb6c241c03e7ca30be1.json": (
+            "4767112938f213662027533973e928bd65ed8571bd4b6c37c8bceaadbb7af41f"
+        ),
+        "7aed5fcd2597fec56a9588f3c0cfc01f5b4f49111c2a6f6bac68a7d55bf4b59b.json": (
+            "bf1cd98a825b5a8a3b530e4155635cd78dcea8bcc24717788883bd4a50dbf669"
+        ),
+        "de591dbdc45d1dddecfa535cc8ab2b33ae23c33acb68c19af715b2286d79af1b.json": (
+            "625d0f58509af517d70309ef0839321842cec0183ed7e5db01451effa936a970"
+        ),
+    },
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("problem", sorted(p.stem for p in PROBLEMS.glob("*.json")))
+def test_report_bytes_are_pinned(capsys, problem):
+    """Every corpus document prints the pinned bytes in each format. The
+    markdown renders a list as bullet lines but a tuple inline, so a tuple
+    slipping into a result changes these bytes."""
+    path = str(PROBLEMS / f"{problem}.json")
+    task = json.loads(Path(path).read_text())["task"]
+    for fmt, want in zip(("json", "markdown", "csv"), OUTPUT_SHA256[problem]):
+        code, out, err = run_cli(capsys, task, "--input", path, "--no-cache", "--format", fmt)
+        if want is None:
+            assert (code, out, err) == (1, "", CSV_REFUSED)
+        else:
+            assert (code, _sha256(out.encode()), err) == (0, want, ""), fmt
+
+
+@pytest.mark.parametrize("task, problem", sorted(CACHE_SHA256))
+def test_cache_files_are_pinned(tmp_path, capsys, task, problem):
+    """A cold run writes the pinned cache files: each name hashes the key
+    the ring derives from its group and representation, and the bytes hold
+    that key and the payload."""
+    argv = [task, "--input", str(PROBLEMS / f"{problem}.json"), "--cache-dir", str(tmp_path)]
+    assert run_cli(capsys, *argv)[0] == 0
+    files = {path.name: _sha256(path.read_bytes()) for path in tmp_path.iterdir()}
+    assert files == CACHE_SHA256[(task, problem)]

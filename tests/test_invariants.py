@@ -20,6 +20,7 @@ from syzlab.invariants import (
     molien_series,
     noether_number,
 )
+from syzlab.limits import Budget
 from syzlab.linalg import Matrix
 from syzlab.monomials import monomial_count, monomials, pack, poly_mul, unpack
 from syzlab.schur import spec_from_multiplicities
@@ -186,7 +187,7 @@ def test_block_basis_is_the_published_block(tmp_path, monkeypatch, cached):
     is the very list blocks() publishes, computed or read from the cache,
     and a block computed on its own before keeps its list."""
     early_w = next(iter(graded_ring("builtin:sym:3", (0, 2, 1)).blocks(4)))
-    kw = {"cache": Cache(str(tmp_path)), "cache_prefix": {"ring": "s3"}} if cached else {}
+    kw = {"cache": Cache(str(tmp_path))} if cached else {}
     if cached:
         graded_ring("builtin:sym:3", (0, 2, 1), **kw).precompute(range(6))
         monkeypatch.setattr(
@@ -530,7 +531,7 @@ def _benchmark_workloads():
 @pytest.mark.parametrize("workload", ["generic", "cyclotomic"])
 def test_molien_matches_fraction_oracle_on_benchmark_documents(workload, seed):
     doc = getattr(_benchmark_workloads(), f"{workload}_doc")(seed)
-    rep = parse_problem(doc).rep
+    rep = parse_problem(doc, "syzygies", Budget.preset("default")).rep
     assert molien_series(rep, 10) == molien_oracle(_images(rep), 10)
 
 

@@ -93,6 +93,77 @@ def test_bounds_builds_no_ring_or_complex():
     assert not called & {"InvariantRing", "KoszulComplex"}
 
 
+def _trees():
+    """(file name, parsed module) for every engine module."""
+    paths = sorted(PACKAGE.glob("*.py"))
+    assert paths
+    return [
+        (path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
+        for path in paths
+    ]
+
+
+def test_catalogs_are_validated_by_groups_only():
+    """An IrrepCatalog validates itself when it is built, so a catalog that
+    exists has passed: a caller validating one again states the fact twice."""
+    callers = {
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "validate_irrep_catalog"
+    }
+    assert callers == {"groups.py"}
+
+
+def test_no_cache_prefix_name():
+    """InvariantRing derives its cache key from its own representation; no
+    caller hands it a prefix."""
+    names = set()
+    for name, tree in _trees():
+        for node in ast.walk(tree):
+            for field in ("id", "arg", "attr"):
+                if getattr(node, field, None) == "cache_prefix":
+                    names.add(name)
+    assert names == set()
+
+
+def test_budget_is_the_only_class_with_as_json():
+    """Engine results are the dicts the report prints; Budget keeps its
+    as_json because the report spells its `name` as `level`."""
+    owners = [
+        (name, node.name)
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "as_json" for f in node.body)
+    ]
+    assert owners == [("limits.py", "Budget")]
+
+
+def test_invalid_shipped_catalog_exits_three(tmp_path, capsys, monkeypatch):
+    """A builtin whose catalog fails validation is an engine bug: the run
+    exits 3 with one line, not 1 as a user's catalog would."""
+    import syzlab.groups
+    from syzlab.cli import main
+    from syzlab.linalg import Matrix
+
+    def two_trivial_characters(name):
+        return [(1, 0)], [[Matrix.from_rows([[1]])], [Matrix.from_rows([[1]])]]
+
+    monkeypatch.setattr(syzlab.groups, "_builtin_spec", two_trivial_characters)
+    syzlab.groups.builtin_group.cache_clear()
+    path = tmp_path / "z2.json"
+    path.write_text(json.dumps({"group": "builtin:cyclic:2", "task": "group"}))
+    code = main(["group", "--input", str(path), "--no-cache"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == (
+        "syzlab: internal inconsistency: shipped catalog for builtin:cyclic:2 "
+        "failed validation: <chi_0, chi_1> = 1, expected 0\n"
+    )
+
+
 # Targets the tracer still names although the engine no longer has them; the
 # tracer reports their layers as missing.
 STALE_TRACER_TARGETS = {
