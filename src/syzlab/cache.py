@@ -1,15 +1,17 @@
 """Content-addressed on-disk cache with atomic writes.
 
-Keys are canonical-JSON documents hashed with SHA-256; entries are written
-via a temp file and os.replace, so concurrent writers of the same key leave
-exactly one intact winner. A format-version mismatch or a corrupted entry
-is a miss (the latter is deleted). A failed write removes its temp file,
-prints one line to stderr and turns the cache off for the rest of the run.
+Keys are canonical-JSON documents hashed with SHA-256, from the
+interpreter's built-in `_sha256` module where it has one: `hashlib` maps
+OpenSSL, which costs every process megabytes and milliseconds for a digest
+that is the same either way. Entries are written via a temp file and
+os.replace, so concurrent writers of the same key leave exactly one intact
+winner. A format-version mismatch or a corrupted entry is a miss (the
+latter is deleted). A failed write removes its temp file, prints one line
+to stderr and turns the cache off for the rest of the run.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import sys
@@ -17,10 +19,15 @@ import tempfile
 
 from . import FORMAT_VERSION
 
+try:
+    from _sha256 import sha256
+except ImportError:  # Python 3.12 renamed the module to _sha2
+    from hashlib import sha256
+
 
 def content_hash(obj) -> str:
     canon = json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return sha256(canon.encode("utf-8")).hexdigest()
 
 
 class Cache:

@@ -8,12 +8,10 @@ byte-identical output, cache hot or cold.
 
 from __future__ import annotations
 
-import csv
 import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from types import SimpleNamespace
 
 from . import FORMAT_VERSION, __version__
@@ -39,20 +37,49 @@ from .schur import (
 )
 
 
-@dataclass
 class Problem:
-    doc: dict
-    task: str
-    group: FiniteGroup
-    catalog: IrrepCatalog | None
-    rep: Representation | None
-    p: int
-    p_max: int
-    g_max: int
-    mode: str
-    stop: int | None
-    exact_limit: int | None
-    schur_args: dict | None
+    __slots__ = (
+        "doc",
+        "task",
+        "group",
+        "catalog",
+        "rep",
+        "p",
+        "p_max",
+        "g_max",
+        "mode",
+        "stop",
+        "exact_limit",
+        "schur_args",
+    )
+
+    def __init__(
+        self,
+        doc: dict,
+        task: str,
+        group: FiniteGroup,
+        catalog: IrrepCatalog | None,
+        rep: Representation | None,
+        p: int,
+        p_max: int,
+        g_max: int,
+        mode: str,
+        stop: int | None,
+        exact_limit: int | None,
+        schur_args: dict | None,
+    ):
+        self.doc = doc
+        self.task = task
+        self.group = group
+        self.catalog = catalog
+        self.rep = rep
+        self.p = p
+        self.p_max = p_max
+        self.g_max = g_max
+        self.mode = mode
+        self.stop = stop
+        self.exact_limit = exact_limit
+        self.schur_args = schur_args
 
     @property
     def problem_hash(self) -> str:
@@ -129,7 +156,10 @@ def _parse_group(doc, budget: Budget):
                 _decode_matrix(m, f"catalog.irreps[{i}][{j}]", budget)
                 for j, m in enumerate(images)
             ]
-            irreps.append(Representation.from_generator_images(group, mats))
+            try:
+                irreps.append(Representation.from_generator_images(group, mats))
+            except InvalidInput as exc:
+                _fail(f"catalog.irreps[{i}]", str(exc))
         try:
             catalog = IrrepCatalog(group, irreps)
         except InvalidInput as exc:
@@ -164,7 +194,10 @@ def _parse_rep(doc, group, catalog, budget: Budget):
             _decode_matrix(m, f"rep.generator_images[{i}]", budget)
             for i, m in enumerate(images)
         ]
-        return Representation.from_generator_images(group, mats)
+        try:
+            return Representation.from_generator_images(group, mats)
+        except InvalidInput as exc:
+            _fail("rep.generator_images", str(exc))
     _fail("rep", "expected multiplicities or generator_images")
 
 
@@ -532,6 +565,8 @@ def _csv_writer(task: str):
 
 
 def _emit_csv(report: dict) -> str:
+    import csv  # only csv output needs it; every other run skips the import
+
     buf = io.StringIO()
     _csv_writer(report["task"])(csv.writer(buf, lineterminator="\n"), report["results"])
     return buf.getvalue()
@@ -673,10 +708,12 @@ def parse_args(argv) -> SimpleNamespace:
     return SimpleNamespace(**args)
 
 
-@dataclass
 class Options:
-    budget: Budget
-    cache: Cache | None
+    __slots__ = ("budget", "cache")
+
+    def __init__(self, budget: Budget, cache: Cache | None):
+        self.budget = budget
+        self.cache = cache
 
 
 def _resolve_cache(args) -> Cache | None:

@@ -32,7 +32,6 @@ greedy scan becomes a pivot computation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import lcm
@@ -194,6 +193,12 @@ class InvariantRing:
         return size
 
     def block_basis(self, d: int, w: tuple):
+        """The basis of the weight-w block of degree d: the published list
+        once the degree is computed (empty for a weight it does not have),
+        else the block eliminated on its own."""
+        blocks = self._degree_blocks.get(d)
+        if blocks is not None:
+            return blocks.get(w, [])
         key = (d, w)
         hit = self._block_cache.get(key)
         if hit is not None:
@@ -315,8 +320,8 @@ class InvariantRing:
             self._cache_put(d, blocks)
         # coordinates are taken in the basis the ring publishes; a block
         # computed on its own before keeps its list, which equals this one
-        for w in self.grading.all_weights(d):
-            b = self._block_cache.setdefault((d, w), blocks.get(w, []))
+        for w in blocks:
+            b = self._block_cache.get((d, w))
             if b:
                 blocks[w] = b
         self._degree_blocks[d] = blocks
@@ -541,20 +546,24 @@ def molien_series(rep: Representation, max_degree: int):
 # -- generators -----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class NoetherResult:
     """The group's generator-degree ceiling; exact when computed from the
     regular representation, else the group-order fallback."""
 
-    value: int
-    exact: bool
+    __slots__ = ("value", "exact")
+
+    def __init__(self, value: int, exact: bool):
+        self.value = value
+        self.exact = exact
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
-    mode: str  # "minimal" | "full"
-    elements: tuple
-    beta_V: int | None  # the largest minimal generator degree; None for "full"
+    __slots__ = ("mode", "elements", "beta_V")
+
+    def __init__(self, mode: str, elements: tuple, beta_V: int | None):
+        self.mode = mode  # "minimal" | "full"
+        self.elements = elements
+        self.beta_V = beta_V  # the largest minimal generator degree; None for "full"
 
     def degrees(self):
         return [el.degree for el in self.elements]

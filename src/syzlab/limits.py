@@ -6,20 +6,37 @@ together. The defaults are the measured desk-scale ceilings.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 
-
-@dataclass(frozen=True)
 class Budget:
-    name: str
-    conductor_limit: int = 64
-    group_order_limit: int = 128
-    monomial_limit: int = 20000
-    noether_exact_limit: int = 8
-    # Certified row-bound checks on Tor grow the ambient space quickly;
-    # gate them on group order and homological degree.
-    tor_row_bound_max_order: int = 2
-    tor_row_bound_max_p: int = 1
+    __slots__ = (
+        "name",
+        "conductor_limit",
+        "group_order_limit",
+        "monomial_limit",
+        "noether_exact_limit",
+        "tor_row_bound_max_order",
+        "tor_row_bound_max_p",
+    )
+
+    def __init__(
+        self,
+        name: str,
+        conductor_limit: int = 64,
+        group_order_limit: int = 128,
+        monomial_limit: int = 20000,
+        noether_exact_limit: int = 8,
+        # Certified row-bound checks on Tor grow the ambient space quickly;
+        # gate them on group order and homological degree.
+        tor_row_bound_max_order: int = 2,
+        tor_row_bound_max_p: int = 1,
+    ):
+        self.name = name
+        self.conductor_limit = conductor_limit
+        self.group_order_limit = group_order_limit
+        self.monomial_limit = monomial_limit
+        self.noether_exact_limit = noether_exact_limit
+        self.tor_row_bound_max_order = tor_row_bound_max_order
+        self.tor_row_bound_max_p = tor_row_bound_max_p
 
     @staticmethod
     def preset(level: str) -> "Budget":
@@ -54,9 +71,15 @@ class Budget:
 
     def as_json(self) -> dict:
         """The budget as reports print it, its name under "level"."""
-        out = asdict(self)
-        out["level"] = out.pop("name")
-        return out
+        return {
+            "conductor_limit": self.conductor_limit,
+            "group_order_limit": self.group_order_limit,
+            "monomial_limit": self.monomial_limit,
+            "noether_exact_limit": self.noether_exact_limit,
+            "tor_row_bound_max_order": self.tor_row_bound_max_order,
+            "tor_row_bound_max_p": self.tor_row_bound_max_p,
+            "level": self.name,
+        }
 
 
 DEFAULT_BUDGET = Budget.preset("default")

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable
 
 from .cyclo import _int_if_integral, bit_size
 from .errors import InvalidInput
@@ -48,7 +47,7 @@ class Matrix:
             raise InvalidInput("matrix shape does not match data")
 
     @staticmethod
-    def from_rows(rows: Iterable[Iterable]) -> "Matrix":
+    def from_rows(rows) -> "Matrix":
         data = [list(r) for r in rows]
         if not data:
             return Matrix(0, 0, [])

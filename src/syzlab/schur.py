@@ -10,7 +10,6 @@ the comparison against the universal representation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .errors import InternalInconsistency, InvalidInput
@@ -167,15 +166,19 @@ def schur_dim(lam: tuple, k: int) -> int:
 # -- universal specializations -----------------------------------------------------
 
 
-@dataclass(frozen=True)
 class UniversalSpec:
     """A chosen multiplicity vector (dim U_1..dim U_n) with its assembled
     representation carrying the per-copy weight grading."""
 
-    catalog: IrrepCatalog
-    multiplicities: tuple
-    rep: Representation
-    grading: Grading
+    __slots__ = ("catalog", "multiplicities", "rep", "grading")
+
+    def __init__(
+        self, catalog: IrrepCatalog, multiplicities: tuple, rep: Representation, grading: Grading
+    ):
+        self.catalog = catalog
+        self.multiplicities = multiplicities
+        self.rep = rep
+        self.grading = grading
 
     @property
     def dimension(self) -> int:
@@ -270,13 +273,15 @@ def dominant_weights(total: int, multiplicities):
 # -- Schur decompositions from weight data -------------------------------------------
 
 
-@dataclass(frozen=True)
 class SchurDecomposition:
     """Multiplicities of tensor products of Schur functors, keyed by tuples
     of partitions (one per factor)."""
 
-    multiplicities: dict
-    factor_dims: tuple
+    __slots__ = ("multiplicities", "factor_dims")
+
+    def __init__(self, multiplicities: dict, factor_dims: tuple):
+        self.multiplicities = multiplicities
+        self.factor_dims = factor_dims
 
     def total_dim(self) -> int:
         return sum(

@@ -142,16 +142,46 @@ def test_schema_error_unknown_builtin(tmp_path, capsys):
 
 
 def test_schema_error_not_a_homomorphism(tmp_path, capsys):
-    doc = {
+    """Images that are not a homomorphism are named by their document path,
+    in a representation and in a catalog alike."""
+    rep_doc = {
         "group": "builtin:cyclic:3",
         "rep": {"generator_images": [[[2]]]},
         "task": "invariants",
     }
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = run_cli(capsys, "invariants", "--input", str(path), "--no-cache")
-    assert code == 1
-    assert "not a homomorphism" in err
+    catalog_doc = {
+        "group": {"permutation_generators": [[1, 0]]},
+        "catalog": {"irreps": [[[[1]]], [[[2]]]]},
+        "task": "group",
+    }
+    expected = {
+        "invariants": (rep_doc, "rep.generator_images"),
+        "group": (catalog_doc, "catalog.irreps[1]"),
+    }
+    for task, (doc, where) in expected.items():
+        path = tmp_path / f"{task}.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, task, "--input", str(path), "--no-cache")
+        assert (code, out) == (1, "")
+        assert err == f"syzlab: invalid input: {where}: not a homomorphism\n"
+
+
+@pytest.mark.parametrize("level", ["small", "default", "large"])
+def test_budget_block_bytes_are_pinned(level):
+    """Every report prints Budget.as_json(): its fields, their order and
+    `name` spelled as the last key, `level`, are report bytes."""
+    pinned = {
+        "small": '{"conductor_limit": 24, "group_order_limit": 32, "monomial_limit": 3000, '
+        '"noether_exact_limit": 4, "tor_row_bound_max_order": 0, "tor_row_bound_max_p": 0, '
+        '"level": "small"}',
+        "default": '{"conductor_limit": 64, "group_order_limit": 128, "monomial_limit": 20000, '
+        '"noether_exact_limit": 8, "tor_row_bound_max_order": 2, "tor_row_bound_max_p": 1, '
+        '"level": "default"}',
+        "large": '{"conductor_limit": 128, "group_order_limit": 512, "monomial_limit": 200000, '
+        '"noether_exact_limit": 10, "tor_row_bound_max_order": 6, "tor_row_bound_max_p": 2, '
+        '"level": "large"}',
+    }
+    assert json.dumps(Budget.preset(level).as_json()) == pinned[level]
 
 
 def test_missing_input_file(tmp_path, capsys):

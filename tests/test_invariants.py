@@ -197,6 +197,8 @@ def test_block_basis_is_the_published_block(tmp_path, monkeypatch, cached):
     early = ring.block_basis(4, early_w)
     ring.precompute(range(6))
     assert ring.blocks(4)[early_w] is early
+    # a computed degree answers its weights itself: no per-weight entries
+    assert list(ring._block_cache) == [(4, early_w)]
     for d in range(6):
         blocks = ring.blocks(d)
         for w in ring.grading.all_weights(d):

@@ -1,6 +1,7 @@
 """Checks on the source tree itself."""
 
 import ast
+import hashlib
 import importlib
 import json
 import subprocess
@@ -195,6 +196,30 @@ def test_tracer_targets_resolve():
             unresolved.append(target)
     assert len(layers) > len(STALE_TRACER_TARGETS)
     assert set(unresolved) <= STALE_TRACER_TARGETS
+
+
+def test_cli_import_footprint():
+    """Every instance is one process, so what `import syzlab.cli` loads is
+    paid on every run: not OpenSSL through hashlib, nor dataclasses (which
+    pulls in inspect), nor csv outside csv output. The built-in SHA-256 that
+    replaces hashlib's gives the same digests, so cache file names hold."""
+    from syzlab.cache import content_hash
+
+    banned = ["hashlib", "_hashlib", "dataclasses", "inspect", "csv", "typing"]
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {str(PACKAGE.parent)!r})\n"
+        "import syzlab.cli\n"
+        f"print(sorted(set({banned!r}) & set(sys.modules)))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", probe], capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[]\n"
+    for obj in ({}, {"b": [1, "2", None], "a": 0.5}, [{"z": "\u00e9"}, [], True], "x" * 1000):
+        canon = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        assert content_hash(obj) == hashlib.sha256(canon).hexdigest()
 
 
 def test_traced_child_sees_the_koszul_layers(tmp_path):
