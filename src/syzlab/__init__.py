@@ -7,5 +7,3 @@ conjecture, the representation-independent bound, and the cubic bound).
 """
 
 __version__ = "0.1.0"
-
-FORMAT_VERSION = 1

@@ -17,12 +17,13 @@ import os
 import sys
 import tempfile
 
-from . import FORMAT_VERSION
-
 try:
     from _sha256 import sha256
 except ImportError:  # Python 3.12 renamed the module to _sha2
     from hashlib import sha256
+
+# the version of an entry's layout; reports carry their own
+FORMAT_VERSION = 1
 
 
 def content_hash(obj) -> str:

@@ -14,7 +14,7 @@ import os
 import sys
 from types import SimpleNamespace
 
-from . import FORMAT_VERSION, __version__
+from . import __version__
 from .bounds import audit, inequality_chain_check, m_bound_check
 from .cache import Cache, content_hash
 from .cyclo import decode_scalar, is_int
@@ -30,11 +30,14 @@ from .schur import (
     kostka_number,
     lr_coefficient,
     ring_row_bounds,
-    spec_from_multiplicities,
+    specialization,
     stabilization_check,
     tor_row_bounds,
     universal_multiplicities,
 )
+
+# the version of the report's layout; cache entries carry their own
+FORMAT_VERSION = 1
 
 
 class Problem:
@@ -186,7 +189,7 @@ def _parse_rep(doc, group, catalog, budget: Budget):
             f"expected length {len(catalog.irreps)}, got {len(mults)}",
         )
         _expect(all(k >= 0 for k in mults), "rep.multiplicities", "must be nonnegative")
-        return spec_from_multiplicities(catalog, mults).rep
+        return specialization(catalog, mults)
     if "generator_images" in spec:
         images = spec["generator_images"]
         _expect(isinstance(images, list), "rep.generator_images", "expected a list of matrices")

@@ -53,12 +53,6 @@ def quotient(x, k: int):
     return _int_if_integral(x / k)
 
 
-def _poly_trim(coeffs):
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
 def _poly_divmod_exact(num, den):
     """Quotient of integer polynomials known to divide exactly (ascending coeffs)."""
     num = list(num)
@@ -70,7 +64,7 @@ def _poly_divmod_exact(num, den):
         q[k] = c
         for j, d in enumerate(den):
             num[k + j] -= c * d
-    if _poly_trim(num):
+    if any(num):
         raise InternalInconsistency("cyclotomic polynomial division was not exact")
     return q
 
@@ -122,42 +116,6 @@ def _reduced(coeffs, n):
             for j, t in table[k]:
                 out[j] += t * c
     return out
-
-
-def _poly_ext_gcd_mod(a, n):
-    """u with u*a = 1 modulo Phi_n, both over Q; a is nonzero of degree < phi(n)."""
-    phi = [Fraction(c) for c in _cyclotomic_poly_cached(n)]
-    r0, r1 = phi, _poly_trim([Fraction(c) for c in a])
-    s0, s1 = [], [1]
-    while r1:
-        q = []
-        r = list(r0)
-        while len(r) >= len(r1):
-            c = r[-1] / r1[-1]
-            d = len(r) - len(r1)
-            while len(q) <= d:
-                q.append(0)
-            q[d] += c
-            for j, x in enumerate(r1):
-                r[d + j] -= c * x
-            _poly_trim(r)
-        new_s = list(s0)
-        for i, qc in enumerate(q):
-            if not qc:
-                continue
-            for j, sc in enumerate(s1):
-                while len(new_s) <= i + j:
-                    new_s.append(0)
-                new_s[i + j] -= qc * sc
-        _poly_trim(new_s)
-        r0, r1 = r1, r
-        s0, s1 = s1, new_s
-    if len(r0) != 1:
-        raise InternalInconsistency(
-            f"nonzero element not invertible modulo Phi_{n}, which is irreducible"
-        )
-    inv_lead = 1 / r0[0]
-    return [c * inv_lead for c in s0]
 
 
 class Cyclotomic:
@@ -273,10 +231,26 @@ class Cyclotomic:
     __rmul__ = __mul__
 
     def inverse(self):
+        """1/a = (product of sigma_k(b) over k != 1) * m / N(b), where
+        b = m a is integral. The Galois automorphism sigma_k, k prime to N,
+        sends z to z^k; the norm N(b), the product over every k, is a
+        nonzero integer. All products run in Z[zeta_N]."""
         if not self:
             raise ZeroDivisionError("zero has no inverse")
-        u = _poly_ext_gcd_mod(self.coeffs, self.conductor)
-        return Cyclotomic._normalized(self.conductor, _reduced(u, self.conductor))
+        n = self.conductor
+        m = lcm(*(c.denominator for c in self.coeffs))
+        b = [(c * m).numerator for c in self.coeffs]
+        others = 1
+        for k in range(2, n):
+            if gcd(k, n) == 1:
+                raw = [0] * n
+                for i, c in enumerate(b):
+                    raw[i * k % n] = c
+                others = others * Cyclotomic._normalized(n, _reduced(raw, n))
+        norm = as_rational(others * Cyclotomic._normalized(n, b))
+        if not norm:
+            raise InternalInconsistency(f"norm in Q(zeta_{n}) is not a nonzero rational")
+        return _int_if_integral(others * Fraction(m, norm))
 
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):

@@ -10,7 +10,8 @@ the comparison against the universal representation.
 
 from __future__ import annotations
 
-from math import comb
+from itertools import product
+from math import comb, prod
 
 from .errors import InternalInconsistency, InvalidInput
 from .groups import IrrepCatalog, Representation
@@ -166,26 +167,8 @@ def schur_dim(lam: tuple, k: int) -> int:
 # -- universal specializations -----------------------------------------------------
 
 
-class UniversalSpec:
-    """A chosen multiplicity vector (dim U_1..dim U_n) with its assembled
-    representation carrying the per-copy weight grading."""
-
-    __slots__ = ("catalog", "multiplicities", "rep", "grading")
-
-    def __init__(
-        self, catalog: IrrepCatalog, multiplicities: tuple, rep: Representation, grading: Grading
-    ):
-        self.catalog = catalog
-        self.multiplicities = multiplicities
-        self.rep = rep
-        self.grading = grading
-
-    @property
-    def dimension(self) -> int:
-        return self.rep.degree
-
-
-def spec_from_multiplicities(catalog: IrrepCatalog, multiplicities) -> UniversalSpec:
+def specialization(catalog: IrrepCatalog, multiplicities) -> Representation:
+    """The block-diagonal sum of k_i copies of U_i, copies in catalog order."""
     mults = tuple(multiplicities)
     if len(mults) != len(catalog.irreps):
         raise InvalidInput(
@@ -193,30 +176,28 @@ def spec_from_multiplicities(catalog: IrrepCatalog, multiplicities) -> Universal
         )
     if any(k < 0 for k in mults):
         raise InvalidInput("multiplicities must be nonnegative")
-    group = catalog.group
-    group_sizes = []
-    for irrep, k in zip(catalog.irreps, mults):
-        group_sizes.extend([irrep.degree] * k)
-    dim = sum(group_sizes)
+    copies = [irrep for irrep, k in zip(catalog.irreps, mults) for _ in range(k)]
+    dim = sum(irrep.degree for irrep in copies)
     images = []
-    for a in range(group.order):
+    for a in range(catalog.group.order):
         data = [[0] * dim for _ in range(dim)]
         pos = 0
-        for irrep, k in zip(catalog.irreps, mults):
+        for irrep in copies:
             m = irrep.images[a]
-            for _ in range(k):
-                for i in range(m.rows):
-                    for j in range(m.cols):
-                        data[pos + i][pos + j] = m.at(i, j)
-                pos += m.rows
+            for i, row in enumerate(m.data):
+                data[pos + i][pos : pos + m.cols] = row
+            pos += m.rows
         images.append(Matrix(dim, dim, data))
-    rep = Representation(group, images, check=False)
-    return UniversalSpec(
-        catalog=catalog,
-        multiplicities=mults,
-        rep=rep,
-        grading=Grading(tuple(group_sizes)),
-    )
+    return Representation(catalog.group, images, check=False)
+
+
+def specialization_ring(catalog: IrrepCatalog, multiplicities, budget: Budget) -> InvariantRing:
+    """The specialization's invariant ring, graded by one weight coordinate
+    per copy of an irreducible."""
+    mults = tuple(multiplicities)
+    rep = specialization(catalog, mults)
+    sizes = [irrep.degree for irrep, k in zip(catalog.irreps, mults) for _ in range(k)]
+    return InvariantRing(rep, grading=Grading(tuple(sizes)), budget=budget)
 
 
 def universal_multiplicities(catalog: IrrepCatalog, noether: NoetherResult, p: int) -> tuple:
@@ -224,19 +205,6 @@ def universal_multiplicities(catalog: IrrepCatalog, noether: NoetherResult, p: i
     if p < 1:
         raise InvalidInput("homological degree must be at least 1")
     return tuple(noether.value * p + d for d in catalog.degrees)
-
-
-def build_universal_rep(catalog: IrrepCatalog, noether: NoetherResult, p: int) -> UniversalSpec:
-    """The dominating specialization, assembled."""
-    beta = noether.value
-    spec = spec_from_multiplicities(catalog, universal_multiplicities(catalog, noether, p))
-    g = catalog.group.order
-    m = catalog.m
-    if spec.dimension != beta * m * p + g:
-        raise InternalInconsistency(
-            "universal specialization dimension disagrees with beta*m*p + g"
-        )
-    return spec
 
 
 def split_weight(flat: tuple, multiplicities) -> tuple:
@@ -249,24 +217,21 @@ def split_weight(flat: tuple, multiplicities) -> tuple:
     return tuple(out)
 
 
+def _is_dominant(per_factor) -> bool:
+    """Weakly decreasing within every factor."""
+    return all(all(a >= b for a, b in zip(t, t[1:])) for t in per_factor)
+
+
 def dominant_weights(total: int, multiplicities):
     """Flat weights that are weakly decreasing within each factor."""
     mults = tuple(multiplicities)
     out = []
     for split in monomials(len(mults), total):
-        per_factor = []
-        for t, k in zip(split, mults):
-            opts = [
-                lam + (0,) * (k - len(lam)) for lam in partitions_of(t, max_rows=k)
-            ]
-            per_factor.append(opts)
-        combos = [()]
-        for opts in per_factor:
-            if not opts:
-                combos = []
-                break
-            combos = [c + o for c in combos for o in opts]
-        out.extend(combos)
+        per_factor = [
+            [lam + (0,) * (k - len(lam)) for lam in partitions_of(t, max_rows=k)]
+            for t, k in zip(split, mults)
+        ]
+        out.extend(sum(c, ()) for c in product(*per_factor))
     return out
 
 
@@ -285,14 +250,9 @@ class SchurDecomposition:
 
     def total_dim(self) -> int:
         return sum(
-            m * self._tuple_dim(lams) for lams, m in self.multiplicities.items()
+            m * prod(schur_dim(lam, k) for lam, k in zip(lams, self.factor_dims))
+            for lams, m in self.multiplicities.items()
         )
-
-    def _tuple_dim(self, lams) -> int:
-        out = 1
-        for lam, k in zip(lams, self.factor_dims):
-            out *= schur_dim(lam, k)
-        return out
 
     def weight_dim(self, per_factor_weight) -> int:
         """Expected dimension of any weight block, via Kostka numbers."""
@@ -328,9 +288,8 @@ def schur_multiplicities(
     dominant = {}
     for w, dim in weight_dims.items():
         per = split_weight(w, mults)
-        if all(all(t[i] >= t[i + 1] for i in range(len(t) - 1)) for t in per):
-            if dim:
-                dominant[per] = dim
+        if dim and _is_dominant(per):
+            dominant[per] = dim
     result: dict = {}
     for mu_t in sorted(dominant, reverse=True):
         expected = 0
@@ -343,11 +302,8 @@ def schur_multiplicities(
             ]
             for size, k, mu in zip(sizes, mults, mu_t)
         ]
-        combos = [()]
-        for opts in options:
-            combos = [c + (o,) for c in combos for o in opts]
         mu_key = tuple(_strip_zeros(t) for t in mu_t)
-        for lam_t in combos:
+        for lam_t in product(*options):
             if lam_t == mu_key:
                 continue
             m = result.get(lam_t)
@@ -410,22 +366,34 @@ def cauchy_check(catalog: IrrepCatalog, i: int, k: int, d: int) -> dict:
 # -- engine-facing checks --------------------------------------------------------------
 
 
-def _spec_complex(
-    spec: UniversalSpec, noether: NoetherResult, budget: Budget
-) -> KoszulComplex:
+def _dominant_complex(
+    catalog: IrrepCatalog, mults, noether: NoetherResult, budget: Budget
+) -> KoszulComplex | None:
     """The full-generator complex of a specialization on its dominant weight
-    blocks only. Tor_p is a polynomial GL(U_1) x ... x GL(U_n)-module, so a
-    Tor cell is nonzero exactly when one of its dominant blocks is, and the
-    Schur inversion reads nothing else."""
-    ring = InvariantRing(spec.rep, grading=spec.grading, budget=budget)
-    gens = build_E(ring, "full", noether)
-    mults = spec.multiplicities
+    blocks only, or None when the specialization is zero-dimensional and so
+    has no Tor_p for p >= 1. Tor_p is a polynomial GL(U_1) x ... x
+    GL(U_n)-module, so a Tor cell is nonzero exactly when one of its
+    dominant blocks is, and the Schur inversion reads nothing else."""
+    ring = specialization_ring(catalog, mults, budget)
+    if not ring.nvars:
+        return None
     return KoszulComplex(
         ring,
-        gens,
+        build_E(ring, "full", noether),
         noether.value,
         weights_for_degree=lambda d: dominant_weights(d, mults),
     )
+
+
+def _decompositions(cx: KoszulComplex, mults, p: int):
+    """(d, dim Tor_(p,d) on dominant blocks, its Schur decomposition) for
+    every degree of the scan with nonzero Tor_p, each decomposition's
+    non-dominant blocks spot-checked against their Kostka prediction."""
+    for d, (total, wd) in cx.scan(p).items():
+        if total:
+            decomp = schur_multiplicities(wd, mults)
+            _cross_check_nondominant(cx, mults, decomp, p, d)
+            yield d, total, decomp
 
 
 def ring_row_bounds(
@@ -437,24 +405,24 @@ def ring_row_bounds(
     at the certifying truncation dim U_i = d_i + 1."""
     bounds = tuple(catalog.degrees)
     mults = tuple(d + 1 for d in catalog.degrees)
-    spec = spec_from_multiplicities(catalog, mults)
-    ring = InvariantRing(spec.rep, grading=spec.grading, budget=budget)
+    ring = specialization_ring(catalog, mults, budget)
     per_degree = []
-    passed = True
     for d in range(max_degree + 1):
         wd = ring.weight_dims(d)
         _assert_weight_symmetry(wd, mults)
         decomp = schur_multiplicities(wd, mults, ambient_dim=ring.dim(d))
-        report = row_bound_check(decomp, bounds)
-        passed = passed and report["passed"]
         per_degree.append(
             {
                 "degree": d,
-                "report": report,
+                "report": row_bound_check(decomp, bounds),
                 "support": [[list(l) for l in lams] for lams in decomp.support()],
             }
         )
-    return {"passed": passed, "bounds": list(bounds), "per_degree": per_degree}
+    return {
+        "passed": all(row["report"]["passed"] for row in per_degree),
+        "bounds": list(bounds),
+        "per_degree": per_degree,
+    }
 
 
 def _assert_weight_symmetry(weight_dims: dict, mults):
@@ -463,10 +431,9 @@ def _assert_weight_symmetry(weight_dims: dict, mults):
     checked = 0
     for w, dim in sorted(weight_dims.items(), reverse=True):
         per = split_weight(w, mults)
-        sorted_per = tuple(tuple(sorted(t, reverse=True)) for t in per)
-        if per == sorted_per:
+        if _is_dominant(per):
             continue
-        flat = tuple(x for t in sorted_per for x in t)
+        flat = tuple(x for t in per for x in sorted(t, reverse=True))
         if weight_dims.get(flat, 0) != dim:
             raise InternalInconsistency(
                 "weight multiplicities are not symmetric under coordinate permutations"
@@ -494,47 +461,33 @@ def tor_row_bounds(
         }
     bounds = universal_multiplicities(catalog, noether, p)
     mults = tuple(b + 1 for b in bounds)
-    spec = spec_from_multiplicities(catalog, mults)
-    cx = _spec_complex(spec, noether, budget)
-    per_degree = []
-    passed = True
-    for d, (total, wd) in cx.scan(p).items():
-        if not total:
-            continue
-        decomp = schur_multiplicities(wd, mults)
-        _cross_check_nondominant(cx, spec, decomp, p, d)
-        report = row_bound_check(decomp, bounds)
-        passed = passed and report["passed"]
-        per_degree.append(
-            {
-                "degree": d,
-                "tor_dim_dominant": total,
-                "report": report,
-                "support": [[list(l) for l in lams] for lams in decomp.support()],
-            }
-        )
+    cx = _dominant_complex(catalog, mults, noether, budget)
+    per_degree = [
+        {
+            "degree": d,
+            "tor_dim_dominant": total,
+            "report": row_bound_check(decomp, bounds),
+            "support": [[list(l) for l in lams] for lams in decomp.support()],
+        }
+        for d, total, decomp in _decompositions(cx, mults, p)
+    ]
     return {
         "skipped": False,
-        "passed": passed,
+        "passed": all(row["report"]["passed"] for row in per_degree),
         "bounds": list(bounds),
         "multiplicities": list(mults),
         "per_degree": per_degree,
     }
 
 
-def _cross_check_nondominant(cx, spec, decomp, p, d):
+def _cross_check_nondominant(cx, mults, decomp, p, d):
     """Recompute two non-dominant Tor blocks and compare with the Kostka
     prediction from the dominant-only decomposition."""
-    mults = spec.multiplicities
     targets = []
     for lams in decomp.support():
-        flat = []
-        for lam, k in zip(lams, mults):
-            padded = list(lam) + [0] * (k - len(lam))
-            flat.extend(reversed(padded))  # weakly increasing: not dominant
-        flat = tuple(flat)
-        per = split_weight(flat, mults)
-        if all(tuple(t) == tuple(sorted(t, reverse=True)) for t in per):
+        # each factor's partition reversed: weakly increasing, not dominant
+        flat = sum(((0,) * (k - len(lam)) + lam[::-1] for lam, k in zip(lams, mults)), ())
+        if _is_dominant(split_weight(flat, mults)):
             continue  # permutation happened to stay dominant
         targets.append(flat)
         if len(targets) == 2:
@@ -571,12 +524,8 @@ def stabilization_check(
     bigger = tuple(k + 1 for k in base)
     nonzero = []
     for mults in (base, bigger):
-        spec = spec_from_multiplicities(catalog, mults)
-        if spec.dimension == 0:
-            nonzero.append(False)
-            continue
-        cx = _spec_complex(spec, noether, budget)
-        nonzero.append(cx.tor_dimension(p, d) > 0)
+        cx = _dominant_complex(catalog, mults, noether, budget)
+        nonzero.append(cx is not None and cx.tor_dimension(p, d) > 0)
     return {
         "passed": nonzero[0] == nonzero[1],
         "base_multiplicities": list(base),
@@ -585,25 +534,19 @@ def stabilization_check(
     }
 
 
-def _checked_syzygy_degree(
-    spec: UniversalSpec, noether: NoetherResult, p: int, budget: Budget
-):
-    """s'_p of a specialization from its dominant weight blocks.
+def _checked_syzygy_degree(cx: KoszulComplex | None, mults, p: int):
+    """s'_p of a specialization from its dominant weight blocks, None where
+    Tor_p vanishes.
 
     Every full degree the scan's chains reach is computed first, so the
     Reynolds dimensions meet the Molien series there; each degree with
     nonzero Tor_p has its non-dominant blocks spot-checked against the
     Schur decomposition of the dominant ones.
     """
-    cx = _spec_complex(spec, noether, budget)
+    if cx is None:
+        return None
     cx.precompute(p)
-    s = None
-    for d, (total, wd) in cx.scan(p).items():
-        if total:
-            s = d
-            decomp = schur_multiplicities(wd, spec.multiplicities)
-            _cross_check_nondominant(cx, spec, decomp, p, d)
-    return s
+    return max((d for d, _, _ in _decompositions(cx, mults, p)), default=None)
 
 
 def domination_check(
@@ -619,30 +562,30 @@ def domination_check(
     Reynolds against Molien on every full degree the scan reaches, the
     non-dominant Tor blocks against the Kostka prediction, and d^2 = 0 and
     the empty guard band on every block computed."""
-    w_spec = build_universal_rep(catalog, noether, p)
-    s_w = _checked_syzygy_degree(w_spec, noether, p, budget)
+    w_mults = universal_multiplicities(catalog, noether, p)
+    w_cx = _dominant_complex(catalog, w_mults, noether, budget)
+    dimension = w_cx.ring.nvars
+    if dimension != noether.value * catalog.m * p + catalog.group.order:
+        raise InternalInconsistency(
+            "universal specialization dimension disagrees with beta*m*p + g"
+        )
+    s_w = _checked_syzygy_degree(w_cx, w_mults, p)
     rows = []
-    passed = True
     for mults in samples:
-        spec = spec_from_multiplicities(catalog, mults)
-        if spec.dimension == 0:
-            s_v = None
-        else:
-            s_v = _checked_syzygy_degree(spec, noether, p, budget)
-        ok = (s_v is None) or (s_w is not None and s_v <= s_w)
-        passed = passed and ok
+        cx = _dominant_complex(catalog, mults, noether, budget)
+        s_v = _checked_syzygy_degree(cx, mults, p)
         rows.append(
             {
                 "multiplicities": list(mults),
                 "s_prime": s_v if s_v is not None else "none",
-                "dominated": ok,
+                "dominated": s_v is None or (s_w is not None and s_v <= s_w),
             }
         )
     return {
-        "passed": passed,
+        "passed": all(row["dominated"] for row in rows),
         "p": p,
-        "universal_multiplicities": list(w_spec.multiplicities),
-        "universal_dimension": w_spec.dimension,
+        "universal_multiplicities": list(w_mults),
+        "universal_dimension": dimension,
         "s_prime_universal": s_w if s_w is not None else "none",
         "samples": rows,
     }

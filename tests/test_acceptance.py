@@ -32,10 +32,10 @@ from syzlab.invariants import (
     noether_number,
 )
 from syzlab.koszul import KoszulComplex, scan_ceiling, syzygy_degree, tor_table
+from syzlab.limits import DEFAULT_BUDGET
 from syzlab.linalg import Matrix
 from syzlab.monomials import unpack
 from syzlab.schur import (
-    build_universal_rep,
     dominates,
     domination_check,
     kostka_number,
@@ -43,8 +43,10 @@ from syzlab.schur import (
     partitions_of,
     ring_row_bounds,
     schur_multiplicities,
-    spec_from_multiplicities,
+    specialization,
+    specialization_ring,
     tor_row_bounds,
+    universal_multiplicities,
 )
 
 from oracles import davenport_constant, greedy_generators, veronese_tor
@@ -166,9 +168,10 @@ def test_criterion_5_universal_domination_z2():
     start = time.monotonic()
     group, catalog = builtin_group("builtin:cyclic:2")
     noe = noether_number(group)
-    w1 = build_universal_rep(catalog, noe, 1)
-    ok = w1.multiplicities == (3, 3) and w1.dimension == 6
-    ok = ok and w1.dimension == noe.value * catalog.m * 1 + group.order
+    w1 = universal_multiplicities(catalog, noe, 1)
+    dimension = specialization(catalog, w1).degree
+    ok = w1 == (3, 3) and dimension == 6
+    ok = ok and dimension == noe.value * catalog.m * 1 + group.order
     res = domination_check(catalog, noe, 1, samples=[(0, 1), (0, 2), (1, 1)])
     ok = ok and res["passed"]
     by_mult = {tuple(r["multiplicities"]): r["s_prime"] for r in res["samples"]}
@@ -239,12 +242,9 @@ def test_criterion_7_structural_suite():
                         ok = ok and lr_coefficient(lam, mu, nu) == lr_coefficient(lam, nu, mu)
     # Schur-decomposition dimension reconstruction on a graded instance
     group, catalog = builtin_group("builtin:cyclic:2")
-    spec = spec_from_multiplicities(catalog, (2, 2))
-    ring = InvariantRing(spec.rep, grading=spec.grading)
+    ring = specialization_ring(catalog, (2, 2), DEFAULT_BUDGET)
     for d in range(5):
-        decomp = schur_multiplicities(
-            ring.weight_dims(d), spec.multiplicities, ambient_dim=ring.dim(d)
-        )
+        decomp = schur_multiplicities(ring.weight_dims(d), (2, 2), ambient_dim=ring.dim(d))
         ok = ok and decomp.total_dim() == ring.dim(d)
     _report(7, "structural invariants across all test instances", ok, time.monotonic() - start, 1800)
 

@@ -22,7 +22,7 @@ from syzlab.cyclo import (
     totient,
     zeta,
 )
-from syzlab.errors import InvalidInput, LimitExceeded
+from syzlab.errors import InternalInconsistency, InvalidInput, LimitExceeded
 
 
 def test_cyclotomic_polynomial_small_cases():
@@ -117,6 +117,16 @@ def test_inverse_of_zero_raises():
         1 / zero
     with pytest.raises(ZeroDivisionError):
         zeta(3) / zero
+
+
+def test_inverse_refuses_a_norm_that_is_not_rational(monkeypatch):
+    """a times the product of its other conjugates must be rational:
+    conjugates broken to 1 leave a itself there, an engine bug."""
+    import syzlab.cyclo
+
+    monkeypatch.setattr(syzlab.cyclo, "_reduced", lambda coeffs, n: [1] + [0] * (totient(n) - 1))
+    with pytest.raises(InternalInconsistency, match="not a nonzero rational"):
+        zeta(5).inverse()
 
 
 def test_inverse_of_zero_raises_under_optimize():
@@ -216,27 +226,35 @@ def _int_coefficients(x):
 
 def test_lift_and_inverse_reduce_through_the_power_table():
     """Three seeded elements of every conductor N from 3 to 64, each with
-    two int or Fraction coefficients at random powers (few terms keep the
-    inverse's Euclid over Q fast): lifted to 2N, 3N and 6N through the
-    power table of the larger conductor, each keeps its complex value, and
-    x times its inverse, reduced through the table of N, is 1. A lift from
-    N = 5 to 30 places z^18, beyond the 2 phi(30) - 1 = 15 powers that
-    products reach."""
+    two int or Fraction coefficients at random powers, and two dense
+    elements of conductor 64, every coefficient in [-9, 9] over 1, 2 or 3:
+    lifted to 2N, 3N and 6N through the power table of the larger
+    conductor, each keeps its complex value, and x times its inverse (the
+    product of its Galois conjugates over its norm, each conjugate reduced
+    through the table of N) is 1. A lift from N = 5 to 30 places z^18,
+    beyond the 2 phi(30) - 1 = 15 powers that products reach."""
     rng = random.Random(0)
-    checked = 0
+    sparse = []
     for n in range(3, 65):
         for _ in range(3):
             coeffs = [0] * totient(n)
             for k in rng.sample(range(1, len(coeffs)), min(2, len(coeffs) - 1)):
                 coeffs[k] = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 1, 2, 3)))
-            x = Cyclotomic._normalized(n, coeffs)
-            for m in (2 * n, 3 * n, 6 * n):
-                lifted = Cyclotomic._normalized(m, x.lift(m))
-                assert lifted == x
-                assert abs(_embed(lifted) - _embed(x)) < 1e-6
-            assert x * x.inverse() == 1
-            checked += 1
-    assert checked == 186
+            sparse.append((n, coeffs))
+    dense = [
+        (64, [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3))) for _ in range(32)])
+        for _ in range(2)
+    ]
+    checked = 0
+    for n, coeffs in sparse + dense:
+        x = Cyclotomic._normalized(n, coeffs)
+        for m in (2 * n, 3 * n, 6 * n):
+            lifted = Cyclotomic._normalized(m, x.lift(m))
+            assert lifted == x
+            assert abs(_embed(lifted) - _embed(x)) < 1e-6
+        assert x * x.inverse() == 1
+        checked += 1
+    assert checked == 188
 
 
 @settings(max_examples=80, deadline=None)

@@ -20,10 +20,10 @@ from syzlab.invariants import (
     molien_series,
     noether_number,
 )
-from syzlab.limits import Budget
+from syzlab.limits import DEFAULT_BUDGET, Budget
 from syzlab.linalg import Matrix
 from syzlab.monomials import monomial_count, monomials, pack, poly_mul, unpack
-from syzlab.schur import spec_from_multiplicities
+from syzlab.schur import specialization_ring
 
 from oracles import (
     column_echelon_basis,
@@ -154,10 +154,13 @@ def test_block_basis_monomial_limit():
         ring.block_basis(200, ())
 
 
-def graded_ring(group, mults, **kw):
-    """The ring of a universal specialization, graded per factor copy."""
-    spec = spec_from_multiplicities(builtin_group(group)[1], mults)
-    return InvariantRing(spec.rep, grading=spec.grading, **kw)
+def graded_ring(group, mults, cache=None):
+    """The ring of a universal specialization, graded per factor copy, on
+    `cache` when one is given."""
+    ring = specialization_ring(builtin_group(group)[1], mults, DEFAULT_BUDGET)
+    if cache is None:
+        return ring
+    return InvariantRing(ring.rep, grading=ring.grading, cache=cache)
 
 
 def described(block):

@@ -9,12 +9,14 @@ from syzlab.errors import InternalInconsistency, InvalidInput
 from syzlab.groups import Representation, builtin_group
 from syzlab.invariants import GeneratorSet, InvariantRing, InvElem, build_E, noether_number
 from syzlab.koszul import KoszulComplex, scan_ceiling, syzygy_degree, tor_table
+from syzlab.limits import DEFAULT_BUDGET
 from syzlab.linalg import Matrix, rank
 from syzlab.monomials import poly_add_into, poly_mul, unpack
 from syzlab.schur import (
     domination_check,
     dominant_weights,
-    spec_from_multiplicities,
+    specialization,
+    specialization_ring,
     tor_row_bounds,
 )
 
@@ -354,7 +356,7 @@ def test_choice_independence_on_a_different_complement():
     so the set is still minimal, but its degree-4 complement is another
     line. The Tor table and s_1 = 8 stay."""
     group, catalog = builtin_group("builtin:sym:3")
-    ring = InvariantRing(spec_from_multiplicities(catalog, [0, 1, 1]).rep)
+    ring = InvariantRing(specialization(catalog, [0, 1, 1]))
     noe = noether_number(group)
     gens = build_E(ring, "minimal", noe)
     assert gens.degrees() == [2, 2, 3, 4]
@@ -422,12 +424,11 @@ def test_restricted_chains_are_those_of_all_weights(group, mults, top, allowed):
     """A complex restricted to some weights has, block for block, the chain
     bases and differentials of the all-weights complex on the same ring:
     the same elements in the same order, the same matrices."""
-    spec = spec_from_multiplicities(builtin_group(group)[1], mults)
-    ring = InvariantRing(spec.rep, grading=spec.grading)
-    noe = noether_number(spec.rep.group)
+    ring = specialization_ring(builtin_group(group)[1], mults, DEFAULT_BUDGET)
+    noe = noether_number(ring.rep.group)
     gens = build_E(ring, "full", noe)
     if allowed == "dominant":
-        weights = lambda d: dominant_weights(d, spec.multiplicities)
+        weights = lambda d: dominant_weights(d, mults)
     else:
         weights = lambda d: list(S3_NONDOMINANT)
     restricted = KoszulComplex(ring, gens, noe.value, weights_for_degree=weights)

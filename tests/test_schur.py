@@ -7,9 +7,9 @@ from syzlab.errors import InternalInconsistency, InvalidInput
 from syzlab.groups import builtin_group
 from syzlab.invariants import InvariantRing, build_E, noether_number
 from syzlab.koszul import KoszulComplex, syzygy_degree
+from syzlab.limits import DEFAULT_BUDGET
 from syzlab.schur import (
     SchurDecomposition,
-    build_universal_rep,
     cauchy_check,
     dominant_weights,
     dominates,
@@ -21,10 +21,12 @@ from syzlab.schur import (
     row_bound_check,
     schur_dim,
     schur_multiplicities,
-    spec_from_multiplicities,
+    specialization,
+    specialization_ring,
     split_weight,
     stabilization_check,
     tor_row_bounds,
+    universal_multiplicities,
 )
 
 
@@ -120,11 +122,12 @@ def test_universal_spec_dimensions():
     ]:
         group, catalog = builtin_group(name)
         noe = noether_number(group)
-        spec = build_universal_rep(catalog, noe, 1)
-        assert spec.multiplicities == expected_mults
-        assert spec.dimension == expected_dim
+        mults = universal_multiplicities(catalog, noe, 1)
+        assert mults == expected_mults
+        rep = specialization(catalog, mults)
+        assert rep.degree == expected_dim
         beta, m, g = noe.value, catalog.m, group.order
-        assert spec.dimension == beta * m * 1 + g
+        assert rep.degree == beta * m * 1 + g
 
 
 def test_universal_dimension_identity_all_builtins():
@@ -141,18 +144,16 @@ def test_universal_dimension_identity_all_builtins():
 
 def test_weight_decomposition_sym2_c2():
     group, catalog = builtin_group("builtin:cyclic:1")
-    spec = spec_from_multiplicities(catalog, (2,))
-    ring = InvariantRing(spec.rep, grading=spec.grading)
+    ring = specialization_ring(catalog, (2,), DEFAULT_BUDGET)
     wd = ring.weight_dims(2)
     assert wd == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
-    decomp = schur_multiplicities(wd, spec.multiplicities, ambient_dim=3)
+    decomp = schur_multiplicities(wd, (2,), ambient_dim=3)
     assert decomp.multiplicities == {((2,),): 1}
 
 
 def test_weight_decomposition_z2_r2():
     group, catalog = builtin_group("builtin:cyclic:2")
-    spec = spec_from_multiplicities(catalog, (1, 1))
-    ring = InvariantRing(spec.rep, grading=spec.grading)
+    ring = specialization_ring(catalog, (1, 1), DEFAULT_BUDGET)
     assert ring.weight_dims(2) == {(2, 0): 1, (0, 2): 1}
 
 
@@ -181,10 +182,9 @@ def test_schur_multiplicities_rejects_bad_data():
 
 def test_row_bound_check_z2_r2():
     group, catalog = builtin_group("builtin:cyclic:2")
-    spec = spec_from_multiplicities(catalog, (2, 2))
-    ring = InvariantRing(spec.rep, grading=spec.grading)
+    ring = specialization_ring(catalog, (2, 2), DEFAULT_BUDGET)
     wd = ring.weight_dims(2)
-    decomp = schur_multiplicities(wd, spec.multiplicities, ambient_dim=ring.dim(2))
+    decomp = schur_multiplicities(wd, (2, 2), ambient_dim=ring.dim(2))
     assert decomp.multiplicities == {((2,), ()): 1, ((), (2,)): 1}
     assert row_bound_check(decomp, (1, 1)) == {"passed": True, "bounds": [1, 1], "witnesses": []}
     report0 = row_bound_check(
@@ -210,12 +210,9 @@ def test_dominant_weights():
 
 
 def test_exterior_weight_dims_box_budget():
-    from syzlab.invariants import InvariantRing, build_E, noether_number
-
     group, catalog = builtin_group("builtin:cyclic:2")
     noe = noether_number(group)
-    spec = spec_from_multiplicities(catalog, (2, 2))
-    ring = InvariantRing(spec.rep, grading=spec.grading)
+    ring = specialization_ring(catalog, (2, 2), DEFAULT_BUDGET)
     gens = build_E(ring, "full", noe)
     p = 1
     seen = 0
@@ -229,7 +226,7 @@ def test_exterior_weight_dims_box_budget():
         seen += sum(wd.values())
         # every supported partition in every factor fits in beta*p boxes,
         # hence at most beta*p rows
-        decomp = schur_multiplicities(wd, spec.multiplicities)
+        decomp = schur_multiplicities(wd, (2, 2))
         for lams in decomp.support():
             assert sum(sum(l) for l in lams) == e <= noe.value * p
     assert seen == len(gens.elements)
@@ -262,23 +259,35 @@ def test_stabilization_degenerate_spec():
     res = stabilization_check(
         catalog, noe, p=1, d=2, base_multiplicities=(0, 0)
     )
-    # zero-dimensional spec has no syzygies; the enlarged one (1,1) has none
-    # in degree 2 either (free polynomial ring on x, y^2 presented minimally
-    # plus the redundant x^2... full E makes Tor_1 nonzero in degree 2)
-    assert res["nonzero_at_base"] is False
+    # the zero-dimensional specialization has no syzygies. The enlarged one,
+    # (1, 1), has R = C[x, y^2], but the full E holds x and x^2 both: x^2 in
+    # E is redundant, so Tor_1 of the (1, 1) specialization is nonzero in
+    # degree 2, and the two truncations disagree
+    assert res == {
+        "passed": False,
+        "base_multiplicities": [0, 0],
+        "nonzero_at_base": False,
+        "nonzero_at_enlarged": True,
+    }
+
+
+def _count_cross_checks(monkeypatch) -> list:
+    """Record (multiplicities, degree) of every non-dominant cross-check."""
+    cross_checked = []
+    real_cross_check = schur._cross_check_nondominant
+
+    def counting_cross_check(cx, mults, decomp, p, d):
+        cross_checked.append((tuple(mults), d))
+        return real_cross_check(cx, mults, decomp, p, d)
+
+    monkeypatch.setattr(schur, "_cross_check_nondominant", counting_cross_check)
+    return cross_checked
 
 
 def test_domination_check_z2_p1(monkeypatch):
     group, catalog = builtin_group("builtin:cyclic:2")
     noe = noether_number(group)
-    cross_checked = []
-    real_cross_check = schur._cross_check_nondominant
-
-    def counting_cross_check(cx, spec, decomp, p, d):
-        cross_checked.append((spec.multiplicities, d))
-        return real_cross_check(cx, spec, decomp, p, d)
-
-    monkeypatch.setattr(schur, "_cross_check_nondominant", counting_cross_check)
+    cross_checked = _count_cross_checks(monkeypatch)
     res = domination_check(
         catalog, noe, p=1, samples=[(0, 1), (0, 2), (1, 1), (3, 3)]
     )
@@ -294,6 +303,17 @@ def test_domination_check_z2_p1(monkeypatch):
     assert by_mult[(3, 3)] == 4  # the universal spec itself: equality
 
 
+def test_tor_row_bounds_cross_checks_every_degree_with_tor(monkeypatch):
+    """The row bounds on Tor read the same checked decompositions as the
+    domination check: one non-dominant cross-check per degree it reports."""
+    group, catalog = builtin_group("builtin:cyclic:2")
+    noe = noether_number(group)
+    cross_checked = _count_cross_checks(monkeypatch)
+    res = tor_row_bounds(catalog, noe, p=1)
+    assert [row["degree"] for row in res["per_degree"]] == [2, 4]
+    assert cross_checked == [((4, 4), row["degree"]) for row in res["per_degree"]]
+
+
 def test_domination_matches_all_weights_scan():
     """The dominant-only route of domination_check against complexes that
     materialize every weight block."""
@@ -302,8 +322,7 @@ def test_domination_matches_all_weights_scan():
     samples = [(0, 2), (1, 1), (2, 2)]
     res = domination_check(catalog, noe, p=1, samples=samples)
     for mults, row in zip(samples, res["samples"]):
-        spec = spec_from_multiplicities(catalog, mults)
-        ring = InvariantRing(spec.rep, grading=spec.grading)
+        ring = specialization_ring(catalog, mults, DEFAULT_BUDGET)
         cx = KoszulComplex(
             ring, build_E(ring, "full", noe), noe.value, weights_for_degree=None
         )

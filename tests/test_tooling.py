@@ -117,6 +117,46 @@ def test_catalogs_are_validated_by_groups_only():
     assert callers == {"groups.py"}
 
 
+def _callers(is_target) -> set:
+    """(file, innermost def or module-level assignment) of every call in the
+    engine that `is_target` accepts."""
+    found = set()
+
+    def visit(node, owner, name):
+        if isinstance(node, ast.FunctionDef):
+            owner = node.name
+        elif isinstance(node, ast.Assign) and owner is None:
+            owner = ",".join(t.id for t in node.targets if isinstance(t, ast.Name))
+        if isinstance(node, ast.Call) and is_target(node):
+            found.add((name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, name)
+
+    for name, tree in _trees():
+        visit(tree, None, name)
+    return found
+
+
+def _named(call) -> str:
+    return getattr(call.func, "id", getattr(call.func, "attr", None))
+
+
+def test_only_specialization_ring_grades_a_ring():
+    """A weight grading has one source: the copies of irreducibles in a
+    specialization. Only schur.specialization_ring builds a Grading from
+    multiplicities or hands one to an InvariantRing; the trivial grading is
+    the only other Grading."""
+    assert _callers(lambda call: _named(call) == "Grading") == {
+        ("invariants.py", "TRIVIAL_GRADING"),
+        ("schur.py", "specialization_ring"),
+    }
+    graded = _callers(
+        lambda call: _named(call) == "InvariantRing"
+        and (len(call.args) > 1 or any(k.arg == "grading" for k in call.keywords))
+    )
+    assert graded == {("schur.py", "specialization_ring")}
+
+
 def test_no_cache_prefix_name():
     """InvariantRing derives its cache key from its own representation; no
     caller hands it a prefix."""
