@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from math import lcm
-from operator import add
+from operator import add, sub
 
 from .cache import content_hash
 from .cyclo import Cyclotomic, as_integer, decode_scalar, encode_scalar, quotient
@@ -482,6 +482,143 @@ class InvariantRing:
         return el if poly[el.pivot] == 1 else None
 
 
+class ArtinianReduction:
+    """R/θR for a homogeneous system of parameters θ of R, θ_i in R's bases,
+    with the block interface `KoszulComplex` reads from `InvariantRing`.
+
+    A block of R/θR is the R block modulo the reduced rows of the products
+    θ_i . b (b running over the R blocks they come from), written in R's
+    block coordinates. Its basis is the R elements at the non-pivot
+    columns, and `coords_in_basis` reduces R coordinates modulo those rows.
+    Single blocks are computed on demand and full degrees in `precompute`.
+
+    Every full degree d is checked against the Hilbert series of R/θR, the
+    coefficient of t^d in H_R(t) . prod_i (1 - t^(deg θ_i)), with H_R the
+    Molien series: equality in every degree is what makes θ a regular
+    sequence on R. R/θR is generated in degrees <= beta, so once `precompute`
+    meets beta consecutive zero degrees, every higher degree is zero: its
+    series coefficient is still checked, but R is no longer read. R/θR lies
+    in S/θS, which vanishes above sum_i (deg θ_i - 1), so R is read up to
+    that degree plus beta at most, and `refuse_over_budget` refuses no
+    higher degree than that one.
+    """
+
+    def __init__(self, ring: InvariantRing, theta, beta: int):
+        self.ring = ring
+        self.rep = ring.rep
+        self.nvars = ring.nvars
+        self.grading = ring.grading
+        self.theta = tuple(theta)
+        self.beta = beta
+        self._socle = sum(t.degree - 1 for t in self.theta)
+        self._zero_from = None  # the least degree from which R/θR is certified zero
+        self._series: list = []
+        # (d, w) -> (basis, reduced rows of the θ products, R index -> basis index)
+        self._blocks: dict = {}
+        self._degree_blocks: dict = {}
+
+    def _zero(self, d: int) -> bool:
+        return self._zero_from is not None and d >= self._zero_from
+
+    def _block(self, d: int, w: tuple):
+        key = (d, w)
+        hit = self._blocks.get(key)
+        if hit is None:
+            ring = self.ring
+            basis = ring.block_basis(d, w)
+            rows = []
+            for t in self.theta:
+                lw = tuple(map(sub, w, t.weight))
+                if d < t.degree or min(lw, default=0) < 0:
+                    continue
+                for b in ring.block_basis(d - t.degree, lw):
+                    product = poly_mul(t.multiple, b.multiple)
+                    rows.append(dict(ring.coords_in_basis(product, d, w)))
+            reduced = reduced_rows(rows, len(basis))
+            pivots = {c for c, _ in reduced}
+            kept = [i for i in range(len(basis)) if i not in pivots]
+            hit = self._blocks[key] = (
+                [basis[i] for i in kept],
+                reduced,
+                {i: q for q, i in enumerate(kept)},
+            )
+        return hit
+
+    def block_basis(self, d: int, w: tuple):
+        blocks = self._degree_blocks.get(d)
+        if blocks is not None:
+            return blocks.get(w, [])
+        if self._zero(d):
+            return []
+        return self._block(d, w)[0]
+
+    def _hilbert(self, top: int) -> list:
+        """Coefficients 0..top of H_R(t) . prod_i (1 - t^(deg θ_i))."""
+        if len(self._series) <= top:
+            series = list(self.ring.molien(top)[: top + 1])
+            for t in self.theta:
+                for d in range(top, t.degree - 1, -1):
+                    series[d] -= series[d - t.degree]
+            self._series = series
+        return self._series
+
+    def refuse_over_budget(self, d: int):
+        self.ring.refuse_over_budget(min(d, self._socle + self.beta))
+
+    def blocks(self, d: int) -> dict:
+        hit = self._degree_blocks.get(d)
+        if hit is not None:
+            return hit
+        hit = {}
+        if not self._zero(d):
+            for w in self.ring.blocks(d):
+                basis = self._block(d, w)[0]
+                if basis:
+                    hit[w] = basis
+        dim = sum(len(b) for b in hit.values())
+        want = self._hilbert(d)[d]
+        if dim != want:
+            raise InternalInconsistency(
+                f"R/(theta) has dimension {dim} in degree {d}, its Molien series "
+                f"predicts {want}"
+            )
+        if dim and d > self._socle:
+            raise InternalInconsistency(
+                f"R/(theta) is nonzero in degree {d}, above the top degree "
+                f"{self._socle} of S/(theta)"
+            )
+        self._degree_blocks[d] = hit
+        return hit
+
+    def precompute(self, degrees: range):
+        """Every degree of the range, in increasing order, after one Molien
+        fetch up to the top one; the degrees after beta consecutive zero
+        ones are zero without reading R."""
+        if not degrees:
+            return
+        self.refuse_over_budget(degrees[-1])
+        self._hilbert(degrees[-1])
+        zeros = 0
+        for d in degrees:
+            zeros = 0 if self.blocks(d) else zeros + 1
+            if zeros == self.beta and self._zero_from is None:
+                self._zero_from = d + 1
+
+    def coords_in_basis(self, poly: dict, d: int, w: tuple) -> tuple:
+        """Coordinates of the class of an invariant in the block basis: its
+        R coordinates, checked there, reduced modulo the block's rows. A
+        degree certified zero has no coordinates."""
+        if self._zero(d):
+            return ()
+        _, rows, position = self._block(d, w)
+        coords = dict(self.ring.coords_in_basis(poly, d, w))
+        for c, row in rows:
+            f = coords.get(c)
+            if f:
+                poly_add_into(coords, row, -f)
+        return tuple((position[i], _int_if_integral(c)) for i, c in sorted(coords.items()))
+
+
 # -- Molien series --------------------------------------------------------------------
 
 
@@ -648,3 +785,27 @@ def build_E(ring: InvariantRing, mode: str, noether: NoetherResult) -> Generator
             )
         return gens
     raise InvalidInput(f"unknown generator mode {mode!r}")
+
+
+def pure_power_parameters(ring: InvariantRing, gens: GeneratorSet):
+    """The pure powers x_c^(k_c), k_c the order of the character on x_c,
+    as elements of `gens`; None unless every image of the representation is
+    diagonal and `gens` holds each of them. They are then a system of
+    parameters of R, which is Cohen-Macaulay (Hochster-Roberts), so a
+    regular sequence on R."""
+    rep, n = ring.rep, ring.nvars
+    if any(row[j] for m in rep.images for i, row in enumerate(m.data) for j in range(n) if i != j):
+        return None
+    images = [rep.images[a] for a in rep.group.generator_elements()]
+    monomial = {el.pivot: el for el in gens.elements if len(el.poly) == 1}
+    theta = []
+    for c in range(n):
+        entries = [m.data[c][c] for m in images]
+        k = 1
+        while any(z**k != 1 for z in entries):
+            k += 1
+        el = monomial.get(pack(tuple(k if i == c else 0 for i in range(n))))
+        if el is None:
+            return None
+        theta.append(el)
+    return tuple(theta)

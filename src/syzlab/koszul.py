@@ -9,6 +9,12 @@ a generator is written in its block basis once per complex and reused by
 every subset and every p; writing it there asserts that the differentials
 preserve weights. `tor_table` returns its table as the JSON-ready dict the
 report prints, so the table has one spelling.
+
+The ring is R or `invariants.ArtinianReduction`, R/θR with the same block
+interface: for a regular sequence θ in E, the complex of R/θR on E - θ has
+the homology of the complex of R on E, weight by weight. A block of R/θR
+can be empty where R's is not, and the differential checks that nothing
+lands there.
 """
 
 from __future__ import annotations
@@ -73,7 +79,8 @@ class _WeightIndex:
 
 
 class KoszulComplex:
-    """The complex (R (x) Wedge^p E) in a fixed internal degree.
+    """The complex (R (x) Wedge^p E) in a fixed internal degree, R an
+    `InvariantRing` or an `ArtinianReduction`.
 
     `weights_for_degree(d)` optionally restricts which total weights are
     materialized (e.g. dominant weights only); None computes everything.
@@ -178,9 +185,12 @@ class KoszulComplex:
         Works run by run. A subset meets a weight block in at most one run,
         so face j of a source run (s, rw) lands in the target run of s
         without its j-th generator, and an entry's row is that run's first
-        position plus the R index of the product's coordinate. The faces of
-        one column remove distinct generators and so meet distinct target
-        runs: every entry receives at most one term."""
+        position plus the R index of the product's coordinate. That run is
+        missing only where its ring block is empty, as a block of a
+        quotient ring can be: every product of such a face must then
+        vanish, and the face is skipped. The faces of one column remove
+        distinct generators and so meet distinct target runs: every entry
+        receives at most one term."""
         if p < 1:
             raise InvalidInput("the differential is defined for p >= 1")
         key = (p, d)
@@ -197,10 +207,16 @@ class KoszulComplex:
             for col, (s, rw, ri) in enumerate(els):
                 if not ri:  # a run starts: (first target row, sign, products) per face
                     rdeg = d - sum(self.E[t].degree for t in s)
-                    faces = [
-                        (starts[s[:j] + s[j + 1 :]], j % 2 == 1, self._times_generator(rdeg, rw, t))
-                        for j, t in enumerate(s)
-                    ]
+                    faces = []
+                    for j, t in enumerate(s):
+                        products = self._times_generator(rdeg, rw, t)
+                        row0 = starts.get(s[:j] + s[j + 1 :])
+                        if row0 is not None:
+                            faces.append((row0, j % 2 == 1, products))
+                        elif any(products):
+                            raise InternalInconsistency(
+                                f"a product lands in an empty ring block at (p={p}, d={d})"
+                            )
                 for row0, negate, products in faces:
                     for ri2, c in products[ri]:
                         data[row0 + ri2][col] = -c if negate else c

@@ -15,7 +15,15 @@ from math import comb, prod
 
 from .errors import InternalInconsistency, InvalidInput
 from .groups import IrrepCatalog, Representation
-from .invariants import Grading, InvariantRing, NoetherResult, build_E
+from .invariants import (
+    ArtinianReduction,
+    GeneratorSet,
+    Grading,
+    InvariantRing,
+    NoetherResult,
+    build_E,
+    pure_power_parameters,
+)
 from .koszul import KoszulComplex
 from .limits import DEFAULT_BUDGET, Budget
 from .linalg import Matrix
@@ -373,13 +381,25 @@ def _dominant_complex(
     blocks only, or None when the specialization is zero-dimensional and so
     has no Tor_p for p >= 1. Tor_p is a polynomial GL(U_1) x ... x
     GL(U_n)-module, so a Tor cell is nonzero exactly when one of its
-    dominant blocks is, and the Schur inversion reads nothing else."""
+    dominant blocks is, and the Schur inversion reads nothing else.
+
+    Where every image is diagonal and the full E holds the pure powers
+    θ = (x_c^(k_c)) (see `pure_power_parameters`), θ is a regular sequence
+    on R of weight vectors, so Tor^S(R, C) = H(K(Ē; R/θR)) with Ē = E - θ,
+    weight by weight (Bruns-Herzog, Cohen-Macaulay Rings, 1.6), and the
+    complex is that finite one. Otherwise it is the complex over R."""
     ring = specialization_ring(catalog, mults, budget)
     if not ring.nvars:
         return None
+    gens = build_E(ring, "full", noether)
+    theta = pure_power_parameters(ring, gens)
+    if theta is not None:
+        ring = ArtinianReduction(ring, theta, noether.value)
+        rest = tuple(el for el in gens.elements if el not in theta)
+        gens = GeneratorSet(mode=gens.mode, elements=rest, beta_V=gens.beta_V)
     return KoszulComplex(
         ring,
-        build_E(ring, "full", noether),
+        gens,
         noether.value,
         weights_for_degree=lambda d: dominant_weights(d, mults),
     )
@@ -451,17 +471,14 @@ def tor_row_bounds(
 ) -> dict:
     """Certify the row bound beta*p + d_i on Tor_p at the certifying
     truncation, computing dominant weight blocks only (the inversion needs
-    nothing else; a few non-dominant blocks are cross-checked)."""
-    group = catalog.group
-    if not budget.allows_tor_row_bounds(group.order, p):
-        return {
-            "skipped": True,
-            "reason": f"outside budget (order {group.order}, p {p}); "
-            "raise --budget-level to run",
-        }
+    nothing else; a few non-dominant blocks are cross-checked), after the
+    full degrees the scan reads, as `domination_check` does."""
+    if not budget.allows_tor_row_bounds(catalog.group.order, p):
+        return _outside_budget(catalog, p)
     bounds = universal_multiplicities(catalog, noether, p)
     mults = tuple(b + 1 for b in bounds)
     cx = _dominant_complex(catalog, mults, noether, budget)
+    cx.precompute(p)
     per_degree = [
         {
             "degree": d,
@@ -477,6 +494,15 @@ def tor_row_bounds(
         "bounds": list(bounds),
         "multiplicities": list(mults),
         "per_degree": per_degree,
+    }
+
+
+def _outside_budget(catalog: IrrepCatalog, p: int) -> dict:
+    """The report of a Tor check the budget does not allow."""
+    return {
+        "skipped": True,
+        "reason": f"outside budget (order {catalog.group.order}, p {p}); "
+        "raise --budget-level to run",
     }
 
 
@@ -539,9 +565,10 @@ def _checked_syzygy_degree(cx: KoszulComplex | None, mults, p: int):
     Tor_p vanishes.
 
     Every full degree the scan's chains reach is computed first, so the
-    Reynolds dimensions meet the Molien series there; each degree with
-    nonzero Tor_p has its non-dominant blocks spot-checked against the
-    Schur decomposition of the dominant ones.
+    Reynolds dimensions meet the Molien series there (on R/θR, the
+    Hilbert series H_R(t) prod_c (1 - t^(k_c))); each degree with nonzero
+    Tor_p has its non-dominant blocks spot-checked against the Schur
+    decomposition of the dominant ones.
     """
     if cx is None:
         return None
@@ -561,7 +588,11 @@ def domination_check(
     dominant weight blocks only; the checks of the all-weights scan stay:
     Reynolds against Molien on every full degree the scan reaches, the
     non-dominant Tor blocks against the Kostka prediction, and d^2 = 0 and
-    the empty guard band on every block computed."""
+    the empty guard band on every block computed. A sample equal to the
+    universal multiplicities reads s'_p off the universal side. Outside the
+    budget's Tor gate the check is skipped, as `tor_row_bounds` is."""
+    if not budget.allows_tor_row_bounds(catalog.group.order, p):
+        return _outside_budget(catalog, p)
     w_mults = universal_multiplicities(catalog, noether, p)
     w_cx = _dominant_complex(catalog, w_mults, noether, budget)
     dimension = w_cx.ring.nvars
@@ -572,8 +603,10 @@ def domination_check(
     s_w = _checked_syzygy_degree(w_cx, w_mults, p)
     rows = []
     for mults in samples:
-        cx = _dominant_complex(catalog, mults, noether, budget)
-        s_v = _checked_syzygy_degree(cx, mults, p)
+        if tuple(mults) == w_mults:
+            s_v = s_w
+        else:
+            s_v = _checked_syzygy_degree(_dominant_complex(catalog, mults, noether, budget), mults, p)
         rows.append(
             {
                 "multiplicities": list(mults),

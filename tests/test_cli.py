@@ -17,7 +17,7 @@ from syzlab.cyclo import Cyclotomic, encode_scalar
 from syzlab.cli import OPTION_TABLE, main, option_synopsis, parse_problem, usage
 from syzlab.errors import LimitExceeded
 from syzlab.groups import builtin_group
-from syzlab.invariants import InvariantRing, noether_number
+from syzlab.invariants import ArtinianReduction, InvariantRing, noether_number
 from syzlab.limits import Budget
 from syzlab.schur import specialization, universal_multiplicities
 
@@ -1094,6 +1094,94 @@ def test_report_bytes_are_pinned(capsys, problem):
             assert (code, out, err) == (1, "", CSV_REFUSED)
         else:
             assert (code, _sha256(out.encode()), err) == (0, want, ""), fmt
+
+
+# schur documents the corpus does not hold, each read off a dominant complex:
+# name -> (document, sha256 of stdout in json, in markdown). Pinned on the
+# scan over R; the complex over R/θR that replaced it prints the same bytes.
+SCHUR_SHA256 = {
+    "z2_domination": (
+        {
+            "group": "builtin:cyclic:2",
+            "task": "schur",
+            "schur": {"check": "domination", "p": 1, "samples": [[0, 1], [0, 2], [1, 1], [3, 3]]},
+        },
+        "8fe49041c29aec6e92a99fb9e6dbe9c8cc1dcc07574f2e92b7744556e2b3b71f",
+        "9b86a38e661172554bc1dfb45bacf79b3f7cf857bc90fd8098b198343afb79f8",
+    ),
+    "z2_row_bounds_tor": (
+        {"group": "builtin:cyclic:2", "task": "schur", "schur": {"check": "row-bounds-tor", "p": 1}},
+        "a8a9a26e097e8891f905916c78c7486fefead8e5fd084bceb1810ff562d92c2c",
+        "5ff46aefe32c81505d6baa02569a4f8c3ca7d383de5498b2f834264c7089d2dc",
+    ),
+    "z2_stabilization_00": (
+        {
+            "group": "builtin:cyclic:2",
+            "task": "schur",
+            "schur": {"check": "stabilization", "p": 1, "degree": 2, "multiplicities": [0, 0]},
+        },
+        "3655d3721071d84eda4f7ea209c3958e47433181980e85578a9737f77b3b8ed9",
+        "308f222dcf94ed39fbda025b260d9edbcaae2e928c6ddb692d1582d6437b65cf",
+    ),
+    "z2_stabilization_11": (
+        {
+            "group": "builtin:cyclic:2",
+            "task": "schur",
+            "schur": {"check": "stabilization", "p": 1, "degree": 2, "multiplicities": [1, 1]},
+        },
+        "8348939023a53076d13399d2fc9f0355a35b6b6b0f0587f8eb0e017194346905",
+        "aede62e60f06f9c48eb87b7f3ca5bf5e867acd28a1fab2677fa9b7422bb566c8",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCHUR_SHA256))
+def test_dominant_complex_reports_are_pinned(tmp_path, capsys, name):
+    doc, *want = SCHUR_SHA256[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    for fmt, sha in zip(("json", "markdown"), want):
+        code, out, err = run_cli(capsys, "schur", "--input", str(path), "--no-cache", "--format", fmt)
+        assert (code, _sha256(out.encode()), err) == (0, sha, ""), fmt
+
+
+def test_domination_outside_the_budget_is_skipped(tmp_path, capsys):
+    """Domination on an order-3 group at the default budget prints the
+    skipped block row-bounds-tor prints, where it used to exit 2."""
+    results = {}
+    for check in ("domination", "row-bounds-tor"):
+        path = tmp_path / f"{check}.json"
+        doc = {"group": "builtin:cyclic:3", "task": "schur", "schur": {"check": check, "p": 1}}
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(capsys, "schur", "--input", str(path), "--no-cache")
+        assert (code, err) == (0, "")
+        results[check] = json.loads(out)["results"]
+    reason = "outside budget (order 3, p 1); raise --budget-level to run"
+    assert results["domination"] == {"check": "domination", "skipped": True, "reason": reason}
+    assert results["row-bounds-tor"] == {**results["domination"], "check": "row-bounds-tor"}
+
+
+def test_universal_at_p2_runs_under_the_large_budget(capsys):
+    """The paper's p = 2 instance: R/θR is the 16-dimensional reduced
+    Veronese of P^4, and s'_2 = 6."""
+    argv = ["--input", str(PROBLEMS / "z2_universal.json"), "--p", "2", "--budget-level", "large"]
+    code, out, err = run_cli(capsys, "universal", *argv, "--no-cache")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["results"]["s_prime_universal"] == 6
+
+
+def test_universal_z3_is_refused_before_any_quotient_degree(tmp_path, capsys, monkeypatch):
+    """Z3 at p = 1 reads R up to degree 8 * 2 + 3 = 19 in 12 variables:
+    refused under the large budget before R/θR computes a degree."""
+    computed = []
+    monkeypatch.setattr(ArtinianReduction, "blocks", lambda self, d: computed.append(d))
+    path = tmp_path / "z3.json"
+    path.write_text(json.dumps({"group": "builtin:cyclic:3", "task": "universal", "p": 1}))
+    argv = ["--input", str(path), "--budget-level", "large", "--no-cache"]
+    code, out, err = run_cli(capsys, "universal", *argv)
+    assert (code, out) == (2, "")
+    assert err == "syzlab: computation limit exceeded: degree too large\n"
+    assert computed == []
 
 
 @pytest.mark.parametrize("task, problem", sorted(CACHE_SHA256))

@@ -1,13 +1,24 @@
 from fractions import Fraction
+from itertools import product
+from math import comb
 from pathlib import Path
 
 import pytest
 
+from syzlab import invariants
 from syzlab.cli import main
 from syzlab.cyclo import Cyclotomic, zeta
 from syzlab.errors import InternalInconsistency, InvalidInput
 from syzlab.groups import Representation, builtin_group
-from syzlab.invariants import GeneratorSet, InvariantRing, InvElem, build_E, noether_number
+from syzlab.invariants import (
+    ArtinianReduction,
+    GeneratorSet,
+    InvariantRing,
+    InvElem,
+    build_E,
+    noether_number,
+    pure_power_parameters,
+)
 from syzlab.koszul import KoszulComplex, scan_ceiling, syzygy_degree, tor_table
 from syzlab.limits import DEFAULT_BUDGET
 from syzlab.linalg import Matrix, rank
@@ -448,3 +459,125 @@ def test_restricted_chains_are_those_of_all_weights(group, mults, top, allowed):
                 for w, m in mats.items():
                     assert m == full[w]
     assert nonempty >= top
+
+
+# -- the Artinian reduction K(Ē; R/θR) against the scan over R ----------------------
+
+
+def reduction_of(ring, gens, beta, weights_for_degree=None):
+    """The complex over R/θR with Ē = E - θ, θ the pure powers."""
+    theta = pure_power_parameters(ring, gens)
+    assert theta is not None
+    rest = tuple(el for el in gens.elements if el not in theta)
+    return KoszulComplex(
+        ArtinianReduction(ring, theta, beta),
+        GeneratorSet("full", rest, None),
+        beta,
+        weights_for_degree=weights_for_degree,
+    )
+
+
+def _multiplicity_vectors(n, top):
+    return [v for v in product(range(top + 1), repeat=n) if 0 < sum(v) <= top]
+
+
+@pytest.mark.parametrize(
+    "name, top",
+    [
+        ("builtin:cyclic:1", 4),
+        ("builtin:cyclic:2", 4),
+        ("builtin:cyclic:3", 3),
+        ("builtin:cyclic:4", 2),
+        ("builtin:klein:4", 2),
+    ],
+)
+def test_reduction_matches_the_scan_over_R(name, top):
+    """On every diagonal specialization of total dimension <= top, p = 1
+    and p = 2 (p = 2 only where E has at most 12 elements, the scan over R
+    being cubic in |E| there), the complex over R/θR gives the tor_data of
+    today's complex over R in every degree up to ceiling + guard, total and
+    weight by weight: on all weights, and on the dominant ones through the
+    block-by-block route the Schur checks take."""
+    group, catalog = builtin_group(name)
+    noe = noether_number(group)
+    compared = 0
+    for mults in _multiplicity_vectors(len(catalog.irreps), top):
+        ring = specialization_ring(catalog, mults, DEFAULT_BUDGET)
+        gens = build_E(ring, "full", noe)
+        full = KoszulComplex(ring, gens, noe.value)
+        reduced = reduction_of(ring, gens, noe.value)
+        dominant = reduction_of(
+            ring, gens, noe.value, weights_for_degree=lambda d: dominant_weights(d, mults)
+        )
+        for p in (1, 2) if len(gens.elements) <= 12 else (1,):
+            for cx in (full, reduced, dominant):
+                cx.precompute(p)
+            for d in range(full.ceiling(p) + full.guard + 1):
+                total, weight_dims = full.tor_data(p, d)
+                assert reduced.tor_data(p, d) == (total, weight_dims), (mults, p, d)
+                keep = set(dominant_weights(d, mults))
+                dom = {w: n for w, n in weight_dims.items() if w in keep}
+                assert dominant.tor_data(p, d) == (sum(dom.values()), dom), (mults, p, d)
+                compared += 1
+    assert compared
+
+
+@pytest.mark.parametrize("g", range(2, 7))
+def test_scalar_action_gives_the_eagon_northcott_table(g):
+    """Z_g acting by a scalar on C^2 has the g-th Veronese of P^1, the
+    rational normal curve, as its invariant ring: Tor_p has dimension
+    p * C(g, p+1), all in degree (p+1)g, for 1 <= p <= g - 1."""
+    group, catalog = builtin_group(f"builtin:cyclic:{g}")
+    noe = noether_number(group)
+    mults = tuple(2 if i == 1 else 0 for i in range(len(catalog.irreps)))
+    ring = specialization_ring(catalog, mults, DEFAULT_BUDGET)
+    cx = reduction_of(ring, build_E(ring, "full", noe), noe.value)
+    for p in range(1, g):
+        cx.precompute(p)
+        nonzero = {d: total for d, (total, _) in cx.scan(p).items() if total}
+        assert nonzero == {(p + 1) * g: p * comb(g, p + 1)}
+
+
+def test_reduction_checks_its_dimensions_against_molien(monkeypatch):
+    """A θ product left out of a block's elimination leaves R/θR one
+    dimension too large in that degree, which the Molien prediction sees."""
+    _, catalog = builtin_group("builtin:cyclic:2")
+    ring = specialization_ring(catalog, (3, 3), DEFAULT_BUDGET)
+    noe = noether_number(ring.rep.group)
+    cx = reduction_of(ring, build_E(ring, "full", noe), noe.value)
+    real_reduced_rows = invariants.reduced_rows
+
+    def one_row_short(rows, ncols):
+        return real_reduced_rows(rows[1:], ncols)
+
+    monkeypatch.setattr(invariants, "reduced_rows", one_row_short)
+    with pytest.raises(InternalInconsistency, match="Molien"):
+        cx.precompute(1)
+
+
+def test_face_into_an_empty_block_must_vanish(monkeypatch):
+    """A face whose target block is empty is skipped only when its products
+    vanish; a nonzero product there is an inconsistency, not a lookup
+    failure. Dropping the degree-2 blocks of R/θR of the Z2 universal
+    specialization leaves the faces y_i y_j . 1 of Tor_1 in degree 4 with
+    no target."""
+    _, catalog = builtin_group("builtin:cyclic:2")
+    mults = (3, 3)
+    ring = specialization_ring(catalog, mults, DEFAULT_BUDGET)
+    noe = noether_number(ring.rep.group)
+    gens = build_E(ring, "full", noe)
+
+    def dominant_cx():
+        cx = reduction_of(ring, gens, noe.value, lambda d: dominant_weights(d, mults))
+        cx.precompute(1)
+        return cx
+
+    assert dominant_cx().tor_data(1, 4)[0]
+    real_block_basis = ArtinianReduction.block_basis
+
+    def without_degree_two(self, d, w):
+        return [] if d == 2 else real_block_basis(self, d, w)
+
+    monkeypatch.setattr(ArtinianReduction, "block_basis", without_degree_two)
+    with pytest.raises(InternalInconsistency, match="empty ring block"):
+        dominant_cx().tor_data(1, 4)

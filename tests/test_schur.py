@@ -5,7 +5,7 @@ import pytest
 from syzlab import schur
 from syzlab.errors import InternalInconsistency, InvalidInput
 from syzlab.groups import builtin_group
-from syzlab.invariants import InvariantRing, build_E, noether_number
+from syzlab.invariants import ArtinianReduction, InvariantRing, build_E, noether_number
 from syzlab.koszul import KoszulComplex, syzygy_degree
 from syzlab.limits import DEFAULT_BUDGET
 from syzlab.schur import (
@@ -363,3 +363,55 @@ def test_tor_row_bounds_z2():
     assert res["multiplicities"] == [4, 4]
     degrees = [row["degree"] for row in res["per_degree"]]
     assert 4 in degrees
+
+
+def test_domination_check_reuses_the_universal_side(monkeypatch):
+    """A sample equal to the universal multiplicities builds no second
+    complex: its s'_p is the universal one."""
+    group, catalog = builtin_group("builtin:cyclic:2")
+    noe = noether_number(group)
+    built = []
+    real_dominant_complex = schur._dominant_complex
+
+    def counting_dominant_complex(catalog, mults, noether, budget):
+        built.append(tuple(mults))
+        return real_dominant_complex(catalog, mults, noether, budget)
+
+    monkeypatch.setattr(schur, "_dominant_complex", counting_dominant_complex)
+    res = domination_check(catalog, noe, p=1, samples=[(3, 3)])
+    assert built == [(3, 3)]
+    assert res["samples"] == [{"multiplicities": [3, 3], "s_prime": 4, "dominated": True}]
+
+
+def test_domination_check_outside_the_budget_is_skipped():
+    """One budget answer for the Tor checks: domination on an order-3 group
+    at the default budget is skipped as row-bounds-tor is, in its shape."""
+    group, catalog = builtin_group("builtin:cyclic:3")
+    noe = noether_number(group)
+    skipped = {
+        "skipped": True,
+        "reason": "outside budget (order 3, p 1); raise --budget-level to run",
+    }
+    assert domination_check(catalog, noe, p=1, samples=[(1, 0, 0)]) == skipped
+    assert tor_row_bounds(catalog, noe, p=1) == skipped
+
+
+@pytest.mark.parametrize(
+    "name, mults, reduced",
+    [
+        ("builtin:cyclic:2", (3, 3), True),
+        ("builtin:klein:4", (1, 1, 0, 1), True),
+        ("builtin:sym:3", (0, 1, 1), False),
+        ("builtin:quaternion:8", (0, 0, 0, 0, 1), False),
+    ],
+)
+def test_dominant_complex_reduces_diagonal_specializations(name, mults, reduced):
+    """The dominant complex runs over R/θR exactly where every image is
+    diagonal; there E loses the n pure powers θ."""
+    group, catalog = builtin_group(name)
+    noe = noether_number(group, exact_limit=2)
+    cx = schur._dominant_complex(catalog, mults, noe, DEFAULT_BUDGET)
+    assert isinstance(cx.ring, ArtinianReduction) == reduced
+    ring = specialization_ring(catalog, mults, DEFAULT_BUDGET)
+    full = build_E(ring, "full", noe)
+    assert len(cx.E) == len(full.elements) - (ring.nvars if reduced else 0)
