@@ -361,8 +361,9 @@ def _run_universal(problem: Problem, options) -> dict:
     catalog = _need_catalog(problem)
     noe = noether_number(problem.group, problem.exact_limit, options.budget)
     beta, m, g, p = noe.value, catalog.m, problem.group.order, problem.p
-    # the specialization is assembled only inside the budget: its images
-    # grow with p, and the report needs no more than its multiplicities
+    # domination_check assembles the specialization only inside its Tor
+    # gate: the images grow with p, and the report needs no more than the
+    # multiplicities
     mults = universal_multiplicities(catalog, noe, p)
     dimension = sum(k * d for k, d in zip(mults, catalog.degrees))
     out = {
@@ -375,12 +376,10 @@ def _run_universal(problem: Problem, options) -> dict:
         },
         "beta_used": {"value": noe.value, "exact": noe.exact},
     }
-    budget = options.budget
-    if budget.allows_tor_row_bounds(g, p):
-        res = domination_check(catalog, noe, p, samples=[], budget=budget)
-        out["s_prime_universal"] = res["s_prime_universal"]
-    else:
-        out["s_prime_universal"] = "skipped (outside budget)"
+    res = domination_check(catalog, noe, p, samples=[], budget=options.budget)
+    out["s_prime_universal"] = (
+        "skipped (outside budget)" if res.get("skipped") else res["s_prime_universal"]
+    )
     return out
 
 

@@ -1,17 +1,23 @@
 """Partition combinatorics and the weight-to-Schur-multiplicity machinery.
 
-Partitions are tuples of weakly decreasing positive integers. Multiplicity
-extraction from torus-weight dimensions goes through dominance-ordered
-Kostka back-substitution, factor by factor, staying in integer arithmetic
-throughout. The same weight blocks that organize the homology engine feed
-these checks, including the row-bound certifications on R and on Tor and
-the comparison against the universal representation.
+Partitions are tuples of weakly decreasing positive integers. One counter of
+semistandard skew tableaux, `_fillings`, gives both the Kostka numbers (a
+straight shape) and the Littlewood-Richardson coefficients (a skew shape,
+lattice words only). Multiplicities are read off torus-weight dimensions by
+back-substitution in integer arithmetic: the dominant weights are visited in
+decreasing lex order, a linear extension of dominance, and each one's
+dimension less the Kostka prediction of the decomposition found so far is
+the multiplicity of its partition tuple. The same weight blocks that
+organize the homology engine feed these checks, including the row-bound
+certifications on R and on Tor and the comparison against the universal
+representation; on R and on Tor alike, a few non-dominant blocks must meet
+the decomposition's Kostka prediction.
 """
 
 from __future__ import annotations
 
-from itertools import product
-from math import comb, prod
+from itertools import islice, product
+from math import prod
 
 from .errors import InternalInconsistency, InvalidInput
 from .groups import IrrepCatalog, Representation
@@ -27,7 +33,7 @@ from .invariants import (
 from .koszul import KoszulComplex
 from .limits import DEFAULT_BUDGET, Budget
 from .linalg import Matrix
-from .monomials import monomials
+from .monomials import monomial_count, monomials
 
 
 # -- partitions ------------------------------------------------------------------
@@ -52,101 +58,56 @@ def partitions_of(size: int, max_rows: int | None = None):
     return list(gen(size, size, rows))
 
 
-def dominates(lam: tuple, mu: tuple) -> bool:
-    """Dominance order on partitions/weights of equal size."""
-    acc_l = acc_m = 0
-    for i in range(max(len(lam), len(mu))):
-        acc_l += lam[i] if i < len(lam) else 0
-        acc_m += mu[i] if i < len(mu) else 0
-        if acc_l < acc_m:
-            return False
-    return acc_l == acc_m
-
-
-def _strip_zeros(w: tuple) -> tuple:
-    out = list(w)
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def kostka_number(lam: tuple, mu) -> int:
-    """Semistandard tableaux of shape lam and content mu, by enumeration."""
-    mu = tuple(mu)
-    if sum(lam) != sum(mu):
-        raise InvalidInput("shape and content must have equal size")
-    if not lam:
-        return 1
-    nvals = len(mu)
-    rows = len(lam)
-    tableau = [[0] * lam[r] for r in range(rows)]
-    counts = [0] * nvals
-    cells = [(r, c) for r in range(rows) for c in range(lam[r])]
+def _fillings(outer: tuple, inner: tuple, content: tuple, lattice: bool) -> int:
+    """Semistandard fillings of the skew shape outer/inner with `content`
+    (the number of entries i + 1 is content[i]), and, if `lattice`, with a
+    lattice reading word. Cells are filled in reverse reading order: rows top
+    to bottom, each right to left. So a cell's right and upper neighbours are
+    filled first, and every prefix of the reading word is checked as it
+    grows. The caller checks that the sizes agree."""
+    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    tableau = [[0] * part for part in outer]
+    counts = [0] * len(content)
+    cells = [(r, c) for r, part in enumerate(outer) for c in range(part - 1, inner[r] - 1, -1)]
 
     def fill(pos):
         if pos == len(cells):
             return 1
         r, c = cells[pos]
-        lo = tableau[r][c - 1] if c > 0 else 1
-        above = tableau[r - 1][c] if r > 0 and c < lam[r - 1] else 0
-        lo = max(lo, above + 1)
+        # rows weakly increase, columns strictly increase
+        hi = tableau[r][c + 1] if c + 1 < outer[r] else len(content)
+        lo = tableau[r - 1][c] + 1 if r and c >= inner[r - 1] else 1
         total = 0
-        for v in range(lo, nvals + 1):
-            if counts[v - 1] < mu[v - 1]:
-                tableau[r][c] = v
-                counts[v - 1] += 1
-                total += fill(pos + 1)
-                counts[v - 1] -= 1
-                tableau[r][c] = 0
-        return total
-
-    return fill(0)
-
-
-def lr_coefficient(lam: tuple, mu: tuple, nu: tuple) -> int:
-    """Littlewood-Richardson coefficient via lattice skew tableaux of shape
-    lam/mu and content nu; zero on size mismatch or when mu is not inside lam."""
-    if sum(lam) != sum(mu) + sum(nu):
-        return 0
-    if len(mu) > len(lam):
-        return 0
-    if any(mu[i] > lam[i] for i in range(len(mu))):
-        return 0
-    if not nu:
-        return 1 if lam == mu else 0
-    rows = len(lam)
-    inner = tuple(mu) + (0,) * (rows - len(mu))
-    nvals = len(nu)
-    tableau = [[0] * lam[r] for r in range(rows)]
-    counts = [0] * nvals
-    # reverse reading order: each row right-to-left, rows top-to-bottom,
-    # so the lattice condition can be enforced as cells are placed
-    cells = [
-        (r, c) for r in range(rows) for c in range(lam[r] - 1, inner[r] - 1, -1)
-    ]
-
-    def fill(pos):
-        if pos == len(cells):
-            return 1
-        r, c = cells[pos]
-        total = 0
-        for v in range(1, nvals + 1):
-            if counts[v - 1] >= nu[v - 1]:
+        for v in range(lo, hi + 1):
+            if counts[v - 1] == content[v - 1]:
                 continue
-            if v > 1 and counts[v - 2] <= counts[v - 1]:
-                continue  # lattice word would break
-            if c + 1 < lam[r] and tableau[r][c + 1] < v:
-                continue  # row must stay weakly increasing
-            if r > 0 and c >= inner[r - 1] and c < lam[r - 1] and tableau[r - 1][c] >= v:
-                continue  # column must stay strictly increasing
+            if lattice and v > 1 and counts[v - 2] == counts[v - 1]:
+                continue
             tableau[r][c] = v
             counts[v - 1] += 1
             total += fill(pos + 1)
             counts[v - 1] -= 1
-            tableau[r][c] = 0
         return total
 
     return fill(0)
+
+
+def kostka_number(lam: tuple, mu) -> int:
+    """Semistandard tableaux of shape lam and content mu, a composition."""
+    mu = tuple(mu)
+    if sum(lam) != sum(mu):
+        raise InvalidInput("shape and content must have equal size")
+    return _fillings(lam, (), mu, lattice=False)
+
+
+def lr_coefficient(lam: tuple, mu: tuple, nu: tuple) -> int:
+    """Littlewood-Richardson coefficient: lattice skew tableaux of shape
+    lam/mu and content nu; zero on size mismatch or when mu is not inside lam."""
+    if sum(lam) != sum(mu) + sum(nu) or len(mu) > len(lam):
+        return 0
+    if any(m > l for m, l in zip(mu, lam)):
+        return 0
+    return _fillings(lam, mu, nu, lattice=True)
 
 
 def schur_dim(lam: tuple, k: int) -> int:
@@ -273,7 +234,7 @@ class SchurDecomposition:
                 if sum(lam) != sum(w):
                     term = 0
                     break
-                term *= kostka_number(lam, _strip_zeros(tuple(sorted(w, reverse=True))))
+                term *= kostka_number(lam, sorted(w, reverse=True))
             total += term
         return total
 
@@ -298,37 +259,18 @@ def schur_multiplicities(
         per = split_weight(w, mults)
         if dim and _is_dominant(per):
             dominant[per] = dim
-    result: dict = {}
+    decomp = SchurDecomposition(multiplicities={}, factor_dims=mults)
+    # a tuple strictly dominating mu_t is lex-larger, so it is found before
+    # mu_t is reached, and the decomposition so far predicts mu_t's block
+    # less the copies of S_(mu_t) itself
     for mu_t in sorted(dominant, reverse=True):
-        expected = 0
-        sizes = [sum(t) for t in mu_t]
-        options = [
-            [
-                lam
-                for lam in partitions_of(size, max_rows=k)
-                if dominates(lam, _strip_zeros(mu))
-            ]
-            for size, k, mu in zip(sizes, mults, mu_t)
-        ]
-        mu_key = tuple(_strip_zeros(t) for t in mu_t)
-        for lam_t in product(*options):
-            if lam_t == mu_key:
-                continue
-            m = result.get(lam_t)
-            if not m:
-                continue
-            term = m
-            for lam, mu in zip(lam_t, mu_key):
-                term *= kostka_number(lam, mu)
-            expected += term
-        value = dominant[mu_t] - expected
+        value = dominant[mu_t] - decomp.weight_dim(mu_t)
         if value < 0:
             raise InternalInconsistency(
                 "weight data inconsistent: negative Schur multiplicity"
             )
         if value:
-            result[mu_key] = value
-    decomp = SchurDecomposition(multiplicities=dict(result), factor_dims=mults)
+            decomp.multiplicities[tuple(tuple(x for x in t if x) for t in mu_t)] = value
     if ambient_dim is not None and decomp.total_dim() != ambient_dim:
         raise InternalInconsistency(
             f"weight data inconsistent: Schur dimensions total {decomp.total_dim()}, "
@@ -361,10 +303,7 @@ def row_bound_check(decomp: SchurDecomposition, bounds) -> dict:
 def cauchy_check(catalog: IrrepCatalog, i: int, k: int, d: int) -> dict:
     """Compare dim Sym^d(C^(d_i) (x) C^k) against its Schur-pair expansion."""
     di = catalog.degrees[i]
-    if d == 0:
-        lhs = 1
-    else:
-        lhs = comb(di * k + d - 1, d) if di * k > 0 else 0
+    lhs = monomial_count(di * k, d)
     rhs = 0
     for lam in partitions_of(d, max_rows=min(di, k)):
         rhs += schur_dim(lam, di) * schur_dim(lam, k)
@@ -429,8 +368,12 @@ def ring_row_bounds(
     per_degree = []
     for d in range(max_degree + 1):
         wd = ring.weight_dims(d)
-        _assert_weight_symmetry(wd, mults)
         decomp = schur_multiplicities(wd, mults, ambient_dim=ring.dim(d))
+        nondominant = (
+            (w, dim) for w, dim in sorted(wd.items(), reverse=True)
+            if not _is_dominant(split_weight(w, mults))
+        )
+        _check_kostka_prediction(decomp, mults, islice(nondominant, 3))
         per_degree.append(
             {
                 "degree": d,
@@ -445,22 +388,17 @@ def ring_row_bounds(
     }
 
 
-def _assert_weight_symmetry(weight_dims: dict, mults):
-    """Weight multiplicities must not change under coordinate permutations
-    within a factor; spot-checked on the first three non-dominant weights."""
-    checked = 0
-    for w, dim in sorted(weight_dims.items(), reverse=True):
-        per = split_weight(w, mults)
-        if _is_dominant(per):
-            continue
-        flat = tuple(x for t in per for x in sorted(t, reverse=True))
-        if weight_dims.get(flat, 0) != dim:
+def _check_kostka_prediction(decomp: SchurDecomposition, mults, blocks):
+    """Each (flat weight, dimension) of `blocks`, non-dominant weight blocks
+    of R or of Tor, must have the dimension the decomposition of the
+    dominant ones predicts: a polynomial GL-module's weight multiplicities
+    are its Kostka sums, whatever the order of the coordinates."""
+    for w, dim in blocks:
+        if dim != decomp.weight_dim(split_weight(w, mults)):
             raise InternalInconsistency(
-                "weight multiplicities are not symmetric under coordinate permutations"
+                "a non-dominant weight block disagrees with the Kostka prediction "
+                "of the dominant-weight decomposition"
             )
-        checked += 1
-        if checked == 3:
-            break
 
 
 def tor_row_bounds(
@@ -524,13 +462,7 @@ def _cross_check_nondominant(cx, mults, decomp, p, d):
         cx.ring, cx.gens, cx.beta, weights_for_degree=lambda _d: list(targets)
     )
     _, wd = probe.tor_data(p, d)
-    for flat in targets:
-        got = wd.get(flat, 0)
-        want = decomp.weight_dim(split_weight(flat, mults))
-        if got != want:
-            raise InternalInconsistency(
-                "non-dominant Tor block disagrees with the dominant-weight decomposition"
-            )
+    _check_kostka_prediction(decomp, mults, [(flat, wd.get(flat, 0)) for flat in targets])
 
 
 def stabilization_check(

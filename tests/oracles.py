@@ -6,10 +6,14 @@ over Fractions, a dense Reynolds operator on symmetric powers built from
 plain lists, a greedy generator selection in polynomial space, direct
 construction of the Koszul complex for Veronese invariant rings, where
 invariance is just a degree-divisibility condition, and a Molien series
-computed from power sums with Fractions only.
+computed from power sums with Fractions only. Semistandard (skew) tableaux
+are counted by trying every filling of the cells, and dominance is read off
+partial sums.
 """
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
 
@@ -335,3 +339,53 @@ def molien_oracle(images, max_degree):
         sum((c * r for c, r in zip(t, ramanujan)), Fraction(0)) / (_phi(m) * len(images))
         for t in totals
     ]
+
+
+def dominates(lam, mu):
+    """lam dominates mu: equal sizes, and every partial sum of lam is at
+    least the matching partial sum of mu."""
+    n = max(len(lam), len(mu))
+    lam = list(lam) + [0] * (n - len(lam))
+    mu = list(mu) + [0] * (n - len(mu))
+    return sum(lam) == sum(mu) and all(sum(lam[:i]) >= sum(mu[:i]) for i in range(n))
+
+
+def _is_lattice(word):
+    """Every prefix of the word holds at least as many v as v + 1."""
+    seen = Counter()
+    for v in word:
+        seen[v] += 1
+        if v > 1 and seen[v] > seen[v - 1]:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _tableau_contents(outer, inner, nvals, lattice):
+    """Counter of the contents (length nvals) of every semistandard filling
+    of outer/inner with entries 1..nvals, lattice reading words only if
+    asked: every filling is tried, and each condition is checked on the
+    whole tableau."""
+    inner = tuple(inner) + (0,) * (len(outer) - len(inner))
+    cells = [(r, c) for r in range(len(outer)) for c in range(inner[r], outer[r])]
+    found = Counter()
+    for values in product(range(1, nvals + 1), repeat=len(cells)):
+        t = dict(zip(cells, values))
+        if any((r, c + 1) in t and t[r, c] > t[r, c + 1] for r, c in cells):
+            continue
+        if any((r + 1, c) in t and t[r, c] >= t[r + 1, c] for r, c in cells):
+            continue
+        if lattice:
+            # reading word: rows top to bottom, each read right to left
+            word = [t[r, c] for r in range(len(outer)) for c in reversed(range(inner[r], outer[r]))]
+            if not _is_lattice(word):
+                continue
+        found[tuple(values.count(v) for v in range(1, nvals + 1))] += 1
+    return found
+
+
+def count_tableaux(outer, inner, content, lattice=False):
+    """Semistandard fillings of the skew shape outer/inner whose entry i + 1
+    occurs content[i] times; with `lattice`, only those whose reading word
+    is a lattice word (Littlewood-Richardson tableaux)."""
+    return _tableau_contents(tuple(outer), tuple(inner), len(content), lattice)[tuple(content)]

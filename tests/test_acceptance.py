@@ -36,7 +36,6 @@ from syzlab.limits import DEFAULT_BUDGET
 from syzlab.linalg import Matrix
 from syzlab.monomials import unpack
 from syzlab.schur import (
-    dominates,
     domination_check,
     kostka_number,
     lr_coefficient,
@@ -49,7 +48,7 @@ from syzlab.schur import (
     universal_multiplicities,
 )
 
-from oracles import davenport_constant, greedy_generators, veronese_tor
+from oracles import davenport_constant, dominates, greedy_generators, veronese_tor
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 

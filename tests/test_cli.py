@@ -1096,9 +1096,11 @@ def test_report_bytes_are_pinned(capsys, problem):
             assert (code, _sha256(out.encode()), err) == (0, want, ""), fmt
 
 
-# schur documents the corpus does not hold, each read off a dominant complex:
-# name -> (document, sha256 of stdout in json, in markdown). Pinned on the
-# scan over R; the complex over R/θR that replaced it prints the same bytes.
+# schur documents the corpus does not hold: name -> (document, sha256 of
+# stdout in json, in markdown). The Z2 ones read a dominant complex and were
+# pinned on the scan over R; the complex over R/θR that replaced it prints
+# the same bytes. The sym:3 and klein:4 ones were pinned on the two separate
+# tableau enumerators and the back-substitution over every dominating tuple.
 SCHUR_SHA256 = {
     "z2_domination": (
         {
@@ -1131,6 +1133,43 @@ SCHUR_SHA256 = {
         },
         "8348939023a53076d13399d2fc9f0355a35b6b6b0f0587f8eb0e017194346905",
         "aede62e60f06f9c48eb87b7f3ca5bf5e867acd28a1fab2677fa9b7422bb566c8",
+    ),
+    "sym3_kostka": (
+        {
+            "group": "builtin:sym:3",
+            "task": "schur",
+            "schur": {"check": "kostka", "shape": [3, 2, 1], "content": [2, 2, 1, 1]},
+        },
+        "4e2ec83de056687cdb647bccb1c9eafd7c056e4ec663460025e5a68bd1957d86",
+        "ff51d58fc8ce09732f7595be5ff21a11645ded008a929f9e3e77d1932af7d73c",
+    ),
+    "sym3_lr": (
+        {
+            "group": "builtin:sym:3",
+            "task": "schur",
+            "schur": {"check": "lr", "lam": [4, 3, 2, 1], "mu": [2, 1], "nu": [3, 2, 2]},
+        },
+        "de784aa3c19c1372430ccc0da93f683406161b4a380fe1a1f8565a004fc3c031",
+        "8a0ff30ad04d213e7a84735860b8d6243d98db0e325ada60ae9dda6acf306340",
+    ),
+    "sym3_cauchy": (
+        {
+            "group": "builtin:sym:3",
+            "task": "schur",
+            "schur": {"check": "cauchy", "factor": 2, "dim": 3, "degree": 4},
+        },
+        "14344ec8e6db3c5b8be0f99438e2137ef700d158132caf855e75c8b16de2de47",
+        "c5327bede376527eedfd01ba91dd1de6e47d16b28a495f451fef7865558e193e",
+    ),
+    "sym3_row_bounds_ring": (
+        {"group": "builtin:sym:3", "task": "schur", "schur": {"check": "row-bounds-ring", "max_degree": 5}},
+        "68e8ec51221e9ba3b4c236464691adf27c3bc2c6ce2e686cdfc71e7fe3c5507c",
+        "e0c786c8fbf2e4a9a67105450afbaa0ba28df1125fb4176a80f95888b44952e4",
+    ),
+    "klein4_row_bounds_ring": (
+        {"group": "builtin:klein:4", "task": "schur", "schur": {"check": "row-bounds-ring", "max_degree": 6}},
+        "2d1092ae79e81b7573219bae0fab58e51f3dbbd38eb3c728401e6870a9f833fa",
+        "e4326351ea3e304de7c5c73b9b51df477dbfb515ed75ed9fd861b4f34829da9b",
     ),
 }
 

@@ -8,11 +8,11 @@ from syzlab.groups import builtin_group
 from syzlab.invariants import ArtinianReduction, InvariantRing, build_E, noether_number
 from syzlab.koszul import KoszulComplex, syzygy_degree
 from syzlab.limits import DEFAULT_BUDGET
+from syzlab.monomials import monomials
 from syzlab.schur import (
     SchurDecomposition,
     cauchy_check,
     dominant_weights,
-    dominates,
     domination_check,
     kostka_number,
     lr_coefficient,
@@ -28,6 +28,8 @@ from syzlab.schur import (
     tor_row_bounds,
     universal_multiplicities,
 )
+
+from oracles import count_tableaux, dominates
 
 
 def test_partitions_of():
@@ -53,6 +55,30 @@ def test_kostka_unitriangularity_up_to_six():
             for mu in parts:
                 if not dominates(lam, mu):
                     assert kostka_number(lam, mu) == 0, (lam, mu)
+
+
+def test_kostka_matches_the_tableau_oracle():
+    """Every shape of size at most 6 against every composition of its size
+    into at most 4 parts, zeros allowed, counted by trying every filling."""
+    for n in range(7):
+        for lam in partitions_of(n):
+            for parts in range(1, 5):
+                for mu in monomials(parts, n):
+                    assert kostka_number(lam, mu) == count_tableaux(lam, (), mu), (lam, mu)
+
+
+def test_lr_matches_the_tableau_oracle():
+    """Every lam of size at most 6, every mu inside lam and every partition
+    nu of the remaining size, counted by trying every filling of lam/mu."""
+    for n in range(7):
+        for lam in partitions_of(n):
+            for a in range(n + 1):
+                for mu in partitions_of(a):
+                    if len(mu) > len(lam) or any(m > l for m, l in zip(mu, lam)):
+                        continue
+                    for nu in partitions_of(n - a):
+                        want = count_tableaux(lam, mu, nu, lattice=True)
+                        assert lr_coefficient(lam, mu, nu) == want, (lam, mu, nu)
 
 
 def test_lr_examples():
@@ -345,6 +371,42 @@ def test_domination_check_runs_molien_check(monkeypatch):
     monkeypatch.setattr(InvariantRing, "molien", wrong_molien)
     with pytest.raises(InternalInconsistency, match="Molien"):
         domination_check(catalog, noe, p=1, samples=[])
+
+
+def test_ring_blocks_must_meet_the_kostka_prediction(monkeypatch):
+    """A non-dominant block of R off its Kostka prediction is an engine bug."""
+    _, catalog = builtin_group("builtin:cyclic:2")
+    real_weight_dims = InvariantRing.weight_dims
+
+    def skewed_weight_dims(self, d):
+        wd = dict(real_weight_dims(self, d))
+        nondominant = [w for w in wd if not schur._is_dominant(split_weight(w, (2, 2)))]
+        if nondominant:
+            wd[max(nondominant)] += 1
+        return wd
+
+    assert ring_row_bounds(catalog, max_degree=2)["passed"]
+    monkeypatch.setattr(InvariantRing, "weight_dims", skewed_weight_dims)
+    with pytest.raises(InternalInconsistency, match="Kostka prediction"):
+        ring_row_bounds(catalog, max_degree=2)
+
+
+def test_tor_blocks_must_meet_the_kostka_prediction(monkeypatch):
+    """A probed non-dominant Tor block off its Kostka prediction is an
+    engine bug; the dominant blocks the scan reads stay as they are."""
+    group, catalog = builtin_group("builtin:cyclic:2")
+    noe = noether_number(group)
+    real_tor_data = KoszulComplex.tor_data
+
+    def skewed_tor_data(self, p, d):
+        total, wd = real_tor_data(self, p, d)
+        return total, {
+            w: n + (not schur._is_dominant(split_weight(w, (4, 4)))) for w, n in wd.items()
+        }
+
+    monkeypatch.setattr(KoszulComplex, "tor_data", skewed_tor_data)
+    with pytest.raises(InternalInconsistency, match="Kostka prediction"):
+        tor_row_bounds(catalog, noe, p=1)
 
 
 def test_tor_row_bounds_budget_gate():

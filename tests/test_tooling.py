@@ -157,6 +157,58 @@ def test_only_specialization_ring_grades_a_ring():
     assert graded == {("schur.py", "specialization_ring")}
 
 
+def test_tor_gate_is_asked_by_schur_only():
+    """The Tor checks answer the budget gate themselves and return a skipped
+    result: a caller asking the gate first is a second reader of it."""
+    askers = {
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _named(node) == "allows_tor_row_bounds"
+    }
+    assert askers == {"schur.py"}
+
+
+def _schur_functions() -> dict:
+    """name -> FunctionDef of every module-level function in schur.py."""
+    tree = ast.parse((PACKAGE / "schur.py").read_text(encoding="utf-8"))
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
+def test_one_tableau_counter():
+    """Kostka numbers and Littlewood-Richardson coefficients both count
+    semistandard skew tableaux, through the one counter `_fillings`: a
+    second backtracking `fill` is a second enumerator to keep right."""
+    functions = _schur_functions()
+    for name in ("kostka_number", "lr_coefficient"):
+        calls = {_named(n) for n in ast.walk(functions[name]) if isinstance(n, ast.Call)}
+        assert "_fillings" in calls, name
+    fills = [
+        name
+        for name, fn in functions.items()
+        for n in ast.walk(fn)
+        if isinstance(n, ast.FunctionDef) and n is not fn and n.name == "fill"
+    ]
+    assert fills == ["_fillings"]
+
+
+def test_one_kostka_prediction_check():
+    """Non-dominant weight blocks of R and of Tor meet the Kostka prediction
+    through one check, with one message."""
+    sites = [
+        (name, node.lineno)
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and "non-dominant weight block disagrees" in node.value
+    ]
+    check = _schur_functions()["_check_kostka_prediction"]
+    assert len(sites) == 1
+    assert sites[0][0] == "schur.py"
+    assert check.lineno <= sites[0][1] <= check.end_lineno
+
+
 def test_no_cache_prefix_name():
     """InvariantRing derives its cache key from its own representation; no
     caller hands it a prefix."""
