@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .errors import InternalInconsistency
 from .groups import IrrepCatalog
-from .invariants import NoetherResult, minimal_generators
+from .invariants import GeneratorSet, InvariantRing, NoetherResult, minimal_generators
 from .koszul import KoszulComplex, scan_ceiling, syzygy_degree
 
 
@@ -36,9 +36,17 @@ def _verdict(s_value: int | None, bound: int) -> str:
     return "satisfied" if s_value <= bound else "VIOLATED"
 
 
-def audit(catalog: IrrepCatalog, cx: KoszulComplex, p_values, noether: NoetherResult):
-    """Bound comparison of s_p(V) on the complex `cx`, built over V with
-    the ceiling `noether` certifies, for each requested p.
+def audit(
+    catalog: IrrepCatalog,
+    ring: InvariantRing,
+    gens: GeneratorSet,
+    cx: KoszulComplex,
+    p_values,
+    noether: NoetherResult,
+):
+    """Bound comparison of s_p(V) for each requested p, read off the
+    complex `cx` whose homology is Tor over Sym(`gens`) of the invariant
+    ring `ring` of V, with the ceiling `noether` certifies.
 
     Returns (reports, findings): one report dict per p, as the report
     prints it, with "none" for an s_p that the scan did not see. Findings
@@ -47,11 +55,11 @@ def audit(catalog: IrrepCatalog, cx: KoszulComplex, p_values, noether: NoetherRe
     """
     group = catalog.group
     g = group.order
-    mode = cx.gens.mode
-    dim_v = cx.ring.rep.degree
-    beta_v = cx.gens.beta_V
+    mode = gens.mode
+    dim_v = ring.rep.degree
+    beta_v = gens.beta_V
     if mode == "full":
-        beta_v = minimal_generators(cx.ring, stop=noether.value).beta_V
+        beta_v = minimal_generators(ring, stop=noether.value).beta_V
     reports = []
     findings = []
     for p in p_values:

@@ -21,7 +21,7 @@ from .cyclo import decode_scalar, is_int
 from .errors import InternalInconsistency, InvalidInput, LimitExceeded
 from .groups import FiniteGroup, IrrepCatalog, Representation, builtin_group, generate_group
 from .invariants import InvariantRing, build_E, minimal_generators, noether_number
-from .koszul import KoszulComplex, syzygy_degree, tor_table
+from .koszul import scan_ceiling, syzygy_degree, tor_complex, tor_table
 from .limits import Budget
 from .linalg import Matrix
 from .schur import (
@@ -323,16 +323,21 @@ def _run_noether(problem: Problem, options) -> dict:
 
 
 def _syzygy_complex(problem: Problem, options):
+    """(R, its generator space E, the complex `tor_complex` builds on them,
+    the Noether result). R refuses the top degree of the scan up front,
+    whichever complex runs, so a refusal does not depend on the route."""
     ring = _ring(problem, options)
     noe = noether_number(problem.group, problem.exact_limit, options.budget)
+    # the scan walks a guard band of beta degrees above the ceiling
+    ring.refuse_over_budget(scan_ceiling(noe.value, ring.nvars, problem.p_max) + noe.value)
     gens = build_E(ring, problem.mode, noe)
-    cx = KoszulComplex(ring, gens, noe.value)
+    cx = tor_complex(ring, gens, noe.value)
     cx.precompute(problem.p_max)
-    return cx, noe
+    return ring, gens, cx, noe
 
 
 def _run_syzygies(problem: Problem, options) -> dict:
-    cx, noe = _syzygy_complex(problem, options)
+    _, gens, cx, noe = _syzygy_complex(problem, options)
     table = tor_table(cx, p_max=problem.p_max)
     s_values = {}
     for p in range(1, problem.p_max + 1):
@@ -341,8 +346,8 @@ def _run_syzygies(problem: Problem, options) -> dict:
     return {
         "mode": problem.mode,
         "generators": {
-            "count": len(cx.gens.elements),
-            "degrees": cx.gens.degrees(),
+            "count": len(gens.elements),
+            "degrees": gens.degrees(),
         },
         "beta_used": {"value": noe.value, "exact": noe.exact},
         "tor_table": table,
@@ -352,8 +357,8 @@ def _run_syzygies(problem: Problem, options) -> dict:
 
 def _run_bounds(problem: Problem, options):
     catalog = _need_catalog(problem)
-    cx, noe = _syzygy_complex(problem, options)
-    reports, findings = audit(catalog, cx, range(1, problem.p_max + 1), noe)
+    ring, gens, cx, noe = _syzygy_complex(problem, options)
+    reports, findings = audit(catalog, ring, gens, cx, range(1, problem.p_max + 1), noe)
     return {"reports": reports}, findings
 
 

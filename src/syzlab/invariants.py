@@ -139,6 +139,9 @@ class InvElem:
 class InvariantRing:
     """Graded pieces of Sym(V)^G with per-weight-block canonical bases."""
 
+    # the least degree from which the ring is certified zero: never for R
+    zero_from = None
+
     def __init__(
         self,
         rep: Representation,
@@ -483,8 +486,9 @@ class InvariantRing:
 
 
 class ArtinianReduction:
-    """R/θR for a homogeneous system of parameters θ of R, θ_i in R's bases,
-    with the block interface `KoszulComplex` reads from `InvariantRing`.
+    """R/θR for a homogeneous system of parameters θ of R, θ_i in R's bases
+    (`parameter_system` finds one), with the block interface `KoszulComplex`
+    reads from `InvariantRing`.
 
     A block of R/θR is the R block modulo the reduced rows of the products
     θ_i . b (b running over the R blocks they come from), written in R's
@@ -496,11 +500,11 @@ class ArtinianReduction:
     coefficient of t^d in H_R(t) . prod_i (1 - t^(deg θ_i)), with H_R the
     Molien series: equality in every degree is what makes θ a regular
     sequence on R. R/θR is generated in degrees <= beta, so once `precompute`
-    meets beta consecutive zero degrees, every higher degree is zero: its
-    series coefficient is still checked, but R is no longer read. R/θR lies
-    in S/θS, which vanishes above sum_i (deg θ_i - 1), so R is read up to
-    that degree plus beta at most, and `refuse_over_budget` refuses no
-    higher degree than that one.
+    meets beta consecutive zero degrees, every higher degree is zero
+    (`zero_from` is the first): its series coefficient is still checked,
+    but R is no longer read. R/θR lies in S/θS, which vanishes above
+    sum_i (deg θ_i - 1), so R is read up to that degree plus beta at most,
+    and `refuse_over_budget` refuses no higher degree than that one.
     """
 
     def __init__(self, ring: InvariantRing, theta, beta: int):
@@ -511,30 +515,34 @@ class ArtinianReduction:
         self.theta = tuple(theta)
         self.beta = beta
         self._socle = sum(t.degree - 1 for t in self.theta)
-        self._zero_from = None  # the least degree from which R/θR is certified zero
+        self.zero_from = None  # the least degree from which R/θR is certified zero
         self._series: list = []
         # (d, w) -> (basis, reduced rows of the θ products, R index -> basis index)
         self._blocks: dict = {}
         self._degree_blocks: dict = {}
 
     def _zero(self, d: int) -> bool:
-        return self._zero_from is not None and d >= self._zero_from
+        return self.zero_from is not None and d >= self.zero_from
+
+    def _theta_rows(self, d: int, w: tuple) -> list:
+        """R coordinates of the products θ_i . b in the block (d, w), b
+        running over the R blocks they come from."""
+        ring = self.ring
+        rows = []
+        for t in self.theta:
+            lw = tuple(map(sub, w, t.weight))
+            if d < t.degree or min(lw, default=0) < 0:
+                continue
+            for b in ring.block_basis(d - t.degree, lw):
+                rows.append(dict(ring.coords_in_basis(poly_mul(t.multiple, b.multiple), d, w)))
+        return rows
 
     def _block(self, d: int, w: tuple):
         key = (d, w)
         hit = self._blocks.get(key)
         if hit is None:
-            ring = self.ring
-            basis = ring.block_basis(d, w)
-            rows = []
-            for t in self.theta:
-                lw = tuple(map(sub, w, t.weight))
-                if d < t.degree or min(lw, default=0) < 0:
-                    continue
-                for b in ring.block_basis(d - t.degree, lw):
-                    product = poly_mul(t.multiple, b.multiple)
-                    rows.append(dict(ring.coords_in_basis(product, d, w)))
-            reduced = reduced_rows(rows, len(basis))
+            basis = self.ring.block_basis(d, w)
+            reduced = reduced_rows(self._theta_rows(d, w), len(basis))
             pivots = {c for c, _ in reduced}
             kept = [i for i in range(len(basis)) if i not in pivots]
             hit = self._blocks[key] = (
@@ -601,8 +609,8 @@ class ArtinianReduction:
         zeros = 0
         for d in degrees:
             zeros = 0 if self.blocks(d) else zeros + 1
-            if zeros == self.beta and self._zero_from is None:
-                self._zero_from = d + 1
+            if zeros == self.beta and self.zero_from is None:
+                self.zero_from = d + 1
 
     def coords_in_basis(self, poly: dict, d: int, w: tuple) -> tuple:
         """Coordinates of the class of an invariant in the block basis: its
@@ -787,12 +795,11 @@ def build_E(ring: InvariantRing, mode: str, noether: NoetherResult) -> Generator
     raise InvalidInput(f"unknown generator mode {mode!r}")
 
 
-def pure_power_parameters(ring: InvariantRing, gens: GeneratorSet):
+def _pure_powers(ring: InvariantRing, gens: GeneratorSet):
     """The pure powers x_c^(k_c), k_c the order of the character on x_c,
     as elements of `gens`; None unless every image of the representation is
     diagonal and `gens` holds each of them. They are then a system of
-    parameters of R, which is Cohen-Macaulay (Hochster-Roberts), so a
-    regular sequence on R."""
+    parameters of R."""
     rep, n = ring.rep, ring.nvars
     if any(row[j] for m in rep.images for i, row in enumerate(m.data) for j in range(n) if i != j):
         return None
@@ -809,3 +816,92 @@ def pure_power_parameters(ring: InvariantRing, gens: GeneratorSet):
             return None
         theta.append(el)
     return tuple(theta)
+
+
+def _by_degree_sum(degrees: list, n: int):
+    """The n-subsets of positions into the nondecreasing `degrees`, as
+    increasing position tuples, in increasing degree sum and in lex order
+    within one sum; generated lazily, so a search that stops early never
+    lists the rest."""
+    prefix = [0]
+    for k in degrees:
+        prefix.append(prefix[-1] + k)
+    size = len(degrees)
+
+    def subsets(i: int, k: int, rest: int):
+        if not k:
+            if not rest:
+                yield ()
+            return
+        if prefix[size] - prefix[size - k] < rest:
+            return  # even the k largest degrees fall short
+        for j in range(i, size - k + 1):
+            if prefix[j + k] - prefix[j] > rest:
+                return  # the k smallest from j on already exceed it
+            for tail in subsets(j + 1, k - 1, rest - degrees[j]):
+                yield (j,) + tail
+
+    if n > size:
+        return
+    for total in range(prefix[n], prefix[size] - prefix[size - n] + 1):
+        yield from subsets(0, n, total)
+
+
+def _zero_on_an_axis(theta, nvars: int) -> bool:
+    """Whether every θ_i vanishes at one basis vector e_j, a common zero
+    other than 0: θ_i(e_j) is the coefficient of x_j^(deg θ_i). Such a θ
+    is no system of parameters, and this costs no elimination."""
+    units = map(pack, monomials(nvars, 1))  # x_j; the key of x_j^k is k times it
+    return any(not any(t.poly.get(u * t.degree) for t in theta) for u in units)
+
+
+def spans_top_degree(theta, nvars: int) -> bool:
+    """Whether S = C[x_1..x_nvars] is spanned in degree D = sum_i (deg θ_i
+    - 1) + 1 by the products θ_i . m, m running over the monomials of
+    degree D - deg θ_i: one sparse rank over the monomials of degree D.
+    S/θS is generated in degree 0, so it then vanishes from degree D on.
+    For nvars homogeneous θ_i that happens exactly when they are a system
+    of parameters of S, whose quotient then has top degree D - 1."""
+    top = sum(t.degree - 1 for t in theta) + 1
+    column = {pack(m): j for j, m in enumerate(monomials(nvars, top))}
+    rows = [
+        {column[k + shift]: c for k, c in t.multiple.items()}
+        for t in theta
+        for shift in map(pack, monomials(nvars, top - t.degree))
+    ]
+    return len(rows) >= len(column) and len(pivot_columns(rows, len(column))) == len(column)
+
+
+def parameter_system(ring: InvariantRing, gens: GeneratorSet):
+    """dim V elements θ of `gens` that form a homogeneous system of
+    parameters of R, or None where none is found within the budget.
+
+    Where every image is diagonal, the pure powers x_c^(k_c) are one (see
+    `_pure_powers`). Otherwise the dim V-subsets of R's minimal generators
+    are tried in increasing degree sum; in full mode those are elements of
+    `gens` (`minimal_generators` keeps elements of R's bases), and in
+    either mode each is a weight vector. A subset is a system of
+    parameters of S = Sym(V*) exactly when `spans_top_degree` holds, and
+    then of R too, since S is finite over R. R is Cohen-Macaulay
+    (Hochster-Roberts), so θ is a regular sequence on R. A subset that
+    vanishes on a coordinate axis (`_zero_on_an_axis`) is rejected before
+    that test. Each subset tried counts the monomials of S the test
+    eliminates over, and the search gives up before the total would pass
+    the budget's monomial limit."""
+    theta = _pure_powers(ring, gens)
+    if theta is not None:
+        return theta
+    if gens.mode == "minimal":
+        candidates = gens.elements
+    else:
+        candidates = minimal_generators(ring, stop=max(gens.degrees(), default=0)).elements
+    candidates = sorted(candidates, key=lambda el: el.degree)
+    n, spent = ring.nvars, 0
+    for positions in _by_degree_sum([el.degree for el in candidates], n):
+        theta = tuple(candidates[i] for i in positions)
+        spent += monomial_count(n, sum(t.degree - 1 for t in theta) + 1)
+        if spent > ring.budget.monomial_limit:
+            return None  # every later subset costs at least as much
+        if not _zero_on_an_axis(theta, n) and spans_top_degree(theta, n):
+            return theta
+    return None

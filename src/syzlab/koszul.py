@@ -12,9 +12,11 @@ report prints, so the table has one spelling.
 
 The ring is R or `invariants.ArtinianReduction`, R/θR with the same block
 interface: for a regular sequence θ in E, the complex of R/θR on E - θ has
-the homology of the complex of R on E, weight by weight. A block of R/θR
-can be empty where R's is not, and the differential checks that nothing
-lands there.
+the homology of the complex of R on E, weight by weight. `tor_complex`
+builds that finite complex wherever `parameter_system` certifies θ, and the
+complex over R otherwise. A block of R/θR can be empty where R's is not,
+and the differential checks that nothing lands there; the degrees from
+which the ring is certified zero are not probed at all.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from operator import add, sub
 
 from .cyclo import quotient
 from .errors import InternalInconsistency, InvalidInput
-from .invariants import GeneratorSet, InvariantRing
+from .invariants import ArtinianReduction, GeneratorSet, InvariantRing, parameter_system
 from .linalg import Matrix, rank
 from .monomials import poly_mul
 
@@ -147,9 +149,10 @@ class KoszulComplex:
         # over the nonempty R blocks; many subsets share one key
         fits: dict = {}
         block_basis = self.ring.block_basis
+        zero_from = self.ring.zero_from
         for s, sdeg, sw in self._subsets(p):
             rdeg = d - sdeg
-            if rdeg < 0:
+            if rdeg < 0 or (zero_from is not None and rdeg >= zero_from):
                 continue
             found = fits.get((rdeg, sw))
             if found is None:
@@ -301,15 +304,20 @@ class KoszulComplex:
         return scan_ceiling(self.beta, self.ring.rep.degree, p)
 
     def precompute(self, p: int):
-        """Blocks of R in every degree the scans of Tor_0..Tor_p read, after
-        one Molien fetch: Tor_q reads up to ceiling(q) + guard minus the
-        least degree of a (q-1)-subset of E. The scan of Tor_p walks up to
-        ceiling(p) + guard, so that degree is refused first if over budget."""
-        self.ring.refuse_over_budget(self.ceiling(p) + self.guard)
-        top = self.ceiling(0)
+        """Blocks of the ring in every degree the scans of Tor_0..Tor_p
+        read, after one Molien fetch: Tor_q reads up to ceiling(q) + guard
+        minus the least degree of a (q-1)-subset of E. The scan of Tor_p
+        walks up to ceiling(p) + guard, so that degree is refused first if
+        over budget. A ring that certifies itself zero from some degree on
+        is checked up to that top degree too, which reads nothing more."""
+        top = self.ceiling(p) + self.guard
+        self.ring.refuse_over_budget(top)
+        read = self.ceiling(0)
         for q in range(1, min(p, len(self.E) + 1) + 1):
-            top = max(top, self.ceiling(q) - self.min_subset_degree(q - 1))
-        self.ring.precompute(range(top + self.guard + 1))
+            read = max(read, self.ceiling(q) - self.min_subset_degree(q - 1))
+        self.ring.precompute(range(read + self.guard + 1))
+        if self.ring.zero_from is not None:
+            self.ring.precompute(range(top + 1))
 
     def scan(self, p: int) -> dict:
         """d -> tor_data(p, d) for d = 0..ceiling(p), in increasing order.
@@ -326,6 +334,20 @@ class KoszulComplex:
                     "ceiling violated — implementation bug or misread bound"
                 )
         return scanned
+
+
+def tor_complex(ring: InvariantRing, gens: GeneratorSet, beta: int, weights_for_degree=None):
+    """A complex whose homology is Tor^S(R, C), S = Sym(E): K(Ē; R/θR) with
+    Ē = E - θ where `parameter_system` finds θ in E, K(E; R) where it does
+    not. θ is then a regular sequence on R of weight vectors, so the two
+    have the same homology weight by weight (Bruns-Herzog, Cohen-Macaulay
+    Rings, 1.6), and the quotient checks its own Hilbert series."""
+    theta = parameter_system(ring, gens)
+    if theta is not None:
+        ring = ArtinianReduction(ring, theta, beta)
+        rest = tuple(el for el in gens.elements if el not in theta)
+        gens = GeneratorSet(mode=gens.mode, elements=rest, beta_V=gens.beta_V)
+    return KoszulComplex(ring, gens, beta, weights_for_degree=weights_for_degree)
 
 
 def syzygy_degree(cx: KoszulComplex, p: int) -> int | None:

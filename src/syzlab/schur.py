@@ -21,16 +21,8 @@ from math import prod
 
 from .errors import InternalInconsistency, InvalidInput
 from .groups import IrrepCatalog, Representation
-from .invariants import (
-    ArtinianReduction,
-    GeneratorSet,
-    Grading,
-    InvariantRing,
-    NoetherResult,
-    build_E,
-    pure_power_parameters,
-)
-from .koszul import KoszulComplex
+from .invariants import Grading, InvariantRing, NoetherResult, build_E
+from .koszul import KoszulComplex, tor_complex
 from .limits import DEFAULT_BUDGET, Budget
 from .linalg import Matrix
 from .monomials import monomial_count, monomials
@@ -250,15 +242,17 @@ def schur_multiplicities(
     """Invert weight-block dimensions to Schur multiplicities.
 
     `weight_dims` maps flat weights to exact dimensions; it may contain only
-    the dominant weights (that is all the inversion reads). When
-    `ambient_dim` is given the decomposition must reconstruct it exactly.
+    the dominant weights, and only the nonzero ones. The inversion visits
+    every dominant weight of each degree the data has, reading 0 where it
+    has no entry, so an empty dominant block that the decomposition
+    predicts nonzero is an inconsistency. When `ambient_dim` is given the
+    decomposition must reconstruct it exactly.
     """
     mults = tuple(multiplicities)
     dominant = {}
-    for w, dim in weight_dims.items():
-        per = split_weight(w, mults)
-        if dim and _is_dominant(per):
-            dominant[per] = dim
+    for total in {sum(w) for w in weight_dims}:
+        for w in dominant_weights(total, mults):
+            dominant[split_weight(w, mults)] = weight_dims.get(w, 0)
     decomp = SchurDecomposition(multiplicities={}, factor_dims=mults)
     # a tuple strictly dominating mu_t is lex-larger, so it is found before
     # mu_t is reached, and the decomposition so far predicts mu_t's block
@@ -322,23 +316,15 @@ def _dominant_complex(
     GL(U_n)-module, so a Tor cell is nonzero exactly when one of its
     dominant blocks is, and the Schur inversion reads nothing else.
 
-    Where every image is diagonal and the full E holds the pure powers
-    θ = (x_c^(k_c)) (see `pure_power_parameters`), θ is a regular sequence
-    on R of weight vectors, so Tor^S(R, C) = H(K(Ē; R/θR)) with Ē = E - θ,
-    weight by weight (Bruns-Herzog, Cohen-Macaulay Rings, 1.6), and the
-    complex is that finite one. Otherwise it is the complex over R."""
+    `tor_complex` picks the complex: the finite K(Ē; R/θR) wherever it
+    certifies a system of parameters θ in E (the pure powers x_c^(k_c) of a
+    diagonal specialization), else the complex over R."""
     ring = specialization_ring(catalog, mults, budget)
     if not ring.nvars:
         return None
-    gens = build_E(ring, "full", noether)
-    theta = pure_power_parameters(ring, gens)
-    if theta is not None:
-        ring = ArtinianReduction(ring, theta, noether.value)
-        rest = tuple(el for el in gens.elements if el not in theta)
-        gens = GeneratorSet(mode=gens.mode, elements=rest, beta_V=gens.beta_V)
-    return KoszulComplex(
+    return tor_complex(
         ring,
-        gens,
+        build_E(ring, "full", noether),
         noether.value,
         weights_for_degree=lambda d: dominant_weights(d, mults),
     )
@@ -497,9 +483,9 @@ def _checked_syzygy_degree(cx: KoszulComplex | None, mults, p: int):
     Tor_p vanishes.
 
     Every full degree the scan's chains reach is computed first, so the
-    Reynolds dimensions meet the Molien series there (on R/θR, the
-    Hilbert series H_R(t) prod_c (1 - t^(k_c))); each degree with nonzero
-    Tor_p has its non-dominant blocks spot-checked against the Schur
+    Reynolds dimensions meet the Molien series there (on R/θR, the Hilbert
+    series H_R(t) prod_i (1 - t^(deg θ_i))); each degree with nonzero Tor_p
+    has its non-dominant blocks spot-checked against the Schur
     decomposition of the dominant ones.
     """
     if cx is None:

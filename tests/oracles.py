@@ -11,11 +11,23 @@ are counted by trying every filling of the cells, and dominance is read off
 partial sums.
 """
 
+import importlib.util
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, lcm
+from pathlib import Path
+
+
+def benchmark_workloads():
+    """The benchmark's workload module, loaded from its file: its problem
+    documents are test inputs too."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def monos(nvars, d):

@@ -121,7 +121,7 @@ def test_criterion_2_cubic_veronese_z3():
     group, catalog = builtin_group("builtin:cyclic:3")
     noe = noether_number(group)
     cx = make_cx(rep, "minimal")
-    reports, findings = audit(catalog, cx, [1], noe)
+    reports, findings = audit(catalog, cx.ring, cx.gens, cx, [1], noe)
     (r1,) = reports
     ok = not findings
     ok = ok and r1["s_value"] == 6 == r1["bounds"]["derksen_bound"]

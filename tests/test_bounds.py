@@ -24,6 +24,11 @@ def make_cx(rep, mode, noe):
     return KoszulComplex(ring, build_E(ring, mode, noe), noe.value)
 
 
+def audit_on(catalog, cx, p_values, noe):
+    """`audit` on a complex over R itself: its ring and generators are R and E."""
+    return audit(catalog, cx.ring, cx.gens, cx, p_values, noe)
+
+
 def test_compute_bounds_z2():
     b = compute_bounds(g=2, n=2, m=2, beta=2, dim_v=2, p=1)
     assert b == {
@@ -98,7 +103,7 @@ def test_audit_veronese_z2():
     group, catalog = builtin_group("builtin:cyclic:2")
     rep = diag_rep("builtin:cyclic:2", [Fraction(-1), Fraction(-1)])
     noe = noether_number(group)
-    reports, findings = audit(catalog, make_cx(rep, "minimal", noe), [1, 2], noe)
+    reports, findings = audit_on(catalog, make_cx(rep, "minimal", noe), [1, 2], noe)
     assert not findings
     r1, r2 = reports
     assert r1["s_value"] == 4
@@ -115,7 +120,7 @@ def test_audit_veronese_z3():
     group, catalog = builtin_group("builtin:cyclic:3")
     rep = diag_rep("builtin:cyclic:3", [zeta(3), zeta(3)])
     noe = noether_number(group)
-    reports, findings = audit(catalog, make_cx(rep, "minimal", noe), [1], noe)
+    reports, findings = audit_on(catalog, make_cx(rep, "minimal", noe), [1], noe)
     assert not findings
     (r1,) = reports
     assert r1["s_value"] == 6
@@ -129,7 +134,7 @@ def test_audit_fallback_beta_labels_verdicts():
     group, catalog = builtin_group("builtin:cyclic:2")
     rep = diag_rep("builtin:cyclic:2", [Fraction(-1), Fraction(-1)])
     fallback = NoetherResult(value=group.order, exact=False)
-    reports, findings = audit(catalog, make_cx(rep, "minimal", fallback), [1], fallback)
+    reports, findings = audit_on(catalog, make_cx(rep, "minimal", fallback), [1], fallback)
     (r1,) = reports
     assert "not a certified check" in r1["verdicts"]["universal_bound"]
 
@@ -138,7 +143,7 @@ def test_audit_full_mode_triv_sign():
     group, catalog = builtin_group("builtin:cyclic:2")
     rep = diag_rep("builtin:cyclic:2", [Fraction(1), Fraction(-1)])
     noe = noether_number(group)
-    reports, findings = audit(catalog, make_cx(rep, "full", noe), [1], noe)
+    reports, findings = audit_on(catalog, make_cx(rep, "full", noe), [1], noe)
     (r1,) = reports
     assert r1["s_value"] == 2
     assert r1["mode"] == "full"
@@ -161,6 +166,6 @@ def test_audit_minimal_mode_selects_generators_once(monkeypatch):
 
     monkeypatch.setattr(syzlab.invariants, "minimal_generators", counting)
     monkeypatch.setattr(syzlab.bounds, "minimal_generators", counting)
-    (r1,), _ = audit(catalog, make_cx(rep, "minimal", noe), [1], noe)
+    (r1,), _ = audit_on(catalog, make_cx(rep, "minimal", noe), [1], noe)
     assert len(calls) == 1
     assert r1["beta_V"] == 2

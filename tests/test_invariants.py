@@ -1,7 +1,5 @@
-import importlib.util
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +24,7 @@ from syzlab.monomials import monomial_count, monomials, pack, poly_mul, unpack
 from syzlab.schur import specialization_ring
 
 from oracles import (
+    benchmark_workloads,
     column_echelon_basis,
     greedy_generators,
     molien_oracle,
@@ -524,18 +523,10 @@ def test_molien_matches_fraction_oracle_on_builtins(name):
     assert molien_series(regular, 5) == molien_oracle(_images(regular), 5)
 
 
-def _benchmark_workloads():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", [0, 5])
 @pytest.mark.parametrize("workload", ["generic", "cyclotomic"])
 def test_molien_matches_fraction_oracle_on_benchmark_documents(workload, seed):
-    doc = getattr(_benchmark_workloads(), f"{workload}_doc")(seed)
+    doc = getattr(benchmark_workloads(), f"{workload}_doc")(seed)
     rep = parse_problem(doc, "syzygies", Budget.preset("default")).rep
     assert molien_series(rep, 10) == molien_oracle(_images(rep), 10)
 

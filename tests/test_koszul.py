@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from syzlab import invariants
+from syzlab import invariants, koszul
 from syzlab.cli import main
 from syzlab.cyclo import Cyclotomic, zeta
 from syzlab.errors import InternalInconsistency, InvalidInput
@@ -17,7 +17,7 @@ from syzlab.invariants import (
     InvElem,
     build_E,
     noether_number,
-    pure_power_parameters,
+    parameter_system,
 )
 from syzlab.koszul import KoszulComplex, scan_ceiling, syzygy_degree, tor_table
 from syzlab.limits import DEFAULT_BUDGET
@@ -282,28 +282,44 @@ def test_tor_table_multiplies_each_pair_once(monkeypatch, make_rep):
     ],
 )
 def test_precompute_covers_the_degrees_the_scans_read(monkeypatch, capsys, name, task):
-    """`KoszulComplex.precompute(p)` computes R in exactly the degrees that
-    the same run reads with the precompute left out, and the report is the
-    same either way."""
+    """`KoszulComplex.precompute(p)` computes the ring in every degree the
+    scans then read. Over R (the θ finder made to fail) those are exactly
+    the degrees the same run reads with the precompute left out. Over R/θR
+    the scans read no degree, of R/θR or of R, that the precompute did not
+    (left out, the quotient is not known to vanish anywhere, so it reads R
+    higher up). The report is the same in all four runs."""
     problem = Path(__file__).resolve().parent.parent / "problems" / f"{name}.json"
     argv = [task, "--input", str(problem), "--no-cache"]
-    rings = []
+
+    def degrees(ring):
+        if isinstance(ring, ArtinianReduction):
+            return set(ring._degree_blocks) | {d for d, _ in ring._blocks}, degrees(ring.ring)[0]
+        return set(ring._degree_blocks) | {d for d, _ in ring._block_cache}, None
+
     precompute = KoszulComplex.precompute
 
-    def recorded(self, p):
-        rings.append(self.ring)
-        precompute(self, p)
+    def run(eager):
+        rings = []
 
-    monkeypatch.setattr(KoszulComplex, "precompute", recorded)
-    assert main(argv) == 0
-    report = capsys.readouterr()
-    monkeypatch.setattr(KoszulComplex, "precompute", lambda self, p: rings.append(self.ring))
-    assert main(argv) == 0
-    assert capsys.readouterr() == report
-    eager, lazy = rings
-    read = set(lazy._degree_blocks) | {d for d, _ in lazy._block_cache}
-    assert set(eager._degree_blocks) == read
-    assert {d for d, _ in eager._block_cache} <= read
+        def recorded(self, p):
+            if eager:
+                precompute(self, p)
+            rings.append((self.ring, degrees(self.ring)))
+
+        monkeypatch.setattr(KoszulComplex, "precompute", recorded)
+        assert main(argv) == 0
+        ((ring, before),) = rings
+        return capsys.readouterr(), ring, before, degrees(ring)
+
+    report, quotient, before, after = run(eager=True)
+    assert isinstance(quotient, ArtinianReduction)
+    assert after == before
+    assert run(eager=False)[0] == report
+    monkeypatch.setattr(koszul, "parameter_system", lambda ring, gens: None)
+    out, ring, before, after = run(eager=True)
+    assert out == report and after == before
+    out, _, _, lazy = run(eager=False)
+    assert out == report and lazy == after
 
 
 def test_tor_table_full_mode_triv_sign():
@@ -466,7 +482,7 @@ def test_restricted_chains_are_those_of_all_weights(group, mults, top, allowed):
 
 def reduction_of(ring, gens, beta, weights_for_degree=None):
     """The complex over R/θR with Ē = E - θ, θ the pure powers."""
-    theta = pure_power_parameters(ring, gens)
+    theta = parameter_system(ring, gens)
     assert theta is not None
     rest = tuple(el for el in gens.elements if el not in theta)
     return KoszulComplex(

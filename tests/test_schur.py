@@ -206,6 +206,19 @@ def test_schur_multiplicities_rejects_bad_data():
         schur_multiplicities({(2, 0): 1, (1, 1): 1}, (2,), ambient_dim=5)
 
 
+def test_schur_multiplicities_reads_an_empty_dominant_block():
+    """A dominant weight with no entry, or an entry of 0, is a block of
+    dimension 0: the S_(2) that the (2, 0) block forces needs dimension 1
+    at (1, 1), so an empty (1, 1) block is inconsistent whether the data
+    lists it or leaves it out."""
+    with pytest.raises(InternalInconsistency):
+        schur_multiplicities({(2, 0): 1, (1, 1): 0}, (2,))
+    with pytest.raises(InternalInconsistency):
+        schur_multiplicities({(2, 0): 1}, (2,))
+    decomp = schur_multiplicities({(1, 1): 1}, (2,))
+    assert decomp.multiplicities == {((1, 1),): 1}
+
+
 def test_row_bound_check_z2_r2():
     group, catalog = builtin_group("builtin:cyclic:2")
     ring = specialization_ring(catalog, (2, 2), DEFAULT_BUDGET)
@@ -459,7 +472,7 @@ def test_domination_check_outside_the_budget_is_skipped():
 
 
 @pytest.mark.parametrize(
-    "name, mults, reduced",
+    "name, mults, diagonal",
     [
         ("builtin:cyclic:2", (3, 3), True),
         ("builtin:klein:4", (1, 1, 0, 1), True),
@@ -467,13 +480,15 @@ def test_domination_check_outside_the_budget_is_skipped():
         ("builtin:quaternion:8", (0, 0, 0, 0, 1), False),
     ],
 )
-def test_dominant_complex_reduces_diagonal_specializations(name, mults, reduced):
-    """The dominant complex runs over R/θR exactly where every image is
-    diagonal; there E loses the n pure powers θ."""
+def test_dominant_complex_reduces_diagonal_specializations(name, mults, diagonal):
+    """The dominant complex runs over R/θR, and E loses the n elements of
+    θ: the pure powers where every image is diagonal, a subset of R's
+    minimal generators that is not all monomials otherwise."""
     group, catalog = builtin_group(name)
     noe = noether_number(group, exact_limit=2)
     cx = schur._dominant_complex(catalog, mults, noe, DEFAULT_BUDGET)
-    assert isinstance(cx.ring, ArtinianReduction) == reduced
+    assert isinstance(cx.ring, ArtinianReduction)
+    assert all(len(t.poly) == 1 for t in cx.ring.theta) == diagonal
     ring = specialization_ring(catalog, mults, DEFAULT_BUDGET)
     full = build_E(ring, "full", noe)
-    assert len(cx.E) == len(full.elements) - (ring.nvars if reduced else 0)
+    assert len(cx.E) == len(full.elements) - ring.nvars

@@ -318,9 +318,15 @@ def test_traced_child_sees_the_koszul_layers(tmp_path):
     """A traced benchmark child still counts the d^2 = 0 products, the
     differentials and the nonzeros the ranks read, and misses only the
     layers of the stale targets: an engine change that took the d^2 product
-    or the differentials out of the benchmark's sight fails here."""
+    or the differentials out of the benchmark's sight fails here. The
+    document is the quadratic Veronese of P^3: over R/θR, a d^2 product
+    needs two generators of E - θ whose degrees sum to at most the top
+    degree of R/θR. That top degree is 4 there, and on no `syzygies` or
+    `bounds` corpus document do two such generators fit under it."""
     root = PACKAGE.parent.parent
     timing = tmp_path / "timing.json"
+    doc = {"group": "builtin:cyclic:2", "rep": {"multiplicities": [0, 4]}, "task": "syzygies"}
+    (tmp_path / "veronese.json").write_text(json.dumps(doc), encoding="utf-8")
     run = subprocess.run(
         [
             sys.executable,
@@ -329,7 +335,7 @@ def test_traced_child_sees_the_koszul_layers(tmp_path):
             "1",
             "syzygies",
             "--input",
-            str(root / "problems" / "z2_antipodal_syzygies.json"),
+            str(tmp_path / "veronese.json"),
             "--no-cache",
         ],
         cwd=tmp_path,
