@@ -264,6 +264,12 @@ def _need_rep(problem: Problem):
     return problem.rep
 
 
+def _noether(problem: Problem, budget: Budget):
+    """beta(G), from the problem's irreducible catalog where it has one."""
+    source = problem.group if problem.catalog is None else problem.catalog
+    return noether_number(source, problem.exact_limit, budget)
+
+
 def _ring(problem: Problem, options) -> InvariantRing:
     """The invariant ring of the problem's representation on the run's
     budget and cache."""
@@ -293,7 +299,7 @@ def _run_group(problem: Problem, options) -> dict:
 
 def _run_invariants(problem: Problem, options) -> dict:
     ring = _ring(problem, options)
-    noe = noether_number(problem.group, problem.exact_limit, options.budget)
+    noe = _noether(problem, options.budget)
     stop = problem.stop if problem.stop is not None else noe.value
     ring.precompute(range(stop + 1))
     g = problem.group.order
@@ -314,7 +320,7 @@ def _run_invariants(problem: Problem, options) -> dict:
 
 
 def _run_noether(problem: Problem, options) -> dict:
-    noe = noether_number(problem.group, problem.exact_limit, options.budget)
+    noe = _noether(problem, options.budget)
     return {
         "beta": noe.value,
         "exact": noe.exact,
@@ -327,7 +333,7 @@ def _syzygy_complex(problem: Problem, options):
     the Noether result). R refuses the top degree of the scan up front,
     whichever complex runs, so a refusal does not depend on the route."""
     ring = _ring(problem, options)
-    noe = noether_number(problem.group, problem.exact_limit, options.budget)
+    noe = _noether(problem, options.budget)
     # the scan walks a guard band of beta degrees above the ceiling
     ring.refuse_over_budget(scan_ceiling(noe.value, ring.nvars, problem.p_max) + noe.value)
     gens = build_E(ring, problem.mode, noe)
@@ -364,7 +370,7 @@ def _run_bounds(problem: Problem, options):
 
 def _run_universal(problem: Problem, options) -> dict:
     catalog = _need_catalog(problem)
-    noe = noether_number(problem.group, problem.exact_limit, options.budget)
+    noe = _noether(problem, options.budget)
     beta, m, g, p = noe.value, catalog.m, problem.group.order, problem.p
     # domination_check assembles the specialization only inside its Tor
     # gate: the images grow with p, and the report needs no more than the
@@ -440,14 +446,14 @@ def _run_schur(problem: Problem, options) -> dict:
         }
     if check == "row-bounds-tor":
         catalog = _need_catalog(problem)
-        noe = noether_number(problem.group, problem.exact_limit, budget)
+        noe = _noether(problem, budget)
         return {
             "check": check,
             **tor_row_bounds(catalog, noe, int_arg("p", problem.p, 1), budget=budget),
         }
     if check == "stabilization":
         catalog = _need_catalog(problem)
-        noe = noether_number(problem.group, problem.exact_limit, budget)
+        noe = _noether(problem, budget)
         mults = args.get("multiplicities")
         if mults is not None:
             mults = _int_list(mults, "schur.multiplicities")
@@ -464,7 +470,7 @@ def _run_schur(problem: Problem, options) -> dict:
         }
     if check == "domination":
         catalog = _need_catalog(problem)
-        noe = noether_number(problem.group, problem.exact_limit, budget)
+        noe = _noether(problem, budget)
         samples = args.get("samples", [])
         _expect(isinstance(samples, list), "schur.samples", "expected a list")
         samples = [_int_list(s, f"schur.samples[{i}]") for i, s in enumerate(samples)]

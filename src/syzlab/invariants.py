@@ -8,7 +8,8 @@ representation takes one route: the image is the column space of sum_g g,
 which equals the Reynolds operator's, so it needs no division by |G|.
 Each column sum_g g . m is built as a sparse vector and the columns go
 straight to the elimination kernel as rows, whose reduced form is the
-basis; a column that is a multiple of an earlier one is left out. A full
+basis; a column that is a multiple of an earlier one, or zero because
+some g scales its monomial by c != 1, is left out. A full
 degree is one elimination over all of its monomials: blocks have disjoint
 supports, so the reduced rows fall apart into the blocks' bases.
 Polynomials, the images g . m and the published bases alike are keyed by
@@ -40,7 +41,7 @@ from operator import add, sub
 from .cache import content_hash
 from .cyclo import Cyclotomic, as_integer, decode_scalar, encode_scalar, quotient
 from .errors import InternalInconsistency, InvalidInput, LimitExceeded
-from .groups import FiniteGroup, Representation, regular_representation
+from .groups import FiniteGroup, IrrepCatalog, Representation, regular_representation
 from .limits import DEFAULT_BUDGET, Budget
 from .linalg import Matrix, _int_if_integral, pivot_columns, reduced_rows
 from .monomials import (
@@ -258,8 +259,10 @@ class InvariantRing:
         weight of its source monomial. When g . m = c . m' with m' != m, the
         column of m' is c^-1 times that of m, so the later of the two takes
         no further pass and gives no row; the reduced form is unchanged, and
-        its images are multiples of checked ones. A permutation
-        representation gives one row per orbit, dim R_d in all."""
+        its images are multiples of checked ones. When g . m = c . m with
+        c != 1, the column of m is c times itself, so zero: m takes no
+        further pass and gives no row either. A permutation representation
+        gives one row per orbit, dim R_d in all."""
         if w is None:
             ids: dict = {}
             wid = [ids.setdefault(self.grading.weight(m), len(ids)) for m in monos]
@@ -282,7 +285,7 @@ class InvariantRing:
                     if pos is None or wid[pos] != w0:
                         raise InternalInconsistency("group action does not preserve weights")
                     col[pos] = col.get(pos, 0) + c
-                if len(img) == 1 and pos != i:
+                if len(img) == 1 and (pos != i or c != 1):
                     keep[max(i, pos)] = 0
         cols = [{j: _int_if_integral(c) for j, c in col.items() if c} for col in compress(sums, keep)]
         return [
@@ -759,19 +762,38 @@ def minimal_generators(ring: InvariantRing, stop: int) -> GeneratorSet:
 
 
 def noether_number(
-    group: FiniteGroup, exact_limit: int | None = None, budget: Budget = DEFAULT_BUDGET
+    source: FiniteGroup | IrrepCatalog,
+    exact_limit: int | None = None,
+    budget: Budget = DEFAULT_BUDGET,
 ) -> NoetherResult:
-    """Generator-degree ceiling over all representations.
+    """The generator-degree ceiling beta(G) over all representations, of a
+    group or of an irreducible catalog's group.
 
-    Attained on the regular representation, so for small groups it is
-    computed exactly there; otherwise the group order is a valid ceiling.
+    beta(G) is attained on the regular representation, the sum of the
+    irreducibles U_i, each dim U_i times (Schmid), so a group of order at
+    most `exact_limit` is scanned there up to |G|; above it the group order
+    is a valid ceiling. Given a catalog, the scan runs on
+    `schur.specialization_ring` of those multiplicities, but with none on
+    the trivial irreducible: for V = V' + C, C[V]^G = C[V']^G[y], so
+    beta(G) = max(beta(V'), 1). Given a bare group, it runs on
+    `regular_representation`, the permutation form.
     """
+    catalog = source if isinstance(source, IrrepCatalog) else None
+    group = source if catalog is None else catalog.group
     if exact_limit is None:
         exact_limit = budget.noether_exact_limit
-    if group.order <= exact_limit:
+    if group.order > exact_limit:
+        return NoetherResult(value=group.order, exact=False)
+    if catalog is None:
         ring = InvariantRing(regular_representation(group), budget=budget)
-        return NoetherResult(value=minimal_generators(ring, stop=group.order).beta_V, exact=True)
-    return NoetherResult(value=group.order, exact=False)
+    else:
+        from .schur import specialization_ring  # schur imports this module
+
+        trivial = (1,) * group.class_count
+        mults = [0 if chi == trivial else d for chi, d in zip(catalog.characters, catalog.degrees)]
+        ring = specialization_ring(catalog, mults, budget)
+    beta = minimal_generators(ring, stop=group.order).beta_V
+    return NoetherResult(value=max(beta, 1), exact=True)
 
 
 def build_E(ring: InvariantRing, mode: str, noether: NoetherResult) -> GeneratorSet:

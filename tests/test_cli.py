@@ -101,6 +101,28 @@ def test_noether_custom_permutation_group(capsys):
     assert res == {"beta": 3, "exact": True, "method": "regular_representation"}
 
 
+def test_noether_route_follows_the_catalog(tmp_path, capsys, monkeypatch):
+    """A group with an irreducible catalog is scanned in isotypic
+    coordinates; only a group without one builds the permutation form."""
+    import syzlab.invariants as inv
+
+    built = []
+    real = inv.regular_representation
+    monkeypatch.setattr(inv, "regular_representation", lambda g: built.append(g) or real(g))
+    doc = tmp_path / "q8.json"
+    doc.write_text(json.dumps({"group": "builtin:quaternion:8", "task": "noether"}))
+    code, out, err = run_cli(capsys, "noether", "--input", str(doc), "--no-cache")
+    assert code == 0, err
+    assert json.loads(out)["results"] == {
+        "beta": 6, "exact": True, "method": "regular_representation"
+    }
+    assert built == []
+    path = str(PROBLEMS / "klein_custom_noether.json")
+    code, out, err = run_cli(capsys, "noether", "--input", path, "--no-cache")
+    assert code == 0, err
+    assert len(built) == 1
+
+
 def test_invariants_task(capsys):
     code, out, _ = run_cli(
         capsys, "invariants", "--input", str(PROBLEMS / "z3_invariants.json"), "--no-cache"

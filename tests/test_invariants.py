@@ -275,17 +275,37 @@ def test_minimal_generators_triv_plus_sign():
 
 
 def test_noether_small_groups():
+    """beta(G) on the catalog route (Cziszter-Domokos-Szollosi's table)."""
     for name, expected in [
         ("builtin:cyclic:2", 2),
         ("builtin:cyclic:3", 3),
         ("builtin:klein:4", 3),
         ("builtin:cyclic:4", 4),
         ("builtin:sym:3", 4),
+        ("builtin:dihedral:4", 5),
+        ("builtin:quaternion:8", 6),
+        ("builtin:cyclic:8", 8),
     ]:
-        group, _ = builtin_group(name)
-        res = noether_number(group)
+        _, catalog = builtin_group(name)
+        res = noether_number(catalog)
         assert res.exact
         assert res.value == expected, name
+
+
+# sym:3 and dihedral:3 both: two presentations of one group of order 6
+SMALL_BUILTINS = [n for n in BUILTIN_NAMES if builtin_group(n)[0].order <= 6]
+
+
+@pytest.mark.parametrize("name", SMALL_BUILTINS)
+def test_noether_routes_agree(name):
+    """The catalog route (isotypic, no trivial copy), the isotypic regular
+    representation with its trivial copy and the permutation form give
+    the same beta."""
+    group, catalog = builtin_group(name)
+    beta = noether_number(catalog).value
+    assert noether_number(group).value == beta
+    with_trivial = specialization_ring(catalog, catalog.degrees, DEFAULT_BUDGET)
+    assert minimal_generators(with_trivial, stop=group.order).beta_V == beta
 
 
 def test_noether_fallback():
@@ -335,6 +355,7 @@ def test_build_E_trivial_group_minimal():
     ring = InvariantRing(rep)
     noether = noether_number(group)
     assert noether.value == 1
+    assert noether_number(builtin_group("builtin:cyclic:1")[1]).value == 1
     gens = build_E(ring, "minimal", noether)
     assert gens.degrees() == [1]
 
@@ -596,6 +617,7 @@ def test_coords_in_basis_match_a_rational_reference(product_rings, name, data):
     basis = ring.block_basis(d, ())
     coords = ring.coords_in_basis(prod, d, ())
     assert dict(coords) == _reference_coords(basis, prod)
+    assert [i for i, _ in coords] == sorted(dict(coords))
     assert not any(type(c) is Fraction and c.denominator == 1 for _, c in coords)
     pivots = {el.pivot for el in basis}
     outside = [pack(e) for e in monomials(ring.nvars, d) if pack(e) not in pivots]
@@ -608,3 +630,17 @@ def test_coords_in_basis_match_a_rational_reference(product_rings, name, data):
         del moved[m]
     with pytest.raises(InternalInconsistency, match="does not lie"):
         ring.coords_in_basis(moved, d, ())
+
+
+def test_coords_in_basis_ignore_the_support_order(product_rings):
+    """The coordinates come in increasing index order whatever order the
+    polynomial's support is listed in."""
+    for ring, elements in product_rings.values():
+        for x in elements:
+            for y in elements:
+                d = x.degree + y.degree
+                prod = poly_mul(x.multiple, y.multiple)
+                coords = ring.coords_in_basis(prod, d, ())
+                assert [i for i, _ in coords] == sorted(i for i, _ in coords)
+                reordered = dict(reversed(prod.items()))  # the same polynomial
+                assert ring.coords_in_basis(reordered, d, ()) == coords
