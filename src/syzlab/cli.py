@@ -302,11 +302,10 @@ def _run_invariants(problem: Problem, options) -> dict:
     noe = _noether(problem, options.budget)
     stop = problem.stop if problem.stop is not None else noe.value
     ring.precompute(range(stop + 1))
-    g = problem.group.order
-    if stop < g and problem.stop is not None:
+    if stop < noe.value:
         sys.stderr.write(
-            f"syzlab: warning: scan ceiling {stop} is below the group order {g}; "
-            "generators above it would be missed\n"
+            f"syzlab: warning: scan ceiling {stop} is below the group's generator-degree "
+            f"ceiling {noe.value}; generators above it would be missed\n"
         )
     gens = minimal_generators(ring, stop=stop)
     return {

@@ -771,11 +771,13 @@ def noether_number(
 
     beta(G) is attained on the regular representation, the sum of the
     irreducibles U_i, each dim U_i times (Schmid), so a group of order at
-    most `exact_limit` is scanned there up to |G|; above it the group order
-    is a valid ceiling. Given a catalog, the scan runs on
-    `schur.specialization_ring` of those multiplicities, but with none on
-    the trivial irreducible: for V = V' + C, C[V]^G = C[V']^G[y], so
-    beta(G) = max(beta(V'), 1). Given a bare group, it runs on
+    most `exact_limit` is scanned there; above it the group order is a
+    valid ceiling. The scan stops at |G| for a cyclic group and at
+    floor(3|G|/4) otherwise, since beta(G) <= 3|G|/4 for every non-cyclic G
+    (Domokos-Hegedus, Arch. Math. 74 (2000)). Given a catalog, the scan
+    runs on `schur.specialization_ring` of those multiplicities, but with
+    none on the trivial irreducible: for V = V' + C, C[V]^G = C[V']^G[y],
+    so beta(G) = max(beta(V'), 1). Given a bare group, it runs on
     `regular_representation`, the permutation form.
     """
     catalog = source if isinstance(source, IrrepCatalog) else None
@@ -792,7 +794,9 @@ def noether_number(
         trivial = (1,) * group.class_count
         mults = [0 if chi == trivial else d for chi, d in zip(catalog.characters, catalog.degrees)]
         ring = specialization_ring(catalog, mults, budget)
-    beta = minimal_generators(ring, stop=group.order).beta_V
+    g = group.order
+    cyclic = any(group.element_order(a) == g for a in range(g))
+    beta = minimal_generators(ring, stop=g if cyclic else 3 * g // 4).beta_V
     return NoetherResult(value=max(beta, 1), exact=True)
 
 

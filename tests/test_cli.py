@@ -757,9 +757,24 @@ def test_engine_warning_is_one_line(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["results"]["scanned_up_to"] == 1
     assert err == (
-        "syzlab: warning: scan ceiling 1 is below the group order 2; "
+        "syzlab: warning: scan ceiling 1 is below the group's generator-degree ceiling 2; "
         "generators above it would be missed\n"
     )
+
+
+@pytest.mark.parametrize("stop, warned", [(3, True), (4, False), (5, False)])
+def test_warning_ceiling_is_beta_not_the_order(tmp_path, capsys, stop, warned):
+    """S3 has beta = 4 < |G| = 6: a scan to 4 or 5 misses no generator."""
+    path = tmp_path / "s3.json"
+    doc = {"group": "builtin:sym:3", "rep": {"multiplicities": [0, 1, 1]},
+           "task": "invariants", "stop": stop}
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "invariants", "--input", str(path), "--no-cache")
+    assert code == 0
+    assert json.loads(out)["results"]["beta_used"] == {"value": 4, "exact": True}
+    assert bool(err) == warned
+    if warned:
+        assert "scan ceiling 3 is below the group's generator-degree ceiling 4" in err
 
 
 def test_hot_blocks_equal_cold_blocks_in_value_and_type(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syzlab import invariants
 from syzlab.cache import Cache
 from syzlab.errors import InternalInconsistency, LimitExceeded
 from syzlab.cli import parse_problem
@@ -306,6 +307,50 @@ def test_noether_routes_agree(name):
     assert noether_number(group).value == beta
     with_trivial = specialization_ring(catalog, catalog.degrees, DEFAULT_BUDGET)
     assert minimal_generators(with_trivial, stop=group.order).beta_V == beta
+
+
+NON_CYCLIC_UP_TO_8 = ["builtin:klein:4", "builtin:sym:3", "builtin:dihedral:3",
+                      "builtin:dihedral:4", "builtin:quaternion:8"]
+
+
+@pytest.mark.parametrize("name", NON_CYCLIC_UP_TO_8)
+def test_noether_ceiling_misses_no_generator(name):
+    """Domokos-Hegedus: beta(G) <= 3|G|/4 off the cyclic groups. A scan of
+    the same catalog ring to |G| finds the same beta and nothing above the
+    ceiling."""
+    group, catalog = builtin_group(name)
+    trivial = (1,) * group.class_count
+    mults = [0 if chi == trivial else d for chi, d in zip(catalog.characters, catalog.degrees)]
+    ring = specialization_ring(catalog, mults, DEFAULT_BUDGET)
+    full = minimal_generators(ring, stop=group.order)
+    assert max(full.beta_V, 1) == noether_number(catalog).value
+    assert full.beta_V <= 3 * group.order // 4
+
+
+@pytest.mark.parametrize("name, stop", [
+    *((f"builtin:cyclic:{n}", n) for n in range(1, 9)),
+    ("builtin:klein:4", 3),
+    ("builtin:sym:3", 4),
+    ("builtin:dihedral:3", 4),
+    ("builtin:dihedral:4", 6),
+    ("builtin:quaternion:8", 6),
+])
+def test_noether_scan_stops_at_the_ceiling(monkeypatch, name, stop):
+    """Both routes scan to |G| on cyclic groups and to floor(3|G|/4) on the
+    rest, and compute no degree above it."""
+    scans = []
+
+    def recording(ring, stop):
+        gens = minimal_generators(ring, stop)
+        scans.append((stop, max(ring._degree_blocks)))
+        return gens
+
+    monkeypatch.setattr(invariants, "minimal_generators", recording)
+    group, catalog = builtin_group(name)
+    noether_number(catalog)
+    if group.order <= 6:
+        noether_number(group)
+    assert scans == [(stop, stop)] * (2 if group.order <= 6 else 1)
 
 
 def test_noether_fallback():
