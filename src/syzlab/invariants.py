@@ -499,15 +499,17 @@ class ArtinianReduction:
     columns, and `coords_in_basis` reduces R coordinates modulo those rows.
     Single blocks are computed on demand and full degrees in `precompute`.
 
-    Every full degree d is checked against the Hilbert series of R/θR, the
-    coefficient of t^d in H_R(t) . prod_i (1 - t^(deg θ_i)), with H_R the
-    Molien series: equality in every degree is what makes θ a regular
-    sequence on R. R/θR is generated in degrees <= beta, so once `precompute`
-    meets beta consecutive zero degrees, every higher degree is zero
-    (`zero_from` is the first): its series coefficient is still checked,
-    but R is no longer read. R/θR lies in S/θS, which vanishes above
-    sum_i (deg θ_i - 1), so R is read up to that degree plus beta at most,
-    and `refuse_over_budget` refuses no higher degree than that one.
+    θ is a regular sequence on R, so R/θR has the Hilbert series
+    Q(t) = H_R(t) . prod_i (1 - t^(deg θ_i)), H_R the Molien series: a
+    polynomial with nonnegative coefficients, zero above the top degree
+    sum_i (deg θ_i - 1) of S/θS. The constructor reads Q off the Molien
+    series up to that top degree plus sum_i deg θ_i, where a wrong Molien
+    coefficient at or below the top degree shows as a nonzero one above
+    it, and checks it there. `zero_from`, the degree after Q's last nonzero
+    coefficient, is where R/θR ends: no block at or above it is computed,
+    and R is read below it only. Every full degree below it must have the
+    dimension Q gives. `refuse_over_budget` refuses no degree above
+    sum_i (deg θ_i - 1) + beta.
     """
 
     def __init__(self, ring: InvariantRing, theta, beta: int):
@@ -518,14 +520,22 @@ class ArtinianReduction:
         self.theta = tuple(theta)
         self.beta = beta
         self._socle = sum(t.degree - 1 for t in self.theta)
-        self.zero_from = None  # the least degree from which R/θR is certified zero
-        self._series: list = []
+        top = self._socle + sum(t.degree for t in self.theta)
+        series = list(ring.molien(top)[: top + 1])
+        for t in self.theta:
+            for d in range(top, t.degree - 1, -1):
+                series[d] -= series[d - t.degree]
+        if min(series) < 0 or any(series[self._socle + 1 :]):
+            raise InternalInconsistency(
+                f"the Molien series times prod_i (1 - t^(deg theta_i)) is not a "
+                f"nonnegative polynomial of degree at most {self._socle}"
+            )
+        self._series = series
+        # the least degree from which R/θR is zero
+        self.zero_from = max(d for d, c in enumerate(series) if c) + 1
         # (d, w) -> (basis, reduced rows of the θ products, R index -> basis index)
         self._blocks: dict = {}
         self._degree_blocks: dict = {}
-
-    def _zero(self, d: int) -> bool:
-        return self.zero_from is not None and d >= self.zero_from
 
     def _theta_rows(self, d: int, w: tuple) -> list:
         """R coordinates of the products θ_i . b in the block (d, w), b
@@ -559,19 +569,9 @@ class ArtinianReduction:
         blocks = self._degree_blocks.get(d)
         if blocks is not None:
             return blocks.get(w, [])
-        if self._zero(d):
+        if d >= self.zero_from:
             return []
         return self._block(d, w)[0]
-
-    def _hilbert(self, top: int) -> list:
-        """Coefficients 0..top of H_R(t) . prod_i (1 - t^(deg θ_i))."""
-        if len(self._series) <= top:
-            series = list(self.ring.molien(top)[: top + 1])
-            for t in self.theta:
-                for d in range(top, t.degree - 1, -1):
-                    series[d] -= series[d - t.degree]
-            self._series = series
-        return self._series
 
     def refuse_over_budget(self, d: int):
         self.ring.refuse_over_budget(min(d, self._socle + self.beta))
@@ -581,45 +581,34 @@ class ArtinianReduction:
         if hit is not None:
             return hit
         hit = {}
-        if not self._zero(d):
+        if d < self.zero_from:
             for w in self.ring.blocks(d):
                 basis = self._block(d, w)[0]
                 if basis:
                     hit[w] = basis
-        dim = sum(len(b) for b in hit.values())
-        want = self._hilbert(d)[d]
-        if dim != want:
-            raise InternalInconsistency(
-                f"R/(theta) has dimension {dim} in degree {d}, its Molien series "
-                f"predicts {want}"
-            )
-        if dim and d > self._socle:
-            raise InternalInconsistency(
-                f"R/(theta) is nonzero in degree {d}, above the top degree "
-                f"{self._socle} of S/(theta)"
-            )
+            dim = sum(len(b) for b in hit.values())
+            if dim != self._series[d]:
+                raise InternalInconsistency(
+                    f"R/(theta) has dimension {dim} in degree {d}, its Molien series "
+                    f"predicts {self._series[d]}"
+                )
         self._degree_blocks[d] = hit
         return hit
 
     def precompute(self, degrees: range):
-        """Every degree of the range, in increasing order, after one Molien
-        fetch up to the top one; the degrees after beta consecutive zero
-        ones are zero without reading R."""
+        """Every degree of the range below `zero_from`, in increasing order."""
         if not degrees:
             return
         self.refuse_over_budget(degrees[-1])
-        self._hilbert(degrees[-1])
-        zeros = 0
         for d in degrees:
-            zeros = 0 if self.blocks(d) else zeros + 1
-            if zeros == self.beta and self.zero_from is None:
-                self.zero_from = d + 1
+            if d < self.zero_from:
+                self.blocks(d)
 
     def coords_in_basis(self, poly: dict, d: int, w: tuple) -> tuple:
         """Coordinates of the class of an invariant in the block basis: its
         R coordinates, checked there, reduced modulo the block's rows. A
-        degree certified zero has no coordinates."""
-        if self._zero(d):
+        degree from `zero_from` on has no coordinates."""
+        if d >= self.zero_from:
             return ()
         _, rows, position = self._block(d, w)
         coords = dict(self.ring.coords_in_basis(poly, d, w))

@@ -16,7 +16,7 @@ the homology of the complex of R on E, weight by weight. `tor_complex`
 builds that finite complex wherever `parameter_system` certifies θ, and the
 complex over R otherwise. A block of R/θR can be empty where R's is not,
 and the differential checks that nothing lands there; the degrees from
-which the ring is certified zero are not probed at all.
+`zero_from` on, where R/θR ends, are not probed at all.
 """
 
 from __future__ import annotations
@@ -305,19 +305,16 @@ class KoszulComplex:
 
     def precompute(self, p: int):
         """Blocks of the ring in every degree the scans of Tor_0..Tor_p
-        read, after one Molien fetch: Tor_q reads up to ceiling(q) + guard
-        minus the least degree of a (q-1)-subset of E. The scan of Tor_p
-        walks up to ceiling(p) + guard, so that degree is refused first if
-        over budget. A ring that certifies itself zero from some degree on
-        is checked up to that top degree too, which reads nothing more."""
-        top = self.ceiling(p) + self.guard
-        self.ring.refuse_over_budget(top)
+        read: Tor_q reads up to ceiling(q) + guard minus the least degree
+        of a (q-1)-subset of E. The scan of Tor_p walks up to ceiling(p) +
+        guard, so that degree is refused first if over budget. A ring that
+        ends below some of these degrees (`zero_from`) computes none of
+        them."""
+        self.ring.refuse_over_budget(self.ceiling(p) + self.guard)
         read = self.ceiling(0)
         for q in range(1, min(p, len(self.E) + 1) + 1):
             read = max(read, self.ceiling(q) - self.min_subset_degree(q - 1))
         self.ring.precompute(range(read + self.guard + 1))
-        if self.ring.zero_from is not None:
-            self.ring.precompute(range(top + 1))
 
     def scan(self, p: int) -> dict:
         """d -> tor_data(p, d) for d = 0..ceiling(p), in increasing order.

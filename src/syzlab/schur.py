@@ -460,16 +460,16 @@ def stabilization_check(
     base_multiplicities=None,
 ) -> dict:
     """Vanishing of Tor_(p,d) must agree between the reference truncation
-    (beta*p + d_i by default) and the one-larger truncation."""
+    (beta*p + d_i by default) and the one-larger truncation. Both complexes
+    are built before either computes Tor, so a truncation the budget
+    refuses is refused first."""
     if base_multiplicities is None:
         base = universal_multiplicities(catalog, noether, p)
     else:
         base = tuple(base_multiplicities)
     bigger = tuple(k + 1 for k in base)
-    nonzero = []
-    for mults in (base, bigger):
-        cx = _dominant_complex(catalog, mults, noether, budget)
-        nonzero.append(cx is not None and cx.tor_dimension(p, d) > 0)
+    complexes = [_dominant_complex(catalog, mults, noether, budget) for mults in (base, bigger)]
+    nonzero = [cx is not None and cx.tor_dimension(p, d) > 0 for cx in complexes]
     return {
         "passed": nonzero[0] == nonzero[1],
         "base_multiplicities": list(base),

@@ -902,9 +902,9 @@ def test_universal_outside_the_budget_builds_no_specialization(tmp_path, capsys)
 def test_cache_hot_run_obeys_the_monomial_limit(tmp_path, capsys):
     """The scan to p = 36 walks up to degree 77, which has 3,081 monomials
     in 3 variables: under the default limit, over the small one. The scan
-    runs over R/θR with θ = (x_0, x_1^2, x_2^2), which is zero from degree
-    3 on, so R is read up to degree 2 + beta = 4 only: a default-budget run
-    caches degrees 0-4, and a small-budget run refuses the scan whether or
+    runs over R/θR with θ = (x_0, x_1^2, x_2^2), whose Hilbert series ends
+    in degree 2, so R is read up to degree 2 only: a default-budget run
+    caches degrees 0-2, and a small-budget run refuses the scan whether or
     not the cache holds them. A small-budget ring refuses degree 77 itself
     even when the cache holds it."""
     path = tmp_path / "z2.json"
@@ -916,7 +916,7 @@ def test_cache_hot_run_obeys_the_monomial_limit(tmp_path, capsys):
     cold = run_cli(capsys, *argv, *small, "--no-cache")
     assert cold == (2, "", "syzlab: computation limit exceeded: degree too large\n")
     assert run_cli(capsys, *argv, *cache)[0] == 0
-    assert len(os.listdir(tmp_path / "cache")) == 5
+    assert len(os.listdir(tmp_path / "cache")) == 3
     assert run_cli(capsys, *argv, *small, *cache) == cold
     rep = parse_problem(doc, "invariants", Budget.preset("default")).rep
     ring_cache = {"cache": Cache(str(tmp_path / "ring"))}
@@ -1095,17 +1095,11 @@ CACHE_SHA256 = {
         "10020adef35216f1c6e309c1b143c456e7a7f6bcc586c81e9ca6cbd50a579565.json": (
             "10053fad7eccbfd021207cbf7aafb65339c301b0567bb7341ca516d8683e6e7d"
         ),
-        "1a6e825a3d39b376292db175aae1bfcd652e6a00fb9f73ade7136218046e957b.json": (
-            "0d24fa861c5e920f7eb3f193a4f60d5600b3d708c42a1668ff849738c674aff2"
-        ),
         "5965acf4e9c563ead702fd7da3d0682e6968810ef9423615ea6b31a3b19abee0.json": (
             "aa5e298c46d3e91cd5c79520cc73da79b02efc2679368307b94dd89ce3f27b1a"
         ),
         "6e2d37d2bc5cacc7f2a1b974ca6c1684cfcc90c125682bb6c241c03e7ca30be1.json": (
             "4767112938f213662027533973e928bd65ed8571bd4b6c37c8bceaadbb7af41f"
-        ),
-        "7aed5fcd2597fec56a9588f3c0cfc01f5b4f49111c2a6f6bac68a7d55bf4b59b.json": (
-            "bf1cd98a825b5a8a3b530e4155635cd78dcea8bcc24717788883bd4a50dbf669"
         ),
     },
 }

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 
 from syzlab import schur
-from syzlab.errors import InternalInconsistency, InvalidInput
+from syzlab.errors import InternalInconsistency, InvalidInput, LimitExceeded
 from syzlab.groups import builtin_group
 from syzlab.invariants import ArtinianReduction, InvariantRing, build_E, noether_number
 from syzlab.koszul import KoszulComplex, syzygy_degree
@@ -292,6 +292,21 @@ def test_stabilization_z2():
     assert res3["passed"] and not res3["nonzero_at_base"]
 
 
+def test_stabilization_refuses_before_it_computes(monkeypatch):
+    """S3 at p = 1, degree 3: the enlarged specialization is over the
+    default budget, and both complexes are built before either computes
+    Tor, so the run is refused without a Tor block of the base one."""
+    group, catalog = builtin_group("builtin:sym:3")
+    noe = noether_number(group)
+
+    def no_tor(self, p, d):
+        raise AssertionError("Tor computed before the enlarged complex was built")
+
+    monkeypatch.setattr(KoszulComplex, "tor_data", no_tor)
+    with pytest.raises(LimitExceeded):
+        stabilization_check(catalog, noe, p=1, d=3)
+
+
 def test_stabilization_degenerate_spec():
     group, catalog = builtin_group("builtin:cyclic:2")
     noe = noether_number(group)
@@ -369,8 +384,10 @@ def test_domination_matches_all_weights_scan():
 
 
 def test_domination_check_runs_molien_check(monkeypatch):
-    """Degree 5 is above every degree the generators need, so only the scan's
-    full-degree pass compares it with the Molien series."""
+    """Degree 5 is above every degree the generators need, and at or below
+    the top degree 6 of S/θS for the universal specialization's θ = (x_c^2):
+    the off coefficient leaves the Hilbert series of R/θR nonzero above
+    that top degree, which the quotient's constructor refuses."""
     group, catalog = builtin_group("builtin:cyclic:2")
     noe = noether_number(group)
     real_molien = InvariantRing.molien

@@ -30,7 +30,7 @@ from syzlab.limits import Budget
 from syzlab.monomials import pack
 from syzlab.schur import dominant_weights, specialization_ring
 
-from oracles import benchmark_workloads
+from oracles import benchmark_workloads, molien_oracle
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -213,9 +213,10 @@ def test_subsets_come_in_increasing_degree_sum():
 
 
 def test_chains_skip_the_degrees_certified_zero(monkeypatch):
-    """The Z2 universal specialization at p = 1: R/θR is certified zero from
-    degree 5 on, and the chain spaces probe no block there. Left unskipped
-    they probe up to the top degree 10 of the scan, for the same Tor."""
+    """The Z2 universal specialization at p = 1: the Hilbert series of R/θR
+    ends in degree 2, so R/θR is zero from degree 3 on, and the chain
+    spaces probe no block there. Left unskipped they probe up to the top
+    degree 10 of the scan, for the same Tor."""
     group, catalog = builtin_group("builtin:cyclic:2")
     noe = noether_number(group)
     mults = (3, 3)
@@ -238,7 +239,7 @@ def test_chains_skip_the_degrees_certified_zero(monkeypatch):
         cx.precompute(1)
         zero_from = cx.ring.zero_from
         if not skip:
-            cx.ring.zero_from = None
+            cx.ring.zero_from = float("inf")
         probed.clear()
         monkeypatch.setattr(ArtinianReduction, "block_basis", recording)
         table = {d: data for d, data in cx.scan(1).items() if data[0]}
@@ -246,8 +247,66 @@ def test_chains_skip_the_degrees_certified_zero(monkeypatch):
         return zero_from, max(probed), table
 
     zero_from, top, table = scanned(skip=True)
-    assert zero_from == 5 and top < zero_from
+    assert zero_from == 3 and top < zero_from
     assert scanned(skip=False) == (zero_from, 10, table)
+
+
+def _series_degree(ring, theta) -> int:
+    """The last nonzero degree of H_R(t) prod_i (1 - t^(deg θ_i)), H_R from
+    the Fraction oracle of the Molien series."""
+    top = sum(2 * t.degree - 1 for t in theta)
+    series = molien_oracle([[list(row) for row in m.data] for m in ring.rep.images], top)
+    for t in theta:
+        for d in range(top, t.degree - 1, -1):
+            series[d] -= series[d - t.degree]
+    return max(d for d, c in enumerate(series) if c)
+
+
+@pytest.mark.parametrize("name", ["z2-33", "generic-0", "cyclotomic-0"])
+def test_zero_from_is_set_when_the_quotient_is_built(name):
+    """Before any degree is computed, `zero_from` is one above the degree
+    of the Hilbert series of R/θR. Past it, the blocks of R/θR are zero on
+    beta consecutive degrees, so R/θR is zero from there on: it is
+    generated in degrees at most beta."""
+    if name == "z2-33":
+        group, catalog = builtin_group("builtin:cyclic:2")
+        noe = noether_number(group)
+        ring = specialization_ring(catalog, (3, 3), Budget.preset("default"))
+        gens = build_E(ring, "full", noe)
+    else:
+        workload, seed = name.split("-")
+        doc = getattr(benchmark_workloads(), f"{workload}_doc")(int(seed))
+        ring, gens = _ring_and_gens(doc, mode="full")
+        noe = noether_number(parse_problem(doc, "syzygies", Budget.preset("default")).group)
+    theta = parameter_system(ring, gens)
+    quotient = ArtinianReduction(ring, theta, noe.value)
+    zero_from = quotient.zero_from
+    assert zero_from == _series_degree(ring, theta) + 1
+    quotient.zero_from = float("inf")
+    dims = [
+        sum(len(quotient.block_basis(d, w)) for w in ring.blocks(d))
+        for d in range(zero_from - 1, zero_from + noe.value)
+    ]
+    assert dims[0] > 0 and not any(dims[1:])
+
+
+def test_stabilization_builds_no_block_where_the_quotient_ends(monkeypatch):
+    """The stabilization check never computes full degrees of R/θR, and its
+    single blocks stop below `zero_from` all the same: no block is built
+    above the degree of the Hilbert series of R/θR."""
+    built = {}
+    real = ArtinianReduction._block
+
+    def recording(self, d, w):
+        built.setdefault(self, set()).add(d)
+        return real(self, d, w)
+
+    monkeypatch.setattr(ArtinianReduction, "_block", recording)
+    argv = ["schur", "--input", str(PROBLEMS / "z2_stabilization.json"), "--no-cache"]
+    assert run_cli(argv)[0] == 0
+    assert len(built) == 2
+    for quotient, degrees in built.items():
+        assert max(degrees) <= _series_degree(quotient.ring, quotient.theta)
 
 
 # -- tables only the quotient reaches -------------------------------------------------
