@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from math import lcm
+from math import inf, lcm
 from operator import add, sub
 
 from .cache import content_hash
@@ -51,6 +51,7 @@ from .monomials import (
     pack,
     poly_add_into,
     poly_mul,
+    subsets_of_degree,
     unpack,
 )
 
@@ -141,7 +142,7 @@ class InvariantRing:
     """Graded pieces of Sym(V)^G with per-weight-block canonical bases."""
 
     # the least degree from which the ring is certified zero: never for R
-    zero_from = None
+    zero_from = inf
 
     def __init__(
         self,
@@ -834,32 +835,9 @@ def _pure_powers(ring: InvariantRing, gens: GeneratorSet):
 
 
 def _by_degree_sum(degrees: list, n: int):
-    """The n-subsets of positions into the nondecreasing `degrees`, as
-    increasing position tuples, in increasing degree sum and in lex order
-    within one sum; generated lazily, so a search that stops early never
-    lists the rest."""
-    prefix = [0]
-    for k in degrees:
-        prefix.append(prefix[-1] + k)
-    size = len(degrees)
-
-    def subsets(i: int, k: int, rest: int):
-        if not k:
-            if not rest:
-                yield ()
-            return
-        if prefix[size] - prefix[size - k] < rest:
-            return  # even the k largest degrees fall short
-        for j in range(i, size - k + 1):
-            if prefix[j + k] - prefix[j] > rest:
-                return  # the k smallest from j on already exceed it
-            for tail in subsets(j + 1, k - 1, rest - degrees[j]):
-                yield (j,) + tail
-
-    if n > size:
-        return
-    for total in range(prefix[n], prefix[size] - prefix[size - n] + 1):
-        yield from subsets(0, n, total)
+    """`subsets_of_degree` for each degree sum in turn, the least first."""
+    for total in range(sum(degrees[:n]), sum(degrees[max(len(degrees) - n, 0) :]) + 1):
+        yield from subsets_of_degree(degrees, n, total)
 
 
 def _zero_on_an_axis(theta, nvars: int) -> bool:

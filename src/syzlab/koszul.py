@@ -21,14 +21,14 @@ and the differential checks that nothing lands there; the degrees from
 
 from __future__ import annotations
 
-from itertools import combinations, repeat
+from itertools import repeat
 from operator import add, sub
 
 from .cyclo import quotient
 from .errors import InternalInconsistency, InvalidInput
 from .invariants import ArtinianReduction, GeneratorSet, InvariantRing, parameter_system
 from .linalg import Matrix, rank
-from .monomials import poly_mul
+from .monomials import poly_mul, subsets_of_degree
 
 
 def scan_ceiling(beta: int, dim_v: int, p: int) -> int:
@@ -102,7 +102,8 @@ class KoszulComplex:
         self.beta = beta
         self.guard = beta
         self.weights_for_degree = weights_for_degree
-        self.E = list(gens.elements)
+        self.E = sorted(gens.elements, key=lambda el: el.degree)
+        self._degrees = [el.degree for el in self.E]
         self._subsets_cache: dict = {}
         self._chains: dict = {}
         self._allowed: dict = {}  # d -> _WeightIndex of the allowed weights
@@ -116,63 +117,63 @@ class KoszulComplex:
 
     # -- chain spaces -------------------------------------------------------------
 
-    def _subsets(self, p: int):
-        hit = self._subsets_cache.get(p)
+    def _subsets(self, p: int, sdeg: int) -> list:
+        """(subset, weight sum) for the p-subsets of E of degree sum sdeg, in
+        lex order (E is sorted by degree, as `subsets_of_degree` needs), so
+        a weight block of `chain_blocks` runs by subset degree, then lex."""
+        hit = self._subsets_cache.get((p, sdeg))
         if hit is None:
-            hit = []
-            for s in combinations(range(len(self.E)), p):
-                deg = sum(self.E[t].degree for t in s)
-                w = tuple(
-                    sum(self.E[t].weight[c] for t in s)
-                    for c in range(self.ring.grading.coords)
-                )
-                hit.append((s, deg, w))
-            self._subsets_cache[p] = hit
+            coords = range(self.ring.grading.coords)
+            hit = self._subsets_cache[p, sdeg] = [
+                (s, tuple(sum(self.E[t].weight[c] for t in s) for c in coords))
+                for s in subsets_of_degree(self._degrees, p, sdeg)
+            ]
         return hit
 
     def chain_blocks(self, p: int, d: int) -> dict:
         """Weight -> ordered chain basis [(subset, r_weight, r_index)] at (p, d).
 
         The elements of one (subset, R weight) pair form a contiguous run
-        with R indices 0..n-1, in subset order within each weight."""
+        with R indices 0..n-1; within a weight, runs come in increasing
+        subset degree, then in lex order. Only the subset degrees that
+        leave R a degree below `zero_from` are read, and the allowed
+        weights of d are indexed once a subset fits."""
         key = (p, d)
         hit = self._chains.get(key)
         if hit is not None:
             return hit
         blocks: dict = {}
-        allowed = None
-        if self.weights_for_degree is not None:
-            allowed = self._allowed.get(d)
-            if allowed is None:
-                allowed = self._allowed[d] = _WeightIndex(self.weights_for_degree(d))
         # (R degree, subset weight) -> [(R weight, R block size, chain block)]
         # over the nonempty R blocks; many subsets share one key
         fits: dict = {}
-        block_basis = self.ring.block_basis
-        zero_from = self.ring.zero_from
-        for s, sdeg, sw in self._subsets(p):
+        degrees = self._degrees
+        first = max(sum(degrees[:p]), d - self.ring.zero_from + 1)
+        last = min(d, sum(degrees[max(len(degrees) - p, 0) :]))
+        for sdeg in range(first, last + 1):
             rdeg = d - sdeg
-            if rdeg < 0 or (zero_from is not None and rdeg >= zero_from):
-                continue
-            found = fits.get((rdeg, sw))
-            if found is None:
-                if allowed is None:
-                    sizes = [
-                        (_wadd(sw, rw), rw, len(basis))
-                        for rw, basis in self.ring.blocks(rdeg).items()
+            for s, sw in self._subsets(p, sdeg):
+                found = fits.get((rdeg, sw))
+                if found is None:
+                    if self.weights_for_degree is None:
+                        sizes = [
+                            (_wadd(sw, rw), rw, len(basis))
+                            for rw, basis in self.ring.blocks(rdeg).items()
+                        ]
+                    else:
+                        allowed = self._allowed.get(d)
+                        if allowed is None:
+                            allowed = self._allowed[d] = _WeightIndex(self.weights_for_degree(d))
+                        sizes = []
+                        for w in allowed.at_least(sw):
+                            rw = tuple(map(sub, w, sw))
+                            n = len(self.ring.block_basis(rdeg, rw))
+                            if n:
+                                sizes.append((w, rw, n))
+                    found = fits[(rdeg, sw)] = [
+                        (rw, n, blocks.setdefault(w, [])) for w, rw, n in sizes
                     ]
-                else:
-                    sizes = []
-                    for w in allowed.at_least(sw):
-                        rw = tuple(map(sub, w, sw))
-                        n = len(block_basis(rdeg, rw))
-                        if n:
-                            sizes.append((w, rw, n))
-                found = fits[(rdeg, sw)] = [
-                    (rw, n, blocks.setdefault(w, [])) for w, rw, n in sizes
-                ]
-            for rw, n, els in found:
-                els.extend(zip(repeat(s), repeat(rw), range(n)))
+                for rw, n, els in found:
+                    els.extend(zip(repeat(s), repeat(rw), range(n)))
         ordered = {w: blocks[w] for w in sorted(blocks, reverse=True)}
         self._chains[key] = ordered
         return ordered
@@ -295,10 +296,7 @@ class KoszulComplex:
         return self.tor_data(p, d)[0]
 
     def min_subset_degree(self, p: int) -> int:
-        degs = sorted(e.degree for e in self.E)
-        if p > len(degs):
-            return None
-        return sum(degs[:p])
+        return sum(self._degrees[:p]) if p <= len(self._degrees) else None
 
     def ceiling(self, p: int) -> int:
         return scan_ceiling(self.beta, self.ring.rep.degree, p)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 _EXP_BITS = 16  # the struct format "H": one unsigned 16-bit field
@@ -37,6 +38,29 @@ def monomial_count(nvars: int, degree: int) -> int:
     if nvars == 0:
         return 1 if degree == 0 else 0
     return comb(nvars + degree - 1, degree)
+
+
+def subsets_of_degree(degrees: list, n: int, total: int):
+    """The n-subsets of positions into the nondecreasing `degrees` of degree
+    sum `total`: increasing position tuples in lex order, generated lazily."""
+    prefix = [0, *accumulate(degrees)]
+    size = len(degrees)
+
+    def subsets(i: int, k: int, rest: int):
+        if not k:
+            if not rest:
+                yield ()
+            return
+        if prefix[size] - prefix[size - k] < rest:
+            return  # even the k largest degrees fall short
+        for j in range(i, size - k + 1):
+            if prefix[j + k] - prefix[j] > rest:
+                return  # the k smallest from j on already exceed it
+            for tail in subsets(j + 1, k - 1, rest - degrees[j]):
+                yield (j,) + tail
+
+    if n <= size:
+        yield from subsets(0, n, total)
 
 
 @lru_cache(maxsize=None)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from pathlib import Path
 
@@ -24,6 +24,7 @@ from syzlab.limits import DEFAULT_BUDGET
 from syzlab.linalg import Matrix, rank
 from syzlab.monomials import poly_add_into, poly_mul, unpack
 from syzlab.schur import (
+    _dominant_complex,
     domination_check,
     dominant_weights,
     specialization,
@@ -395,6 +396,43 @@ def test_choice_independence_on_a_different_complement():
     cx_other = KoszulComplex(ring, other, noe.value)
     assert tor_table(cx_other, p_max=2) == tor_table(cx, p_max=2)
     assert syzygy_degree(cx_other, 1) == syzygy_degree(cx, 1) == 8
+
+
+def test_generators_out_of_degree_order_give_the_same_table():
+    """The complex sorts E by degree, which the enumeration of subsets by
+    degree sum needs: S3 on sign + standard with its minimal generators
+    listed highest degree first gives the Tor table of the sorted list."""
+    group, catalog = builtin_group("builtin:sym:3")
+    ring = InvariantRing(specialization(catalog, [0, 1, 1]))
+    noe = noether_number(group)
+    gens = build_E(ring, "minimal", noe)
+    backwards = GeneratorSet("minimal", gens.elements[::-1], gens.beta_V)
+    assert backwards.degrees() == [4, 3, 2, 2]
+    table = tor_table(KoszulComplex(ring, gens, noe.value), p_max=2)
+    assert tor_table(KoszulComplex(ring, backwards, noe.value), p_max=2) == table
+
+
+def test_chains_list_no_subset_above_the_degree(monkeypatch):
+    """The dominant complex of S3 at multiplicities (5, 5, 6) is over R
+    (no θ within the default budget), with 2,563 generators and so 3.3
+    million 2-subsets. Tor_1 in degree 3 lists only the subsets of at most
+    two generators of degree sum at most 3."""
+    listed = []
+    real = koszul.subsets_of_degree
+
+    def recording(degrees, n, total):
+        for s in real(degrees, n, total):
+            listed.append(sum(degrees[i] for i in s))
+            yield s
+
+    monkeypatch.setattr(koszul, "subsets_of_degree", recording)
+    group, catalog = builtin_group("builtin:sym:3")
+    cx = _dominant_complex(catalog, (5, 5, 6), noether_number(group), DEFAULT_BUDGET)
+    assert type(cx.ring) is InvariantRing and len(cx.E) == 2563
+    assert cx.tor_dimension(1, 3) == 7
+    low = [el.degree for el in cx.E if el.degree <= 3]
+    want = [sum(s) for p in range(3) for s in combinations(low, p) if sum(s) <= 3]
+    assert max(listed) == 3 and sorted(listed) == sorted(want)
 
 
 def test_zero_dimensional_rep():

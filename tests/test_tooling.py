@@ -192,6 +192,32 @@ def test_one_tableau_counter():
     assert fills == ["_fillings"]
 
 
+def test_one_subset_enumerator():
+    """Subsets of generators are listed by degree sum through the one
+    enumerator `subsets_of_degree`, for the Koszul chains and the θ search
+    alike: `itertools.combinations` would be a second one, listing subsets
+    that no degree reads."""
+    combinations = [
+        name
+        for name, tree in _trees()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == "combinations")
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "itertools"
+            and any(a.name == "combinations" for a in node.names)
+        )
+    ]
+    assert combinations == []
+    assert _callers(lambda call: _named(call) == "subsets_of_degree") == {
+        ("koszul.py", "_subsets"),
+        ("invariants.py", "_by_degree_sum"),
+    }
+    assert _callers(lambda call: _named(call) == "_by_degree_sum") == {
+        ("invariants.py", "parameter_system")
+    }
+
+
 def test_one_kostka_prediction_check():
     """Non-dominant weight blocks of R and of Tor meet the Kostka prediction
     through one check, with one message."""

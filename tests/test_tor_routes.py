@@ -27,8 +27,13 @@ from syzlab.invariants import (
 )
 from syzlab.koszul import KoszulComplex
 from syzlab.limits import Budget
-from syzlab.monomials import pack
-from syzlab.schur import dominant_weights, specialization_ring
+from syzlab.monomials import pack, subsets_of_degree
+from syzlab.schur import (
+    _dominant_complex,
+    dominant_weights,
+    specialization_ring,
+    universal_multiplicities,
+)
 
 from oracles import benchmark_workloads, molien_oracle
 
@@ -209,6 +214,25 @@ def test_subsets_come_in_increasing_degree_sum():
         assert list(_by_degree_sum(degrees, n)) == want
 
 
+def test_subsets_of_one_degree_sum():
+    """`subsets_of_degree` is the filter of all n-subsets by one degree sum:
+    each once, in lex order; none where n exceeds the number of degrees or
+    the sum is out of reach."""
+    degrees = [1, 2, 2, 3, 3, 3, 5, 7]
+    listed = 0
+    for n in range(len(degrees) + 2):
+        everything = list(combinations(range(len(degrees)), n))
+        for total in range(-1, sum(degrees) + 2):
+            want = [s for s in everything if sum(degrees[i] for i in s) == total]
+            assert list(subsets_of_degree(degrees, n, total)) == want
+            listed += len(want)
+    assert listed == 2 ** len(degrees)
+    assert list(subsets_of_degree(degrees, 9, sum(degrees))) == []
+    assert list(subsets_of_degree(degrees, 3, 4)) == []  # below 1 + 2 + 2
+    assert list(subsets_of_degree(degrees, 2, 13)) == []  # above 5 + 7
+    assert list(subsets_of_degree([], 0, 0)) == [()]
+
+
 # -- the quotient's certified zero degrees -------------------------------------------------
 
 
@@ -249,6 +273,41 @@ def test_chains_skip_the_degrees_certified_zero(monkeypatch):
     zero_from, top, table = scanned(skip=True)
     assert zero_from == 3 and top < zero_from
     assert scanned(skip=False) == (zero_from, 10, table)
+
+
+def test_weights_are_indexed_only_where_a_subset_fits(monkeypatch):
+    """On the dominant complex of `problems/z2_universal.json` (Z2 at
+    multiplicities (3, 3), p = 1, over R/θR, which is zero from degree 3
+    on), the allowed weights of a degree are asked for only where some
+    subset of Ē the scan reads (p = 0, 1, 2) leaves R/θR a degree below
+    `zero_from`: 7 of the 11 degrees up to ceiling + guard. With the two
+    non-dominant probes, the whole run indexes 9 degrees."""
+    group, catalog = builtin_group("builtin:cyclic:2")
+    noe = noether_number(group)
+    mults = universal_multiplicities(catalog, noe, 1)
+    cx = _dominant_complex(catalog, mults, noe, Budget.preset("default"))
+    asked = []
+    weights = cx.weights_for_degree
+    cx.weights_for_degree = lambda d: asked.append(d) or weights(d)
+    cx.precompute(1)
+    cx.scan(1)
+    zero_from = cx.ring.zero_from
+    scanned = range(cx.ceiling(1) + cx.guard + 1)
+    sums = {sum(s) for p in range(3) for s in combinations([el.degree for el in cx.E], p)}
+    fits = [d for d in scanned if any(d - zero_from < k <= d for k in sums)]
+    assert zero_from == 3 and len(scanned) == 11
+    assert asked == fits and len(fits) == 7
+
+    built = []
+
+    class Counting(koszul._WeightIndex):
+        def __init__(self, weights):
+            built.append(weights)
+            super().__init__(weights)
+
+    monkeypatch.setattr(koszul, "_WeightIndex", Counting)
+    assert run_cli(["universal", "--input", str(PROBLEMS / "z2_universal.json"), "--no-cache"])[0] == 0
+    assert len(built) == 9
 
 
 def _series_degree(ring, theta) -> int:
