@@ -4,11 +4,14 @@ Tor over S = Sym(E) is computed by tensoring the Koszul resolution of the
 ground field with R, never materializing S itself: the complex in
 homological degree p and internal degree d is (R (x) Wedge^p E)_d with the
 standard differential. Every computation is split by the weight grading
-(one block in the ungraded case). Each product of an R basis element with
-a generator is written in its block basis once per complex and reused by
-every subset and every p; writing it there asserts that the differentials
-preserve weights. `tor_table` returns its table as the JSON-ready dict the
-report prints, so the table has one spelling.
+(one block in the ungraded case), and a complex reads its chains through
+its selection of weights per degree: all of them by default, the dominant
+ones on the Schur routes. Each product of an R basis element with a
+generator is written in its block basis once, reused by every subset and
+p and shared with the complexes `restricted` derives on other selections;
+writing it there asserts that the differentials preserve weights.
+`tor_table` returns its table as the JSON-ready dict the report prints, so
+the table has one spelling.
 
 The ring is R or `invariants.ArtinianReduction`, R/θR with the same block
 interface: for a regular sequence θ in E, the complex of R/θR on E - θ has
@@ -36,10 +39,6 @@ def scan_ceiling(beta: int, dim_v: int, p: int) -> int:
     return (beta - 1) * dim_v + beta * p
 
 
-def _wadd(a: tuple, b: tuple) -> tuple:
-    return tuple(map(add, a, b))
-
-
 def _divided(coords: tuple, s: int) -> tuple:
     """Coordinates divided by the int s, each under the scalar convention."""
     return coords if s == 1 else tuple((i, quotient(c, s)) for i, c in coords)
@@ -50,7 +49,8 @@ class _WeightIndex:
     with w >= lower componentwise": one bitmask over the weights per
     (coordinate, threshold), ANDed over lower's nonzero coordinates. A
     weight with a negative coordinate is at least no subset weight and is
-    dropped."""
+    dropped. A complex `restricted` from another indexes its own weights
+    but shares the other's products, as the Schur probes share the scan's."""
 
     __slots__ = ("weights", "masks")
 
@@ -84,8 +84,10 @@ class KoszulComplex:
     """The complex (R (x) Wedge^p E) in a fixed internal degree, R an
     `InvariantRing` or an `ArtinianReduction`.
 
-    `weights_for_degree(d)` optionally restricts which total weights are
-    materialized (e.g. dominant weights only); None computes everything.
+    `weights_for_degree(d)` selects the total weights materialized in
+    degree d (e.g. dominant weights only), by default every weight of the
+    ring's grading: the single weight () on a trivially graded ring.
+    `restricted` gives the same complex on another selection.
     """
 
     def __init__(
@@ -101,7 +103,7 @@ class KoszulComplex:
         self.gens = gens
         self.beta = beta
         self.guard = beta
-        self.weights_for_degree = weights_for_degree
+        self.weights_for_degree = weights_for_degree or ring.grading.all_weights
         self.E = sorted(gens.elements, key=lambda el: el.degree)
         self._degrees = [el.degree for el in self.E]
         self._subsets_cache: dict = {}
@@ -114,6 +116,13 @@ class KoszulComplex:
         self._products: dict = {}
         self._ranks: dict = {}
         self._tor: dict = {}
+
+    def restricted(self, weights_for_degree) -> KoszulComplex:
+        """This complex on the selection `weights_for_degree`, sharing the
+        subset lists and the products r . e_t, which do not depend on it."""
+        cx = KoszulComplex(self.ring, self.gens, self.beta, weights_for_degree)
+        cx._subsets_cache, cx._products = self._subsets_cache, self._products
+        return cx
 
     # -- chain spaces -------------------------------------------------------------
 
@@ -154,21 +163,15 @@ class KoszulComplex:
             for s, sw in self._subsets(p, sdeg):
                 found = fits.get((rdeg, sw))
                 if found is None:
-                    if self.weights_for_degree is None:
-                        sizes = [
-                            (_wadd(sw, rw), rw, len(basis))
-                            for rw, basis in self.ring.blocks(rdeg).items()
-                        ]
-                    else:
-                        allowed = self._allowed.get(d)
-                        if allowed is None:
-                            allowed = self._allowed[d] = _WeightIndex(self.weights_for_degree(d))
-                        sizes = []
-                        for w in allowed.at_least(sw):
-                            rw = tuple(map(sub, w, sw))
-                            n = len(self.ring.block_basis(rdeg, rw))
-                            if n:
-                                sizes.append((w, rw, n))
+                    allowed = self._allowed.get(d)
+                    if allowed is None:
+                        allowed = self._allowed[d] = _WeightIndex(self.weights_for_degree(d))
+                    sizes = []
+                    for w in allowed.at_least(sw):
+                        rw = tuple(map(sub, w, sw))
+                        n = len(self.ring.block_basis(rdeg, rw))
+                        if n:
+                            sizes.append((w, rw, n))
                     found = fits[(rdeg, sw)] = [
                         (rw, n, blocks.setdefault(w, [])) for w, rw, n in sizes
                     ]
@@ -237,7 +240,7 @@ class KoszulComplex:
         hit = self._products.get(key)
         if hit is None:
             e = self.E[t]
-            tdeg, tw = rdeg + e.degree, _wadd(rw, e.weight)
+            tdeg, tw = rdeg + e.degree, tuple(map(add, rw, e.weight))
             hit = self._products[key] = [
                 _divided(
                     self.ring.coords_in_basis(poly_mul(r_el.multiple, e.multiple), tdeg, tw),
@@ -360,7 +363,8 @@ def tor_table(cx: KoszulComplex, p_max: int) -> dict:
 
     Includes the generation check in homological degree zero and, where the
     scanned range covers every nonvanishing chain space of an internal
-    degree, the Euler-characteristic consistency check.
+    degree, the Euler-characteristic check, which holds weight by weight and
+    so on any selection.
     """
     if p_max < 0:
         raise InvalidInput("p_max must be nonnegative")
@@ -376,22 +380,17 @@ def tor_table(cx: KoszulComplex, p_max: int) -> dict:
             raise InternalInconsistency(
                 f"generator set does not generate: Tor_0 is nonzero in degree {d}"
             )
-    if cx.weights_for_degree is None:
-        min_beyond = cx.min_subset_degree(p_max + 1)
-        for d in range(ceilings[0] + 1):
-            if min_beyond is not None and min_beyond <= d:
-                continue  # chains extend beyond the table; skip this degree
-            chain_sum = 0
-            tor_sum = 0
-            for p in range(p_max + 1):
-                sign = 1 if p % 2 == 0 else -1
-                chain_sum += sign * cx.chain_dim(p, d)
-                tor_sum += sign * entries[(p, d)]
-            if chain_sum != tor_sum:
-                raise InternalInconsistency(
-                    f"Euler characteristic mismatch in degree {d}: "
-                    f"chains {chain_sum} vs homology {tor_sum}"
-                )
+    min_beyond = cx.min_subset_degree(p_max + 1)
+    for d in range(ceilings[0] + 1):
+        if min_beyond is not None and min_beyond <= d:
+            continue  # chains extend beyond the table; skip this degree
+        chain_sum = sum((-1) ** p * cx.chain_dim(p, d) for p in range(p_max + 1))
+        tor_sum = sum((-1) ** p * entries[(p, d)] for p in range(p_max + 1))
+        if chain_sum != tor_sum:
+            raise InternalInconsistency(
+                f"Euler characteristic mismatch in degree {d}: "
+                f"chains {chain_sum} vs homology {tor_sum}"
+            )
     return {
         "mode": cx.gens.mode,
         "ceilings": {str(p): c for p, c in ceilings.items()},

@@ -16,6 +16,7 @@ the decomposition's Kostka prediction.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import islice, product
 from math import prod
 
@@ -183,17 +184,18 @@ def _is_dominant(per_factor) -> bool:
     return all(all(a >= b for a, b in zip(t, t[1:])) for t in per_factor)
 
 
-def dominant_weights(total: int, multiplicities):
-    """Flat weights that are weakly decreasing within each factor."""
-    mults = tuple(multiplicities)
+@cache
+def dominant_weights(total: int, multiplicities: tuple) -> tuple:
+    """Flat weights of degree `total` that are weakly decreasing within each
+    factor, listed once per (total, multiplicities)."""
     out = []
-    for split in monomials(len(mults), total):
+    for split in monomials(len(multiplicities), total):
         per_factor = [
             [lam + (0,) * (k - len(lam)) for lam in partitions_of(t, max_rows=k)]
-            for t, k in zip(split, mults)
+            for t, k in zip(split, multiplicities)
         ]
         out.extend(sum(c, ()) for c in product(*per_factor))
-    return out
+    return tuple(out)
 
 
 # -- Schur decompositions from weight data -------------------------------------------
@@ -431,8 +433,9 @@ def _outside_budget(catalog: IrrepCatalog, p: int) -> dict:
 
 
 def _cross_check_nondominant(cx, mults, decomp, p, d):
-    """Recompute two non-dominant Tor blocks and compare with the Kostka
-    prediction from the dominant-only decomposition."""
+    """Compute two non-dominant Tor blocks on the scan's complex restricted
+    to them, which shares its subset lists and products r . e_t, and compare
+    them with the Kostka prediction of the dominant-only decomposition."""
     targets = []
     for lams in decomp.support():
         # each factor's partition reversed: weakly increasing, not dominant
@@ -442,13 +445,9 @@ def _cross_check_nondominant(cx, mults, decomp, p, d):
         targets.append(flat)
         if len(targets) == 2:
             break
-    if not targets:
-        return
-    probe = KoszulComplex(
-        cx.ring, cx.gens, cx.beta, weights_for_degree=lambda _d: list(targets)
-    )
-    _, wd = probe.tor_data(p, d)
-    _check_kostka_prediction(decomp, mults, [(flat, wd.get(flat, 0)) for flat in targets])
+    if targets:
+        _, wd = cx.restricted(lambda _d: targets).tor_data(p, d)
+        _check_kostka_prediction(decomp, mults, [(flat, wd.get(flat, 0)) for flat in targets])
 
 
 def stabilization_check(
@@ -520,8 +519,8 @@ def domination_check(
         )
     s_w = _checked_syzygy_degree(w_cx, w_mults, p)
     rows = []
-    for mults in samples:
-        if tuple(mults) == w_mults:
+    for mults in map(tuple, samples):
+        if mults == w_mults:
             s_v = s_w
         else:
             s_v = _checked_syzygy_degree(_dominant_complex(catalog, mults, noether, budget), mults, p)

@@ -5,7 +5,9 @@ Deliberately shares no code with the library: its own monomial enumeration
 over Fractions, a dense Reynolds operator on symmetric powers built from
 plain lists, a greedy generator selection in polynomial space, direct
 construction of the Koszul complex for Veronese invariant rings, where
-invariance is just a degree-divisibility condition, and a Molien series
+invariance is just a degree-divisibility condition, Koszul chain bases
+listed subset by subset from a ring's whole-degree blocks (the ring's
+`blocks` is their only input from the library), and a Molien series
 computed from power sums with Fractions only. Semistandard (skew) tableaux
 are counted by trying every filling of the cells, and dominance is read off
 partial sums.
@@ -227,6 +229,31 @@ def veronese_tor(modulus, p, d, nvars=2):
     rank_p = diff_rank(p) if p >= 1 else 0
     rank_next = diff_rank(p + 1)
     return n_p - rank_p - rank_next
+
+
+def koszul_chain_blocks(ring, elements, p, d):
+    """Weight -> chain basis [(subset, R weight, R index)] of K(E; ring) at
+    homological degree p and internal degree d, E the generators
+    `elements` (each with .degree and .weight), nondecreasing in degree.
+    Every p-subset is listed; for each, every nonempty block of
+    `ring.blocks` in the remaining degree gives a run of R indices. Within a
+    weight the runs come by subset degree, then lex; weights descend."""
+    blocks = {}
+    subsets = sorted(
+        combinations(range(len(elements)), p),
+        key=lambda s: (sum(elements[t].degree for t in s), s),
+    )
+    for s in subsets:
+        rdeg = d - sum(elements[t].degree for t in s)
+        if rdeg < 0:
+            continue
+        sw = [0] * ring.grading.coords
+        for t in s:
+            sw = [a + b for a, b in zip(sw, elements[t].weight)]
+        for rw, basis in ring.blocks(rdeg).items():
+            w = tuple(a + b for a, b in zip(sw, rw))
+            blocks.setdefault(w, []).extend((s, rw, i) for i in range(len(basis)))
+    return {w: blocks[w] for w in sorted(blocks, reverse=True)}
 
 
 def davenport_constant(moduli):

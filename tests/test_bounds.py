@@ -139,6 +139,26 @@ def test_audit_fallback_beta_labels_verdicts():
     assert "not a certified check" in r1["verdicts"]["universal_bound"]
 
 
+def test_audit_fallback_beta_labels_a_violated_universal_bound(monkeypatch):
+    """Under the order fallback an s_p above the universal bound is no
+    proven violation: the verdict says so and nothing is raised."""
+    import syzlab.bounds
+
+    real = syzlab.bounds.compute_bounds
+    monkeypatch.setattr(
+        syzlab.bounds, "compute_bounds", lambda *args: {**real(*args), "universal_bound": 3}
+    )
+    group, catalog = builtin_group("builtin:cyclic:2")
+    rep = diag_rep("builtin:cyclic:2", [Fraction(-1), Fraction(-1)])
+    fallback = NoetherResult(value=2, exact=False)
+    (r1,), findings = audit_on(catalog, make_cx(rep, "minimal", fallback), [1], fallback)
+    assert r1["s_value"] == 4
+    assert r1["verdicts"]["universal_bound"] == (
+        "violated under fallback beta (not a certified check)"
+    )
+    assert not findings
+
+
 def test_audit_full_mode_triv_sign():
     group, catalog = builtin_group("builtin:cyclic:2")
     rep = diag_rep("builtin:cyclic:2", [Fraction(1), Fraction(-1)])

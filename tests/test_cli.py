@@ -75,6 +75,35 @@ def test_bounds_z3_report_and_csv(tmp_path, capsys):
     assert "1,6,derksen_bound,6,satisfied" in lines
 
 
+def test_conjecture_violation_is_written_as_a_finding(tmp_path, capsys, monkeypatch):
+    """An s_p above (p+1)g is a finding, not a failure: the run exits 0 with
+    the verdict VIOLATED, writes the report to `findings.json` beside the
+    input and says so in one stderr line."""
+    import syzlab.bounds
+
+    real = syzlab.bounds.compute_bounds
+    monkeypatch.setattr(
+        syzlab.bounds, "compute_bounds", lambda *args: {**real(*args), "derksen_bound": 3}
+    )
+    path = tmp_path / "z2.json"
+    path.write_text((PROBLEMS / "z2_antipodal_bounds.json").read_text())
+    code, out, err = run_cli(capsys, "bounds", "--input", str(path), "--no-cache")
+    findings_path = tmp_path / "findings.json"
+    assert code == 0
+    assert err == f"conjecture findings written to {findings_path}\n"
+    r1, r2 = json.loads(out)["results"]["reports"]
+    assert (r1["s_value"], r1["verdicts"]["derksen_bound"]) == (4, "VIOLATED")
+    assert r2["verdicts"]["derksen_bound"] == "vacuous"
+    (finding,) = json.loads(findings_path.read_text())["findings"]
+    assert finding["report"] == r1
+    assert (finding["kind"], finding["p"], finding["s_value"], finding["derksen_bound"]) == (
+        "conjecture-violation",
+        1,
+        4,
+        3,
+    )
+
+
 def test_group_task_s3(capsys):
     code, out, _ = run_cli(
         capsys, "group", "--input", str(PROBLEMS / "s3_group.json"), "--no-cache"
@@ -748,6 +777,20 @@ def test_p_override_with_malformed_p_max_exits_one(tmp_path, capsys, p_max):
     assert (code, out) == (1, "")
     (line,) = err.splitlines()
     assert line.startswith("syzlab: invalid input: p_max: ")
+
+
+def test_p_override_raises_an_integer_p_max(capsys):
+    """--p above a document's integer p_max raises p_max to p: on
+    `z2_antipodal_syzygies.json`, whose p_max is 2, --p 3 reports s for
+    p = 1..3."""
+    path = PROBLEMS / "z2_antipodal_syzygies.json"
+    assert json.loads(path.read_text())["p_max"] == 2
+    code, out, err = run_cli(capsys, "syzygies", "--input", str(path), "--no-cache", "--p", "3")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["parameters"]["p_max"] == 3
+    assert report["results"]["s"] == {"1": 4, "2": "none", "3": "none"}
+    assert report["results"]["tor_table"]["ceilings"] == {"0": 2, "1": 4, "2": 6, "3": 8}
 
 
 def test_engine_warning_is_one_line(tmp_path, capsys):

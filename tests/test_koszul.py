@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -20,19 +21,27 @@ from syzlab.invariants import (
     parameter_system,
 )
 from syzlab.koszul import KoszulComplex, scan_ceiling, syzygy_degree, tor_table
-from syzlab.limits import DEFAULT_BUDGET
+from syzlab.limits import DEFAULT_BUDGET, Budget
 from syzlab.linalg import Matrix, rank
-from syzlab.monomials import poly_add_into, poly_mul, unpack
+from syzlab.monomials import pack, poly_add_into, poly_mul, unpack
 from syzlab.schur import (
+    _decompositions,
     _dominant_complex,
     domination_check,
     dominant_weights,
     specialization,
     specialization_ring,
     tor_row_bounds,
+    universal_multiplicities,
 )
 
-from oracles import davenport_constant, greedy_generators, row_reduce_rank, veronese_tor
+from oracles import (
+    davenport_constant,
+    greedy_generators,
+    koszul_chain_blocks,
+    row_reduce_rank,
+    veronese_tor,
+)
 
 
 def diag_rep(name, diag):
@@ -273,6 +282,70 @@ def test_tor_table_multiplies_each_pair_once(monkeypatch, make_rep):
     assert len(coords) <= len(pairs)
 
 
+@pytest.mark.parametrize("p, level", [(1, "default"), (2, "large")])
+def test_probes_multiply_no_pair_the_scan_did(monkeypatch, p, level):
+    """On the dominant complex of Z2's universal specialization
+    (`problems/z2_universal.json`: multiplicities (3, 3) at p = 1, (5, 5)
+    at p = 2 under `large`), no (R basis element, generator) pair is
+    multiplied twice across the scan and the non-dominant probes of
+    `_decompositions`: a probe is the scan's complex `restricted` to two
+    weights, which shares the products. At p = 2 a probe built afresh
+    multiplies one of the scan's pairs again. A probe has the chain bases
+    and differentials of a complex built afresh on its selection."""
+    import syzlab.koszul
+
+    group, catalog = builtin_group("builtin:cyclic:2")
+    noe = noether_number(group)
+    mults = universal_multiplicities(catalog, noe, p)
+    assert mults == (2 * p + 1,) * 2
+    cx = _dominant_complex(catalog, mults, noe, Budget.preset(level))
+    cx.precompute(p)
+    pairs = []
+    probes = []
+    tor_data = KoszulComplex.tor_data
+
+    def counting_mul(a, b):
+        pairs.append((id(a), id(b)))
+        return poly_mul(a, b)
+
+    def recording(self, q, d):
+        if self is not cx and self not in probes:
+            probes.append(self)
+        return tor_data(self, q, d)
+
+    monkeypatch.setattr(syzlab.koszul, "poly_mul", counting_mul)
+    monkeypatch.setattr(KoszulComplex, "tor_data", recording)
+    assert list(_decompositions(cx, mults, p))
+    assert len(probes) == 2 and pairs
+    assert len(pairs) == len(set(pairs))
+    for probe in probes:
+        fresh = KoszulComplex(cx.ring, cx.gens, cx.beta, probe.weights_for_degree)
+        for q in range(p + 2):
+            for d in range(cx.ceiling(p) + cx.guard + 1):
+                assert list(probe.chain_blocks(q, d).items()) == list(
+                    fresh.chain_blocks(q, d).items()
+                )
+                if q:
+                    assert probe.differential(q, d) == fresh.differential(q, d)
+
+
+def test_tor_table_refuses_a_set_that_does_not_generate():
+    """Z2 on C^2 by -1 without xy among its generators: x^2 and y^2 are a
+    system of parameters, and xy survives in R/θR, so Tor_0 is nonzero in
+    degree 2."""
+    rep = z2_rep()
+    noe = noether_number(rep.group)
+    ring = InvariantRing(rep)
+    gens = build_E(ring, "minimal", noe)
+    xy = pack((1, 1))
+    rest = tuple(el for el in gens.elements if xy not in el.poly)
+    assert len(rest) == len(gens.elements) - 1 == 2
+    cx = koszul.tor_complex(ring, GeneratorSet("minimal", rest, 2), noe.value)
+    with pytest.raises(InternalInconsistency) as err:
+        tor_table(cx, 1)
+    assert str(err.value) == "generator set does not generate: Tor_0 is nonzero in degree 2"
+
+
 @pytest.mark.parametrize(
     "name, task",
     [
@@ -486,8 +559,10 @@ S3_NONDOMINANT = (
 )
 def test_restricted_chains_are_those_of_all_weights(group, mults, top, allowed):
     """A complex restricted to some weights has, block for block, the chain
-    bases and differentials of the all-weights complex on the same ring:
-    the same elements in the same order, the same matrices."""
+    bases of the reference enumeration over every weight, and the
+    differentials of the all-weights complex on the same ring: the same
+    elements in the same order, the same matrices. The all-weights complex
+    has the reference's chain bases."""
     ring = specialization_ring(builtin_group(group)[1], mults, DEFAULT_BUDGET)
     noe = noether_number(ring.rep.group)
     gens = build_E(ring, "full", noe)
@@ -501,8 +576,10 @@ def test_restricted_chains_are_those_of_all_weights(group, mults, top, allowed):
     for p in range(3):
         for d in range(top + 1):
             keep = set(weights(d))
+            reference = koszul_chain_blocks(ring, everything.E, p, d)
+            assert list(everything.chain_blocks(p, d).items()) == list(reference.items())
             chains = restricted.chain_blocks(p, d)
-            want = [(w, els) for w, els in everything.chain_blocks(p, d).items() if w in keep]
+            want = [(w, els) for w, els in reference.items() if w in keep]
             assert list(chains.items()) == want
             nonempty += bool(want)
             if p:
@@ -512,6 +589,37 @@ def test_restricted_chains_are_those_of_all_weights(group, mults, top, allowed):
                 for w, m in mats.items():
                     assert m == full[w]
     assert nonempty >= top
+
+
+@pytest.mark.parametrize("over", ["quotient", "ring"])
+@pytest.mark.parametrize("name", ["z2_antipodal_syzygies", "z3_veronese_bounds"])
+def test_chains_of_trivially_graded_rings_are_the_reference(monkeypatch, capsys, name, over):
+    """On the trivially graded rings of the syzygies and bounds routes,
+    over R/θR and over R (the θ finder made to fail), the complex the run
+    scans has the reference enumeration's chain bases in every degree the
+    scans read."""
+    problem = Path(__file__).resolve().parent.parent / "problems" / f"{name}.json"
+    doc = json.loads(problem.read_text(encoding="utf-8"))
+    if over == "ring":
+        monkeypatch.setattr(koszul, "parameter_system", lambda ring, gens: None)
+    complexes = []
+    precompute = KoszulComplex.precompute
+
+    def recorded(self, p):
+        complexes.append(self)
+        precompute(self, p)
+
+    monkeypatch.setattr(KoszulComplex, "precompute", recorded)
+    assert main([doc["task"], "--input", str(problem), "--no-cache"]) == 0
+    capsys.readouterr()
+    (cx,) = complexes
+    assert cx.ring.grading.trivial
+    assert isinstance(cx.ring, ArtinianReduction) == (over == "quotient")
+    top = cx.ceiling(doc["p_max"]) + cx.guard
+    for p in range(doc["p_max"] + 2):
+        for d in range(top + 1):
+            reference = koszul_chain_blocks(cx.ring, cx.E, p, d)
+            assert list(cx.chain_blocks(p, d).items()) == list(reference.items())
 
 
 # -- the Artinian reduction K(Ē; R/θR) against the scan over R ----------------------
