@@ -336,9 +336,7 @@ def _syzygy_complex(problem: Problem, options):
     # the scan walks a guard band of beta degrees above the ceiling
     ring.refuse_over_budget(scan_ceiling(noe.value, ring.nvars, problem.p_max) + noe.value)
     gens = build_E(ring, problem.mode, noe)
-    cx = tor_complex(ring, gens, noe.value)
-    cx.precompute(problem.p_max)
-    return ring, gens, cx, noe
+    return ring, gens, tor_complex(ring, gens, noe.value), noe
 
 
 def _run_syzygies(problem: Problem, options) -> dict:

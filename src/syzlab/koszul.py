@@ -10,6 +10,8 @@ ones on the Schur routes. Each product of an R basis element with a
 generator is written in its block basis once, reused by every subset and
 p and shared with the complexes `restricted` derives on other selections;
 writing it there asserts that the differentials preserve weights.
+A scan first computes, whole and checked, every ring degree it reads; only
+the stabilization check's `tor_data` reads single weight blocks.
 `tor_table` returns its table as the JSON-ready dict the report prints, so
 the table has one spelling.
 
@@ -310,7 +312,7 @@ class KoszulComplex:
         of a (q-1)-subset of E. The scan of Tor_p walks up to ceiling(p) +
         guard, so that degree is refused first if over budget. A ring that
         ends below some of these degrees (`zero_from`) computes none of
-        them."""
+        them. `scan` calls it first; a repeat call costs dict hits."""
         self.ring.refuse_over_budget(self.ceiling(p) + self.guard)
         read = self.ceiling(0)
         for q in range(1, min(p, len(self.E) + 1) + 1):
@@ -324,6 +326,7 @@ class KoszulComplex:
         no Tor_p: homology there would mean the ceiling is wrong, which is a
         bug, never a finding.
         """
+        self.precompute(p)
         ceiling = self.ceiling(p)
         scanned = {d: self.tor_data(p, d) for d in range(ceiling + 1)}
         for d in range(ceiling + 1, ceiling + self.guard + 1):

@@ -397,14 +397,12 @@ def tor_row_bounds(
 ) -> dict:
     """Certify the row bound beta*p + d_i on Tor_p at the certifying
     truncation, computing dominant weight blocks only (the inversion needs
-    nothing else; a few non-dominant blocks are cross-checked), after the
-    full degrees the scan reads, as `domination_check` does."""
+    nothing else; a few non-dominant blocks are cross-checked)."""
     if not budget.allows_tor_row_bounds(catalog.group.order, p):
         return _outside_budget(catalog, p)
     bounds = universal_multiplicities(catalog, noether, p)
     mults = tuple(b + 1 for b in bounds)
     cx = _dominant_complex(catalog, mults, noether, budget)
-    cx.precompute(p)
     per_degree = [
         {
             "degree": d,
@@ -481,15 +479,14 @@ def _checked_syzygy_degree(cx: KoszulComplex | None, mults, p: int):
     """s'_p of a specialization from its dominant weight blocks, None where
     Tor_p vanishes.
 
-    Every full degree the scan's chains reach is computed first, so the
-    Reynolds dimensions meet the Molien series there (on R/θR, the Hilbert
+    The scan computes every full degree its chains reach, so the Reynolds
+    dimensions meet the Molien series there (on R/θR, the Hilbert
     series H_R(t) prod_i (1 - t^(deg θ_i))); each degree with nonzero Tor_p
     has its non-dominant blocks spot-checked against the Schur
     decomposition of the dominant ones.
     """
     if cx is None:
         return None
-    cx.precompute(p)
     return max((d for d, _, _ in _decompositions(cx, mults, p)), default=None)
 
 

@@ -282,6 +282,25 @@ def test_tor_table_multiplies_each_pair_once(monkeypatch, make_rep):
     assert len(coords) <= len(pairs)
 
 
+def test_a_scan_reads_only_whole_degrees(monkeypatch):
+    """`tor_table` on a complex no route has touched (Z2 acting by -1 on
+    C^2) reads R only in degrees computed whole, each checked against the
+    Molien series, and eliminates no single weight block: the scan does
+    not leave computing its degrees to its caller."""
+    cx = make_cx(z2_rep(), "minimal")
+    read = set()
+    block_basis = InvariantRing.block_basis
+
+    def recording(self, d, w):
+        read.add(d)
+        return block_basis(self, d, w)
+
+    monkeypatch.setattr(InvariantRing, "block_basis", recording)
+    tor_table(cx, 2)
+    assert cx.ring._block_cache == {}
+    assert read and read <= set(cx.ring._degree_blocks)
+
+
 @pytest.mark.parametrize("p, level", [(1, "default"), (2, "large")])
 def test_probes_multiply_no_pair_the_scan_did(monkeypatch, p, level):
     """On the dominant complex of Z2's universal specialization
@@ -299,7 +318,6 @@ def test_probes_multiply_no_pair_the_scan_did(monkeypatch, p, level):
     mults = universal_multiplicities(catalog, noe, p)
     assert mults == (2 * p + 1,) * 2
     cx = _dominant_complex(catalog, mults, noe, Budget.preset(level))
-    cx.precompute(p)
     pairs = []
     probes = []
     tor_data = KoszulComplex.tor_data
@@ -356,12 +374,14 @@ def test_tor_table_refuses_a_set_that_does_not_generate():
     ],
 )
 def test_precompute_covers_the_degrees_the_scans_read(monkeypatch, capsys, name, task):
-    """`KoszulComplex.precompute(p)` computes the ring in every degree the
-    scans then read. Over R (the θ finder made to fail) those are exactly
-    the degrees the same run reads with the precompute left out. Over R/θR
-    the scans read no degree, of R/θR or of R, that the precompute did not
-    (left out, the quotient is not known to vanish anywhere, so it reads R
-    higher up). The report is the same in all four runs."""
+    """`KoszulComplex.scan(p)` calls `precompute(p)`, which computes the
+    ring in every degree that scan then reads: after each scan, and at the
+    end of the run, the complex the run scans holds no degree, of R/θR or
+    of R, that the precompute of that scan did not compute. Over R (the θ
+    finder made to fail) those are exactly the degrees the same run reads
+    with the precompute left out (left out over R/θR, the quotient is not
+    known to vanish anywhere, so it reads R higher up). The report is the
+    same in all four runs."""
     problem = Path(__file__).resolve().parent.parent / "problems" / f"{name}.json"
     argv = [task, "--input", str(problem), "--no-cache"]
 
@@ -370,30 +390,40 @@ def test_precompute_covers_the_degrees_the_scans_read(monkeypatch, capsys, name,
             return set(ring._degree_blocks) | {d for d, _ in ring._blocks}, degrees(ring.ring)[0]
         return set(ring._degree_blocks) | {d for d, _ in ring._block_cache}, None
 
-    precompute = KoszulComplex.precompute
+    precompute, scan = KoszulComplex.precompute, KoszulComplex.scan
 
     def run(eager):
-        rings = []
+        complexes, computed = [], []
 
         def recorded(self, p):
+            complexes.append(self)
             if eager:
                 precompute(self, p)
-            rings.append((self.ring, degrees(self.ring)))
+            computed.append(degrees(self.ring))
+
+        def checked(self, p):
+            scanned = scan(self, p)
+            if eager:
+                assert degrees(self.ring) == computed[-1]
+            return scanned
 
         monkeypatch.setattr(KoszulComplex, "precompute", recorded)
+        monkeypatch.setattr(KoszulComplex, "scan", checked)
         assert main(argv) == 0
-        ((ring, before),) = rings
-        return capsys.readouterr(), ring, before, degrees(ring)
+        cx = complexes[0]
+        assert all(c is cx for c in complexes)
+        if eager:
+            assert degrees(cx.ring) == computed[-1]
+        return capsys.readouterr(), cx.ring, degrees(cx.ring)
 
-    report, quotient, before, after = run(eager=True)
+    report, quotient, _ = run(eager=True)
     assert isinstance(quotient, ArtinianReduction)
-    assert after == before
     assert run(eager=False)[0] == report
     monkeypatch.setattr(koszul, "parameter_system", lambda ring, gens: None)
-    out, ring, before, after = run(eager=True)
-    assert out == report and after == before
-    out, _, _, lazy = run(eager=False)
-    assert out == report and lazy == after
+    out, ring, eager = run(eager=True)
+    assert out == report and isinstance(ring, InvariantRing)
+    out, _, lazy = run(eager=False)
+    assert out == report and lazy == eager
 
 
 def test_tor_table_full_mode_triv_sign():
@@ -612,7 +642,8 @@ def test_chains_of_trivially_graded_rings_are_the_reference(monkeypatch, capsys,
     monkeypatch.setattr(KoszulComplex, "precompute", recorded)
     assert main([doc["task"], "--input", str(problem), "--no-cache"]) == 0
     capsys.readouterr()
-    (cx,) = complexes
+    cx = complexes[0]
+    assert all(c is cx for c in complexes)
     assert cx.ring.grading.trivial
     assert isinstance(cx.ring, ArtinianReduction) == (over == "quotient")
     top = cx.ceiling(doc["p_max"]) + cx.guard
@@ -694,7 +725,6 @@ def test_scalar_action_gives_the_eagon_northcott_table(g):
     ring = specialization_ring(catalog, mults, DEFAULT_BUDGET)
     cx = reduction_of(ring, build_E(ring, "full", noe), noe.value)
     for p in range(1, g):
-        cx.precompute(p)
         nonzero = {d: total for d, (total, _) in cx.scan(p).items() if total}
         assert nonzero == {(p + 1) * g: p * comb(g, p + 1)}
 

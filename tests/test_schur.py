@@ -343,7 +343,7 @@ def test_domination_check_z2_p1(monkeypatch):
     noe = noether_number(group)
     cross_checked = _count_cross_checks(monkeypatch)
     res = domination_check(
-        catalog, noe, p=1, samples=[(0, 1), (0, 2), (1, 1), (3, 3)]
+        catalog, noe, p=1, samples=[(0, 1), (0, 2), (1, 1), (3, 3), (0, 0)]
     )
     # the universal side, (3, 3), cross-checks every degree with Tor_1 != 0
     assert ((3, 3), 2) in cross_checked and ((3, 3), 4) in cross_checked
@@ -355,6 +355,8 @@ def test_domination_check_z2_p1(monkeypatch):
     assert by_mult[(0, 2)] == 4
     assert by_mult[(1, 1)] == 2
     assert by_mult[(3, 3)] == 4  # the universal spec itself: equality
+    # zero-dimensional: no complex, so no Tor_p for p >= 1
+    assert res["samples"][-1] == {"multiplicities": [0, 0], "s_prime": "none", "dominated": True}
 
 
 def test_tor_row_bounds_cross_checks_every_degree_with_tor(monkeypatch):

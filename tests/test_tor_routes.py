@@ -289,7 +289,6 @@ def test_weights_are_indexed_only_where_a_subset_fits(monkeypatch):
     asked = []
     weights = cx.weights_for_degree
     cx.weights_for_degree = lambda d: asked.append(d) or weights(d)
-    cx.precompute(1)
     cx.scan(1)
     zero_from = cx.ring.zero_from
     scanned = range(cx.ceiling(1) + cx.guard + 1)
@@ -366,6 +365,57 @@ def test_stabilization_builds_no_block_where_the_quotient_ends(monkeypatch):
     assert len(built) == 2
     for quotient, degrees in built.items():
         assert max(degrees) <= _series_degree(quotient.ring, quotient.theta)
+
+
+def _single_block_runs():
+    """(id, task, document, extra argv): every corpus document, the Schur
+    Tor checks and `universal` at p = 2, and the benchmark's generic and
+    cyclotomic documents at seeds 0 and 3."""
+    runs = []
+    for path in sorted(PROBLEMS.glob("*.json")):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        runs.append((path.stem, doc["task"], doc, []))
+    large = ["--budget-level", "large"]
+    universal = json.loads((PROBLEMS / "z2_universal.json").read_text(encoding="utf-8"))
+    runs.append(("universal-p2", "universal", universal, ["--p", "2", *large]))
+    schur = {"group": "builtin:cyclic:2", "task": "schur"}
+    domination = {"check": "domination", "p": 2, "samples": [[1, 1], [2, 3]]}
+    runs.append(("domination-p2", "schur", {**schur, "schur": domination}, large))
+    tor_bounds = {"check": "row-bounds-tor", "p": 1}
+    runs.append(("row-bounds-tor", "schur", {**schur, "schur": tor_bounds}, []))
+    workloads = benchmark_workloads()
+    for name in ("generic", "cyclotomic"):
+        for seed in (0, 3):
+            doc = getattr(workloads, f"{name}_doc")(seed)
+            runs.append((f"{name}-{seed}", "syzygies", doc, []))
+    return runs
+
+
+SINGLE_BLOCK_RUNS = _single_block_runs()
+
+
+@pytest.mark.parametrize(
+    "name, task, doc, extra", SINGLE_BLOCK_RUNS, ids=[r[0] for r in SINGLE_BLOCK_RUNS]
+)
+def test_only_the_stabilization_check_reads_single_blocks(
+    monkeypatch, tmp_path, name, task, doc, extra
+):
+    """Every scan computes the whole degrees it reads, so a run eliminates a
+    single weight block of R only where it calls `tor_data` outside a scan:
+    the stabilization check does, and no other route does."""
+    singles = []
+    real = InvariantRing._block_basis_generic
+
+    def counting(self, d, w, monos):
+        if w is not None:
+            singles.append((d, w))
+        return real(self, d, w, monos)
+
+    monkeypatch.setattr(InvariantRing, "_block_basis_generic", counting)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert run_cli([task, "--input", str(path), "--no-cache", *extra])[0] == 0
+    assert bool(singles) == (name == "z2_stabilization")
 
 
 # -- tables only the quotient reaches -------------------------------------------------
