@@ -19,7 +19,14 @@ from .bounds import audit, inequality_chain_check, m_bound_check
 from .cache import Cache, content_hash
 from .cyclo import decode_scalar, is_int
 from .errors import InternalInconsistency, InvalidInput, LimitExceeded
-from .groups import FiniteGroup, IrrepCatalog, Representation, builtin_group, generate_group
+from .groups import (
+    FiniteGroup,
+    IrrepCatalog,
+    Representation,
+    builtin_group,
+    generate_group,
+    specialization,
+)
 from .invariants import InvariantRing, build_E, minimal_generators, noether_number
 from .koszul import scan_ceiling, syzygy_degree, tor_complex, tor_table
 from .limits import Budget
@@ -30,7 +37,6 @@ from .schur import (
     kostka_number,
     lr_coefficient,
     ring_row_bounds,
-    specialization,
     stabilization_check,
     tor_row_bounds,
     universal_multiplicities,

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import lcm
 from operator import matmul
 
-from .cyclo import Cyclotomic, quotient, scalar_key, zeta
+from .cyclo import Cyclotomic, encode_scalar, quotient, scalar_key, zeta
 from .errors import InternalInconsistency, InvalidInput, LimitExceeded
 from .limits import DEFAULT_BUDGET, Budget
 from .linalg import Matrix, rank
@@ -241,8 +241,6 @@ class Representation:
                 raise InvalidInput("representation image not invertible")
 
     def canonical_form(self) -> dict:
-        from .cyclo import encode_scalar
-
         return {
             "degree": self.degree,
             "images": [
@@ -332,6 +330,28 @@ def regular_representation(group: FiniteGroup) -> Representation:
             data[group.mul(a, b)][b] = 1
         images.append(Matrix(g, g, data))
     return Representation(group, images, check=False)
+
+
+def specialization(catalog: IrrepCatalog, multiplicities) -> Representation:
+    """The block-diagonal sum of k_i copies of U_i, copies in catalog order."""
+    mults = tuple(multiplicities)
+    if len(mults) != len(catalog.irreps):
+        raise InvalidInput(f"need {len(catalog.irreps)} multiplicities, got {len(mults)}")
+    if any(k < 0 for k in mults):
+        raise InvalidInput("multiplicities must be nonnegative")
+    copies = [irrep for irrep, k in zip(catalog.irreps, mults) for _ in range(k)]
+    dim = sum(irrep.degree for irrep in copies)
+    images = []
+    for a in range(catalog.group.order):
+        data = [[0] * dim for _ in range(dim)]
+        pos = 0
+        for irrep in copies:
+            m = irrep.images[a]
+            for i, row in enumerate(m.data):
+                data[pos + i][pos : pos + m.cols] = row
+            pos += m.rows
+        images.append(Matrix(dim, dim, data))
+    return Representation(catalog.group, images, check=False)
 
 
 # -- built-in groups with irreducible catalogs -----------------------------------
@@ -436,13 +456,6 @@ def _builtin_spec(name: str):
         return gens, irreps
 
     raise InvalidInput(f"unknown builtin {name!r}")
-
-
-BUILTIN_NAMES = (
-    ["builtin:cyclic:%d" % n for n in range(1, 13)]
-    + ["builtin:dihedral:%d" % n for n in range(3, 7)]
-    + ["builtin:klein:4", "builtin:sym:3", "builtin:sym:4", "builtin:alt:4", "builtin:quaternion:8"]
-)
 
 
 @lru_cache(maxsize=None)

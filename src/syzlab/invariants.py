@@ -41,7 +41,13 @@ from operator import add, sub
 from .cache import content_hash
 from .cyclo import Cyclotomic, as_integer, decode_scalar, encode_scalar, quotient
 from .errors import InternalInconsistency, InvalidInput, LimitExceeded
-from .groups import FiniteGroup, IrrepCatalog, Representation, regular_representation
+from .groups import (
+    FiniteGroup,
+    IrrepCatalog,
+    Representation,
+    regular_representation,
+    specialization,
+)
 from .limits import DEFAULT_BUDGET, Budget
 from .linalg import Matrix, _int_if_integral, pivot_columns, reduced_rows
 from .monomials import (
@@ -167,6 +173,7 @@ class InvariantRing:
         self._block_cache: dict = {}
         self._degree_blocks: dict = {}
         self._molien: list[int] = []
+        self._dets: list = []  # det(I - t*M) per class, for every later series
         # per element, per variable j: the nonzero (i, entry) of column j
         self._cols_sparse = [
             [[(i, r[j]) for i, r in enumerate(m.data) if r[j]] for j in range(m.cols)]
@@ -182,7 +189,7 @@ class InvariantRing:
 
     def molien(self, max_degree: int):
         if len(self._molien) <= max_degree:
-            self._molien = molien_series(self.rep, max_degree)
+            self._molien = molien_series(self.rep, max_degree, self._dets)
         return self._molien
 
     # -- block computation -------------------------------------------------------
@@ -655,18 +662,21 @@ def _series_inverse(q, max_degree: int):
     return out
 
 
-def molien_series(rep: Representation, max_degree: int):
+def molien_series(rep: Representation, max_degree: int, dets: list | None = None):
     """dim R_d for d = 0..max_degree from the generating function.
 
     Independent of the Reynolds route: only traces, determinants and series
     arithmetic. Each coefficient is asserted to be a nonnegative rational
     integer, a nontrivial cancellation check over the cyclotomic field.
+    `dets`, a list kept per representation, holds det(I - t*M) per class:
+    filled when empty, read after, so a longer series redoes only inversions.
     """
     group = rep.group
+    dets = [] if dets is None else dets
+    dets[:] = dets or [_char_poly_det(rep.images[r]) for r in group.class_reps]
     totals = [0] * (max_degree + 1)
-    for k, r in enumerate(group.class_reps):
-        inv = _series_inverse(_char_poly_det(rep.images[r]), max_degree)
-        size = group.class_sizes[k]
+    for q, size in zip(dets, group.class_sizes):
+        inv = _series_inverse(q, max_degree)
         for d in range(max_degree + 1):
             totals[d] = totals[d] + size * inv[d]
     out = []
@@ -751,6 +761,14 @@ def minimal_generators(ring: InvariantRing, stop: int) -> GeneratorSet:
     )
 
 
+def specialization_ring(catalog: IrrepCatalog, multiplicities, budget: Budget) -> InvariantRing:
+    """The specialization's invariant ring, graded by one weight coordinate
+    per copy of an irreducible."""
+    rep = specialization(catalog, multiplicities)
+    sizes = tuple(u.degree for u, k in zip(catalog.irreps, multiplicities) for _ in range(k))
+    return InvariantRing(rep, grading=Grading(sizes), budget=budget)
+
+
 def noether_number(
     source: FiniteGroup | IrrepCatalog,
     exact_limit: int | None = None,
@@ -765,7 +783,7 @@ def noether_number(
     valid ceiling. The scan stops at |G| for a cyclic group and at
     floor(3|G|/4) otherwise, since beta(G) <= 3|G|/4 for every non-cyclic G
     (Domokos-Hegedus, Arch. Math. 74 (2000)). Given a catalog, the scan
-    runs on `schur.specialization_ring` of those multiplicities, but with
+    runs on `specialization_ring` of those multiplicities, but with
     none on the trivial irreducible: for V = V' + C, C[V]^G = C[V']^G[y],
     so beta(G) = max(beta(V'), 1). Given a bare group, it runs on
     `regular_representation`, the permutation form.
@@ -779,8 +797,6 @@ def noether_number(
     if catalog is None:
         ring = InvariantRing(regular_representation(group), budget=budget)
     else:
-        from .schur import specialization_ring  # schur imports this module
-
         trivial = (1,) * group.class_count
         mults = [0 if chi == trivial else d for chi, d in zip(catalog.characters, catalog.degrees)]
         ring = specialization_ring(catalog, mults, budget)

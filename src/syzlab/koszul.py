@@ -307,16 +307,15 @@ class KoszulComplex:
         return scan_ceiling(self.beta, self.ring.rep.degree, p)
 
     def precompute(self, p: int):
-        """Blocks of the ring in every degree the scans of Tor_0..Tor_p
-        read: Tor_q reads up to ceiling(q) + guard minus the least degree
-        of a (q-1)-subset of E. The scan of Tor_p walks up to ceiling(p) +
-        guard, so that degree is refused first if over budget. A ring that
-        ends below some of these degrees (`zero_from`) computes none of
-        them. `scan` calls it first; a repeat call costs dict hits."""
+        """Blocks of the ring in every degree `scan(p)` reads: to ceiling(q)
+        + guard less the least degree of a (q-1)-subset of E, q = min(p,
+        |E| + 1), or ceiling(0) + guard at p = 0. The scan's top degree
+        ceiling(p) + guard is refused first if over budget. A ring that ends
+        below some of these degrees (`zero_from`) computes none of them.
+        `scan` calls it first; a repeat call costs dict hits."""
         self.ring.refuse_over_budget(self.ceiling(p) + self.guard)
-        read = self.ceiling(0)
-        for q in range(1, min(p, len(self.E) + 1) + 1):
-            read = max(read, self.ceiling(q) - self.min_subset_degree(q - 1))
+        q = min(p, len(self.E) + 1)
+        read = self.ceiling(q) - self.min_subset_degree(q - 1) if q else self.ceiling(0)
         self.ring.precompute(range(read + self.guard + 1))
 
     def scan(self, p: int) -> dict:

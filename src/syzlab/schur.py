@@ -21,11 +21,10 @@ from itertools import islice, product
 from math import prod
 
 from .errors import InternalInconsistency, InvalidInput
-from .groups import IrrepCatalog, Representation
-from .invariants import Grading, InvariantRing, NoetherResult, build_E
+from .groups import IrrepCatalog
+from .invariants import NoetherResult, build_E, specialization_ring
 from .koszul import KoszulComplex, tor_complex
 from .limits import DEFAULT_BUDGET, Budget
-from .linalg import Matrix
 from .monomials import monomial_count, monomials
 
 
@@ -127,39 +126,6 @@ def schur_dim(lam: tuple, k: int) -> int:
 
 
 # -- universal specializations -----------------------------------------------------
-
-
-def specialization(catalog: IrrepCatalog, multiplicities) -> Representation:
-    """The block-diagonal sum of k_i copies of U_i, copies in catalog order."""
-    mults = tuple(multiplicities)
-    if len(mults) != len(catalog.irreps):
-        raise InvalidInput(
-            f"need {len(catalog.irreps)} multiplicities, got {len(mults)}"
-        )
-    if any(k < 0 for k in mults):
-        raise InvalidInput("multiplicities must be nonnegative")
-    copies = [irrep for irrep, k in zip(catalog.irreps, mults) for _ in range(k)]
-    dim = sum(irrep.degree for irrep in copies)
-    images = []
-    for a in range(catalog.group.order):
-        data = [[0] * dim for _ in range(dim)]
-        pos = 0
-        for irrep in copies:
-            m = irrep.images[a]
-            for i, row in enumerate(m.data):
-                data[pos + i][pos : pos + m.cols] = row
-            pos += m.rows
-        images.append(Matrix(dim, dim, data))
-    return Representation(catalog.group, images, check=False)
-
-
-def specialization_ring(catalog: IrrepCatalog, multiplicities, budget: Budget) -> InvariantRing:
-    """The specialization's invariant ring, graded by one weight coordinate
-    per copy of an irreducible."""
-    mults = tuple(multiplicities)
-    rep = specialization(catalog, mults)
-    sizes = [irrep.degree for irrep, k in zip(catalog.irreps, mults) for _ in range(k)]
-    return InvariantRing(rep, grading=Grading(tuple(sizes)), budget=budget)
 
 
 def universal_multiplicities(catalog: IrrepCatalog, noether: NoetherResult, p: int) -> tuple:

@@ -32,6 +32,14 @@ def benchmark_workloads():
     return module
 
 
+# every name `syzlab.groups.builtin_group` knows, listed here by hand
+BUILTIN_NAMES = (
+    ["builtin:cyclic:%d" % n for n in range(1, 13)]
+    + ["builtin:dihedral:%d" % n for n in range(3, 7)]
+    + ["builtin:klein:4", "builtin:sym:3", "builtin:sym:4", "builtin:alt:4", "builtin:quaternion:8"]
+)
+
+
 def monos(nvars, d):
     out = set()
     for combo in combinations_with_replacement(range(nvars), d):

@@ -18,11 +18,7 @@ from pathlib import Path
 from syzlab.bounds import audit, compute_bounds, inequality_chain_check, m_bound_check
 from syzlab.cli import main as cli_main
 from syzlab.cyclo import zeta
-from syzlab.groups import (
-    BUILTIN_NAMES,
-    Representation,
-    builtin_group,
-)
+from syzlab.groups import Representation, builtin_group, specialization
 from syzlab.invariants import (
     GeneratorSet,
     InvariantRing,
@@ -30,6 +26,7 @@ from syzlab.invariants import (
     minimal_generators,
     molien_series,
     noether_number,
+    specialization_ring,
 )
 from syzlab.koszul import KoszulComplex, scan_ceiling, syzygy_degree, tor_table
 from syzlab.limits import DEFAULT_BUDGET
@@ -42,13 +39,17 @@ from syzlab.schur import (
     partitions_of,
     ring_row_bounds,
     schur_multiplicities,
-    specialization,
-    specialization_ring,
     tor_row_bounds,
     universal_multiplicities,
 )
 
-from oracles import davenport_constant, dominates, greedy_generators, veronese_tor
+from oracles import (
+    BUILTIN_NAMES,
+    davenport_constant,
+    dominates,
+    greedy_generators,
+    veronese_tor,
+)
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 

@@ -16,10 +16,10 @@ from syzlab.cache import FORMAT_VERSION, Cache
 from syzlab.cyclo import Cyclotomic, encode_scalar
 from syzlab.cli import OPTION_TABLE, main, option_synopsis, parse_problem, usage
 from syzlab.errors import LimitExceeded
-from syzlab.groups import builtin_group
+from syzlab.groups import builtin_group, specialization
 from syzlab.invariants import ArtinianReduction, InvariantRing, noether_number
 from syzlab.limits import Budget
-from syzlab.schur import specialization, universal_multiplicities
+from syzlab.schur import universal_multiplicities
 
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ROOT / "problems"
@@ -1292,6 +1292,23 @@ def test_universal_z3_is_refused_before_any_quotient_degree(tmp_path, capsys, mo
     assert (code, out) == (2, "")
     assert err == "syzlab: computation limit exceeded: degree too large\n"
     assert computed == []
+
+
+@pytest.mark.parametrize("task", ["syzygies", "bounds"])
+def test_syzygy_tasks_refuse_the_scan_top_of_r_on_both_routes(tmp_path, capsys, monkeypatch, task):
+    """`cyclic:2` on eight sign copies at p_max 3 scans R up to degree
+    (2 - 1) * 8 + 2 * 3 + 2 = 16, 245,157 monomials. The quotient route
+    would stop at 8 + 2 = 10 (19,448, inside the default budget), but
+    these tasks refuse R's scan top before they build E."""
+    built = []
+    monkeypatch.setattr("syzlab.cli.build_E", lambda *args: built.append(args))
+    path = tmp_path / "c2.json"
+    doc = {"group": "builtin:cyclic:2", "rep": {"multiplicities": [0, 8]}, "task": task, "p_max": 3}
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, task, "--input", str(path), "--no-cache")
+    assert (code, out) == (2, "")
+    assert err == "syzlab: computation limit exceeded: degree too large\n"
+    assert built == []
 
 
 @pytest.mark.parametrize("task, problem", sorted(CACHE_SHA256))

@@ -5,7 +5,6 @@ import pytest
 from syzlab.cyclo import Cyclotomic
 from syzlab.errors import InvalidInput, LimitExceeded
 from syzlab.groups import (
-    BUILTIN_NAMES,
     IrrepCatalog,
     Representation,
     builtin_group,
@@ -19,7 +18,7 @@ from syzlab.invariants import molien_series
 from syzlab.limits import Budget
 from syzlab.linalg import Matrix, rank
 
-from oracles import reynolds_matrix, sym_power_action
+from oracles import BUILTIN_NAMES, reynolds_matrix, sym_power_action
 
 
 def test_generate_group_single_transposition():

@@ -1,5 +1,7 @@
+import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +10,8 @@ from hypothesis import strategies as st
 from syzlab import invariants
 from syzlab.cache import Cache
 from syzlab.errors import InternalInconsistency, LimitExceeded
-from syzlab.cli import parse_problem
-from syzlab.groups import BUILTIN_NAMES, Representation, builtin_group, regular_representation
+from syzlab.cli import main, parse_problem
+from syzlab.groups import Representation, builtin_group, regular_representation
 from syzlab.invariants import (
     _DEGREE_LIMIT,
     Grading,
@@ -18,13 +20,14 @@ from syzlab.invariants import (
     minimal_generators,
     molien_series,
     noether_number,
+    specialization_ring,
 )
 from syzlab.limits import DEFAULT_BUDGET, Budget
 from syzlab.linalg import Matrix
 from syzlab.monomials import monomial_count, monomials, pack, poly_mul, unpack
-from syzlab.schur import specialization_ring
 
 from oracles import (
+    BUILTIN_NAMES,
     benchmark_workloads,
     column_echelon_basis,
     greedy_generators,
@@ -595,6 +598,39 @@ def test_molien_matches_fraction_oracle_on_benchmark_documents(workload, seed):
     doc = getattr(benchmark_workloads(), f"{workload}_doc")(seed)
     rep = parse_problem(doc, "syzygies", Budget.preset("default")).rep
     assert molien_series(rep, 10) == molien_oracle(_images(rep), 10)
+
+
+@pytest.mark.parametrize("workload, dets", [("universal", 4), ("generic", 6), ("cyclotomic", 6)])
+def test_molien_determinants_once_per_representation(
+    monkeypatch, tmp_path, capsys, workload, dets
+):
+    """Each run builds two rings, of 2 classes (Z2, `universal` at p 1) or
+    3 (S3 and Z3, seed 0), and asks one of them for a longer series: each
+    ring takes det(I - t*M) once per class, and every series still comes
+    from `molien_series`, the function the benchmark's tracer counts."""
+    module = benchmark_workloads()
+    if workload == "universal":
+        doc = module.load_problem(Path(__file__).resolve().parent.parent, "z2_universal")
+    else:
+        doc = getattr(module, f"{workload}_doc")(0)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(invariants, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(invariants, name, call)
+
+    counted("_char_poly_det")
+    counted("molien_series")
+    assert main([doc["task"], "--input", str(path), "--no-cache"]) == 0
+    assert module.check_heavy(workload, json.loads(capsys.readouterr().out)["results"]) is None
+    assert calls == {"_char_poly_det": dets, "molien_series": 3}
 
 
 @pytest.mark.parametrize("selection", ["forward", "reverse"])

@@ -10,7 +10,7 @@ from syzlab import invariants, koszul
 from syzlab.cli import main
 from syzlab.cyclo import Cyclotomic, zeta
 from syzlab.errors import InternalInconsistency, InvalidInput
-from syzlab.groups import Representation, builtin_group
+from syzlab.groups import Representation, builtin_group, specialization
 from syzlab.invariants import (
     ArtinianReduction,
     GeneratorSet,
@@ -19,6 +19,7 @@ from syzlab.invariants import (
     build_E,
     noether_number,
     parameter_system,
+    specialization_ring,
 )
 from syzlab.koszul import KoszulComplex, scan_ceiling, syzygy_degree, tor_table
 from syzlab.limits import DEFAULT_BUDGET, Budget
@@ -29,8 +30,6 @@ from syzlab.schur import (
     _dominant_complex,
     domination_check,
     dominant_weights,
-    specialization,
-    specialization_ring,
     tor_row_bounds,
     universal_multiplicities,
 )

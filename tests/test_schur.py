@@ -4,8 +4,14 @@ import pytest
 
 from syzlab import schur
 from syzlab.errors import InternalInconsistency, InvalidInput, LimitExceeded
-from syzlab.groups import builtin_group
-from syzlab.invariants import ArtinianReduction, InvariantRing, build_E, noether_number
+from syzlab.groups import builtin_group, specialization
+from syzlab.invariants import (
+    ArtinianReduction,
+    InvariantRing,
+    build_E,
+    noether_number,
+    specialization_ring,
+)
 from syzlab.koszul import KoszulComplex, syzygy_degree
 from syzlab.limits import DEFAULT_BUDGET
 from syzlab.monomials import monomials
@@ -21,8 +27,6 @@ from syzlab.schur import (
     row_bound_check,
     schur_dim,
     schur_multiplicities,
-    specialization,
-    specialization_ring,
     split_weight,
     stabilization_check,
     tor_row_bounds,

@@ -143,18 +143,41 @@ def _named(call) -> str:
 
 def test_only_specialization_ring_grades_a_ring():
     """A weight grading has one source: the copies of irreducibles in a
-    specialization. Only schur.specialization_ring builds a Grading from
-    multiplicities or hands one to an InvariantRing; the trivial grading is
-    the only other Grading."""
+    specialization. Only invariants.specialization_ring builds a Grading
+    from multiplicities or hands one to an InvariantRing; the trivial
+    grading is the only other Grading."""
     assert _callers(lambda call: _named(call) == "Grading") == {
         ("invariants.py", "TRIVIAL_GRADING"),
-        ("schur.py", "specialization_ring"),
+        ("invariants.py", "specialization_ring"),
     }
     graded = _callers(
         lambda call: _named(call) == "InvariantRing"
         and (len(call.args) > 1 or any(k.arg == "grading" for k in call.keywords))
     )
-    assert graded == {("schur.py", "specialization_ring")}
+    assert graded == {("invariants.py", "specialization_ring")}
+
+
+def test_engine_layers_are_acyclic():
+    """Every relative import sits at module level, where a reader sees what
+    a module stands on, and those imports form no cycle: a lower layer
+    reaching up from inside a function would hide one."""
+    trees, deferred, graph = _trees(), [], {}
+    for name, tree in trees:
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                if id(node) not in top:
+                    deferred.append(f"{name}:{node.lineno}")
+                elif node.module:
+                    graph.setdefault(name, set()).add(f"{node.module}.py")
+    assert deferred == []
+    assert graph.get("invariants.py") and "schur.py" not in graph["invariants.py"]
+    # peel off the modules that import no module left; a cycle never peels
+    left = {name for name, _ in trees}
+    while left:
+        leaves = {m for m in left if not graph.get(m, set()) & left}
+        assert leaves, f"import cycle among {sorted(left)}"
+        left -= leaves
 
 
 def test_tor_gate_is_asked_by_schur_only():

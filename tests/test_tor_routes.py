@@ -24,6 +24,7 @@ from syzlab.invariants import (
     noether_number,
     parameter_system,
     spans_top_degree,
+    specialization_ring,
 )
 from syzlab.koszul import KoszulComplex
 from syzlab.limits import Budget
@@ -31,7 +32,6 @@ from syzlab.monomials import pack, subsets_of_degree
 from syzlab.schur import (
     _dominant_complex,
     dominant_weights,
-    specialization_ring,
     universal_multiplicities,
 )
 
