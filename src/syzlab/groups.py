@@ -165,31 +165,26 @@ def generate_group(generators, budget: Budget = DEFAULT_BUDGET) -> FiniteGroup:
 
 
 def _matrix_key(m: Matrix):
-    return tuple(scalar_key(x) for row in m.data for x in row)
+    return tuple((i, j, scalar_key(x)) for i, row in enumerate(m.entries) for j, x in row.items())
 
 
 def _unify_matrix_conductors(mats):
     """Lift all cyclotomic entries to one conductor so closure keys are stable."""
     n = 1
     for m in mats:
-        for row in m.data:
-            for x in row:
+        for row in m.entries:
+            for x in row.values():
                 if isinstance(x, Cyclotomic):
                     n = lcm(n, x.conductor)
     if n == 1:
         return mats
-    out = []
-    for m in mats:
-        rows = []
-        for row in m.data:
-            rows.append(
-                [
-                    Cyclotomic._normalized(n, x.lift(n)) if isinstance(x, Cyclotomic) else x
-                    for x in row
-                ]
-            )
-        out.append(Matrix(m.rows, m.cols, rows))
-    return out
+    def lift(x):
+        return Cyclotomic._normalized(n, x.lift(n)) if isinstance(x, Cyclotomic) else x
+
+    return [
+        Matrix.from_entries(m.rows, m.cols, [{j: lift(x) for j, x in r.items()} for r in m.entries])
+        for m in mats
+    ]
 
 
 class Representation:
@@ -210,7 +205,7 @@ class Representation:
             raise InvalidInput(
                 f"need {group.num_generators} generator images, got {len(gen_images)}"
             )
-        gen_images = _unify_matrix_conductors([Matrix.from_rows(m.data) for m in gen_images])
+        gen_images = _unify_matrix_conductors(gen_images)
         deg = gen_images[0].rows if gen_images else 0
         images = [None] * group.order
         images[0] = Matrix.identity(deg)
@@ -325,10 +320,10 @@ def regular_representation(group: FiniteGroup) -> Representation:
     g = group.order
     images = []
     for a in range(g):
-        data = [[0] * g for _ in range(g)]
+        rows = [None] * g
         for b in range(g):
-            data[group.mul(a, b)][b] = 1
-        images.append(Matrix(g, g, data))
+            rows[group.mul(a, b)] = {b: 1}
+        images.append(Matrix.from_entries(g, g, rows))
     return Representation(group, images, check=False)
 
 
@@ -343,14 +338,11 @@ def specialization(catalog: IrrepCatalog, multiplicities) -> Representation:
     dim = sum(irrep.degree for irrep in copies)
     images = []
     for a in range(catalog.group.order):
-        data = [[0] * dim for _ in range(dim)]
-        pos = 0
+        rows = []
         for irrep in copies:
-            m = irrep.images[a]
-            for i, row in enumerate(m.data):
-                data[pos + i][pos : pos + m.cols] = row
-            pos += m.rows
-        images.append(Matrix(dim, dim, data))
+            pos = len(rows)
+            rows += ({pos + j: x for j, x in row.items()} for row in irrep.images[a].entries)
+        images.append(Matrix.from_entries(dim, dim, rows))
     return Representation(catalog.group, images, check=False)
 
 

@@ -176,7 +176,7 @@ class InvariantRing:
         self._dets: list = []  # det(I - t*M) per class, for every later series
         # per element, per variable j: the nonzero (i, entry) of column j
         self._cols_sparse = [
-            [[(i, r[j]) for i, r in enumerate(m.data) if r[j]] for j in range(m.cols)]
+            [[(i, r[j]) for i, r in enumerate(m.entries) if j in r] for j in range(m.cols)]
             for m in rep.images
         ]
         # the Reynolds sums take element 0's images as the monomials themselves
@@ -833,13 +833,13 @@ def _pure_powers(ring: InvariantRing, gens: GeneratorSet):
     diagonal and `gens` holds each of them. They are then a system of
     parameters of R."""
     rep, n = ring.rep, ring.nvars
-    if any(row[j] for m in rep.images for i, row in enumerate(m.data) for j in range(n) if i != j):
+    if any(j != i for m in rep.images for i, row in enumerate(m.entries) for j in row):
         return None
     images = [rep.images[a] for a in rep.group.generator_elements()]
     monomial = {el.pivot: el for el in gens.elements if len(el.poly) == 1}
     theta = []
     for c in range(n):
-        entries = [m.data[c][c] for m in images]
+        entries = [m.at(c, c) for m in images]
         k = 1
         while any(z**k != 1 for z in entries):
             k += 1

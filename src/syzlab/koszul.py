@@ -189,7 +189,8 @@ class KoszulComplex:
     # -- differential ----------------------------------------------------------------
 
     def differential(self, p: int, d: int) -> dict:
-        """Weight -> matrix of d_p : C_p -> C_(p-1) in internal degree d.
+        """Weight -> matrix of d_p : C_p -> C_(p-1) in internal degree d,
+        written straight into sparse rows: a block costs its nonzeros.
 
         Works run by run. A subset meets a weight block in at most one run,
         so face j of a source run (s, rw) lands in the target run of s
@@ -199,7 +200,8 @@ class KoszulComplex:
         quotient ring can be: every product of such a face must then
         vanish, and the face is skipped. The faces of one column remove
         distinct generators and so meet distinct target runs: every entry
-        receives at most one term."""
+        receives at most one term. Columns are written in increasing
+        order, so each row holds its columns in increasing order."""
         if p < 1:
             raise InvalidInput("the differential is defined for p >= 1")
         key = (p, d)
@@ -212,7 +214,7 @@ class KoszulComplex:
         for w, els in src.items():
             tgt_els = tgt.get(w, ())
             starts = {s: i for i, (s, _, ri) in enumerate(tgt_els) if not ri}
-            data = [[0] * len(els) for _ in tgt_els]
+            rows = [{} for _ in tgt_els]
             for col, (s, rw, ri) in enumerate(els):
                 if not ri:  # a run starts: (first target row, sign, products) per face
                     rdeg = d - sum(self.E[t].degree for t in s)
@@ -228,8 +230,8 @@ class KoszulComplex:
                             )
                 for row0, negate, products in faces:
                     for ri2, c in products[ri]:
-                        data[row0 + ri2][col] = -c if negate else c
-            mats[w] = Matrix(len(tgt_els), len(els), data)
+                        rows[row0 + ri2][col] = -c if negate else c
+            mats[w] = Matrix.from_entries(len(tgt_els), len(els), rows)
         self._diffs[key] = mats
         return mats
 

@@ -1,28 +1,29 @@
 """Exact linear algebra over the scalar field.
 
 Entries follow the scalar convention of `cyclo`: ints when integral,
-Fractions for other rationals, Cyclotomics for irrational values; any mix
-works because the scalars coerce through their operators. `Matrix` is an
-immutable dense container; its product walks only the nonzero entries of
-both factors and keeps the convention, so a product of integer matrices
-is computed and stored in ints.
-There is one sparse elimination kernel. Its rows are {column: nonzero}
-dicts with integral values carried as int. Each column's pivot is the
-candidate of smallest (bit-size of its entry, row length): the entry size
-controls growth and the length limits fill-in. Pivots are not scaled, and
-only the rows holding a nonzero in the pivot column are updated, by
+Fractions for other rationals, Cyclotomics for irrational values; any
+mix works because the scalars coerce through their operators. There is
+one matrix format, the elimination kernel's: a `Matrix` holds its rows
+as {column: nonzero} dicts with integral values as int, so it costs its
+nonzeros, and `data`, the dense view, is built only when read. The
+product walks the nonzeros of both factors and keeps the convention, so
+a product of integer matrices is computed and stored in ints. In the one
+elimination kernel, over such rows, each column's pivot is the candidate
+of smallest (bit-size of its entry, row length): the entry size controls
+growth and the length limits fill-in. Pivots are not scaled, and only
+the rows holding a nonzero in the pivot column are updated, by
 row := a*row - b*pivot_row. For two int entries a and b are coprime
-integers and an all-int result is divided by its content, so integer rows
-stay integer and primitive (fraction-free); otherwise a = 1 and b uses
-the pivot's inverse, computed once per pivot. `rank` converts its
-`Matrix` once, and `pivot_columns` takes sparse rows; both stop after that
-forward pass: the pivot columns are the positions at which some vector of
-the row space has its first nonzero entry. `reduced_rows` takes sparse
-rows too and finishes the echelon rows last pivot first: each is scaled
-to a unit pivot and cleared only in the pivot columns it holds, against
-rows already finished, so no row is visited for a pivot it does not hold.
-That gives the reduced row echelon form. It is canonical, so the pivot
-choice affects cost, never results.
+integers and an all-int result is divided by its content, so integer
+rows stay integer and primitive (fraction-free); otherwise a = 1 and b
+uses the pivot's inverse, computed once per pivot. `rank` eliminates a copy of
+its `Matrix`'s rows, and `pivot_columns` takes sparse rows; both stop
+after that forward pass: the pivot columns are the positions at which
+some vector of the row space has its first nonzero entry. `reduced_rows`
+takes sparse rows too and finishes the echelon rows last pivot first:
+each is scaled to a unit pivot and cleared only in the pivot columns it
+holds, against rows already finished, so no row is visited for a pivot
+it does not hold. That gives the reduced row echelon form. It is
+canonical, so the pivot choice affects cost, never results.
 """
 
 from __future__ import annotations
@@ -35,61 +36,70 @@ from .errors import InvalidInput
 
 
 class Matrix:
-    """Immutable dense matrix, row-major."""
+    """Immutable matrix of sparse rows: `entries[i]` is row i as a
+    {column: nonzero} dict, columns increasing, integral values as int and
+    no zero stored. The constructor takes dense row-major data,
+    `from_entries` rows already in that form; no one mutates them."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, data):
-        self.rows = rows
-        self.cols = cols
-        self.data = tuple(tuple(r) for r in data)
-        if len(self.data) != rows or any(len(r) != cols for r in self.data):
+        self.rows, self.cols = rows, cols
+        if len(data) != rows or any(len(r) != cols for r in data):
             raise InvalidInput("matrix shape does not match data")
+        self.entries = [{j: _int_if_integral(x) for j, x in enumerate(r) if x} for r in data]
+
+    @staticmethod
+    def from_entries(rows: int, cols: int, entries) -> "Matrix":
+        m = Matrix.__new__(Matrix)
+        m.rows, m.cols, m.entries = rows, cols, entries
+        return m
 
     @staticmethod
     def from_rows(rows) -> "Matrix":
         data = [list(r) for r in rows]
-        if not data:
-            return Matrix(0, 0, [])
-        return Matrix(len(data), len(data[0]), data)
+        return Matrix(len(data), len(data[0]) if data else 0, data)
 
     @staticmethod
     def identity(n: int) -> "Matrix":
-        return Matrix(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return Matrix.from_entries(n, n, [{i: 1} for i in range(n)])
+
+    @property
+    def data(self) -> tuple:
+        """The dense row-major view, built on each read."""
+        cols = range(self.cols)
+        return tuple(tuple(row.get(j, 0) for j in cols) for row in self.entries)
 
     def at(self, i: int, j: int):
-        return self.data[i][j]
+        return self.entries[i].get(j, 0)
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise InvalidInput("matmul dimension mismatch")
         # each entry starts at int 0 and takes its terms in increasing k; a
         # Fraction sum that ends integral is demoted to int
-        right = [[(j, b) for j, b in enumerate(r) if b] for r in other.data]
+        right = other.entries
         out = []
-        for r in self.data:
-            acc = [0] * other.cols
-            for k, a in enumerate(r):
-                if a:
-                    for j, b in right[k]:
-                        acc[j] = acc[j] + a * b
-            out.append([_int_if_integral(x) if type(x) is Fraction else x for x in acc])
-        return Matrix(self.rows, other.cols, out)
+        for r in self.entries:
+            acc: dict = {}
+            get = acc.get
+            for k, a in r.items():
+                for j, b in right[k].items():
+                    acc[j] = get(j, 0) + a * b
+            out.append({j: _int_if_integral(x) for j in sorted(acc) if (x := acc[j])})
+        return Matrix.from_entries(self.rows, other.cols, out)
 
     def scale(self, c) -> "Matrix":
-        return Matrix(self.rows, self.cols, [[c * x for x in r] for r in self.data])
+        out = [{j: _int_if_integral(x) for j, v in r.items() if (x := c * v)} for r in self.entries]
+        return Matrix.from_entries(self.rows, self.cols, out)
 
     def is_zero(self) -> bool:
-        return all(not x for r in self.data for x in r)
+        return not any(self.entries)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            return False
-        return all(
-            a == b for r1, r2 in zip(self.data, other.data) for a, b in zip(r1, r2)
-        )
+        return (self.rows, self.cols) == (other.rows, other.cols) and self.entries == other.entries
 
     __hash__ = None
 
@@ -128,10 +138,6 @@ def _clear(row: dict, pivot_row: dict, c: int, inv) -> None:
         if g != 1:
             for k, v in row.items():
                 row[k] = v // g
-
-
-def _sparse_rows(m: Matrix) -> list:
-    return [{j: _int_if_integral(x) for j, x in enumerate(data) if x} for data in m.data]
 
 
 def _inverse(piv):
@@ -205,7 +211,7 @@ def reduced_rows(rows, ncols: int) -> list:
 
 
 def rank(m: Matrix) -> int:
-    return len(_forward(_sparse_rows(m), m.cols))
+    return len(_forward([dict(r) for r in m.entries], m.cols))
 
 
 def pivot_columns(rows, ncols: int) -> tuple:

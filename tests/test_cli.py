@@ -942,6 +942,41 @@ def test_universal_outside_the_budget_builds_no_specialization(tmp_path, capsys)
     assert results["dimension"] == specialization(catalog, mults).degree
 
 
+def _faithful_scalar_doc(tmp_path, g: int) -> str:
+    """Z_g acting on C^3 by three copies of the character k -> zeta^k: the
+    Veronese, with s_1 = 2g and s_2 = 3g."""
+    mults = [0] * g
+    mults[1] = 3
+    path = tmp_path / f"z{g}.json"
+    path.write_text(json.dumps({"group": f"builtin:cyclic:{g}", "rep": {"multiplicities": mults}}))
+    return str(path)
+
+
+def test_faithful_scalar_z7_on_c3_fits_under_the_cap(tmp_path):
+    """d_3 in degree 28 of this run has 7,920 x 180,048 cells; a Koszul
+    block costs its nonzeros, so the run fits the 1.5 GB cap."""
+    args = ["bounds", "--input", _faithful_scalar_doc(tmp_path, 7), "--p-max", "2", "--no-cache"]
+    run = _run_capped(tmp_path, args)
+    assert run.returncode == 0, run.stderr
+    reports = json.loads(run.stdout)["results"]["reports"]
+    assert [r["s_value"] for r in reports] == [14, 21]
+    assert {v for r in reports for v in r["verdicts"].values()} == {"satisfied"}
+
+
+def test_faithful_scalar_z6_on_c3_results_are_pinned(tmp_path, capsys):
+    """sha256 of the canonical JSON of the results, computed when every
+    Koszul block was built dense: the sparse blocks give the same bytes."""
+    path = _faithful_scalar_doc(tmp_path, 6)
+    code, out, err = run_cli(capsys, "bounds", "--input", path, "--p-max", "2", "--no-cache")
+    assert (code, err) == (0, "")
+    results = json.loads(out)["results"]
+    assert [r["s_value"] for r in results["reports"]] == [12, 18]
+    canon = json.dumps(results, sort_keys=True, separators=(",", ":"))
+    assert _sha256(canon.encode()) == (
+        "30f1fa2b15443f2c9709af2918cc010c42a1ce14cc3978ce364737e13e52cb04"
+    )
+
+
 def test_cache_hot_run_obeys_the_monomial_limit(tmp_path, capsys):
     """The scan to p = 36 walks up to degree 77, which has 3,081 monomials
     in 3 variables: under the default limit, over the small one. The scan

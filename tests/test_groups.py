@@ -12,6 +12,7 @@ from syzlab.groups import (
     character_of,
     generate_group,
     regular_representation,
+    specialization,
     validate_irrep_catalog,
 )
 from syzlab.invariants import molien_series
@@ -259,6 +260,32 @@ def test_regular_representation_small():
     chi = character_of(reg3)
     assert chi[0] == 3
     assert all(v == 0 for v in chi[1:])
+
+
+@pytest.mark.parametrize("name", ["builtin:cyclic:4", "builtin:sym:3", "builtin:quaternion:8"])
+def test_sparse_builders_match_dense_references(name):
+    """Each regular image is a permutation matrix with g nonzeros, and a
+    specialization is the block-diagonal sum of its copies, compared as
+    dense matrices built here."""
+    group, catalog = builtin_group(name)
+    g = group.order
+    for a, m in enumerate(regular_representation(group).images):
+        dense = [[0] * g for _ in range(g)]
+        for b in range(g):
+            dense[group.mul(a, b)][b] = 1
+        assert m == Matrix(g, g, dense) and sum(map(len, m.entries)) == g
+    mults = [1] * len(catalog.irreps)
+    mults[-1] = 2
+    copies = [irrep for irrep, k in zip(catalog.irreps, mults) for _ in range(k)]
+    rep = specialization(catalog, mults)
+    for a, m in enumerate(rep.images):
+        dense = [[0] * rep.degree for _ in range(rep.degree)]
+        pos = 0
+        for irrep in copies:
+            for i, row in enumerate(irrep.images[a].data):
+                dense[pos + i][pos : pos + irrep.degree] = row
+            pos += irrep.degree
+        assert m == Matrix(rep.degree, rep.degree, dense)
 
 
 def test_quaternion_catalog_degrees():

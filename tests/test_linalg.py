@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syzlab.linalg import Matrix, _forward, _sparse_rows, pivot_columns, rank, reduced_rows
+from syzlab.linalg import Matrix, _forward, pivot_columns, rank, reduced_rows
 from syzlab.cyclo import Cyclotomic, zeta
 
 from oracles import mat_mul, row_reduce, row_reduce_rank
@@ -23,7 +23,7 @@ def transpose(m: Matrix) -> Matrix:
 def rref(m: Matrix):
     """(R, pivot columns, rank): the dense reduced row echelon form rebuilt
     from the kernel's sparse reduced rows, zero rows below."""
-    echelon = reduced_rows(_sparse_rows(m), m.cols)
+    echelon = reduced_rows([dict(r) for r in m.entries], m.cols)
     data = [[0] * m.cols for _ in range(m.rows)]
     for out, (_, row) in zip(data, echelon):
         for k, v in row.items():
@@ -33,7 +33,7 @@ def rref(m: Matrix):
 
 def column_echelon_basis(m: Matrix) -> Matrix:
     """Canonical basis of the column space (reduced echelon by rows)."""
-    echelon = reduced_rows(_sparse_rows(transpose(m)), m.rows)
+    echelon = reduced_rows([dict(r) for r in transpose(m).entries], m.rows)
     return Matrix(m.rows, len(echelon), [[row.get(i, 0) for _, row in echelon] for i in range(m.rows)])
 
 
@@ -175,11 +175,24 @@ def product_pairs(draw, max_dim=5):
     return a, b
 
 
+def assert_stored_form(m: Matrix):
+    """The one matrix format: a {column: nonzero} dict per row, columns
+    increasing and in range, no zero stored and integral values as int."""
+    assert len(m.entries) == m.rows
+    for row in m.entries:
+        assert list(row) == sorted(row) and all(0 <= j < m.cols for j in row)
+        assert all(x and not (type(x) is Fraction and x.denominator == 1) for x in row.values())
+
+
 @settings(max_examples=200, deadline=None)
 @given(product_pairs())
 def test_product_matches_oracle(pair):
+    """The product keeps the stored form, whose dense view `data` matches
+    the oracle's product of the factors' views."""
     a, b = pair
     prod = a @ b
+    for m in (a, b, prod):
+        assert_stored_form(m)
     want = mat_mul([list(r) for r in a.data], [list(r) for r in b.data], b.cols)
     assert (prod.rows, prod.cols) == (a.rows, b.cols) and len(want) == a.rows
     for row, want_row in zip(prod.data, want):
@@ -214,7 +227,7 @@ def test_kernel_matches_oracle(m):
     assert rk == oracle_rank(m)
     red, pivots, rk2 = rref(m)
     assert rk2 == rk
-    assert pivot_columns(_sparse_rows(m), m.cols) == pivots
+    assert pivot_columns([dict(r) for r in m.entries], m.cols) == pivots
     assert (red.rows, red.cols) == (m.rows, m.cols)
     assert_reduced_echelon(red, pivots, rk)
     assert rref(red) == (red, pivots, rk)
@@ -222,7 +235,7 @@ def test_kernel_matches_oracle(m):
     assert k.cols == m.cols - rk
     assert (m @ k).is_zero()
     if all(type(x) is int for r in m.data for x in r):
-        echelon = _forward(_sparse_rows(m), m.cols)
+        echelon = _forward([dict(r) for r in m.entries], m.cols)
         assert all(type(v) is int for _, row in echelon for v in row.values())
 
 

@@ -445,3 +445,40 @@ def test_no_integral_fraction_literals():
         ]
     assert list(PACKAGE.glob("*.py"))
     assert found == []
+
+
+def _sites(is_target) -> set:
+    """(file, innermost "Class.def" or "def") of every node in the engine
+    that `is_target` accepts; the module itself is ""."""
+    found = set()
+
+    def visit(node, owner, name):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            owner = f"{owner}.{node.name}" if owner else node.name
+        if is_target(node):
+            found.add((name, owner))
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner, name)
+
+    for name, tree in _trees():
+        visit(tree, "", name)
+    return found
+
+
+def test_one_matrix_format():
+    """A Matrix holds the elimination kernel's sparse rows, so a block costs
+    its nonzeros. Outside linalg.py only the cache key's bytes read the
+    dense view `data`, and no engine module fills a dense zero matrix.
+    The one `[[0] * n ...]` left is a tableau of a partition's shape."""
+    reads = _sites(lambda node: isinstance(node, ast.Attribute) and node.attr == "data")
+    assert {site for site in reads if site[0] != "linalg.py"} == {
+        ("groups.py", "Representation.canonical_form")
+    }
+    dense = _sites(
+        lambda node: isinstance(node, ast.ListComp)
+        and isinstance(node.elt, ast.BinOp)
+        and isinstance(node.elt.op, ast.Mult)
+        and isinstance(node.elt.left, ast.List)
+        and [ast.literal_eval(e) for e in node.elt.left.elts] == [0]
+    )
+    assert dense == {("schur.py", "_fillings")}
